@@ -456,6 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_base(name: str) -> None:
+    if name not in steenrod.MOTIVIC_BASES:
+        raise UsageError(f"unknown motivic base {name!r}")
+
+
 def _parse_word(raw: str):
     out = []
     for token in raw.split():
@@ -521,6 +526,7 @@ def run(argv) -> int:
             ascii_body = json.dumps(out, sort_keys=True, indent=2)
 
         elif args.subcommand == "steenrod":
+            _check_base(args.base)
             alg = SteenrodAlgebra(args.base, weight=max(16, args.weight + 4))
             certificates["action_table"] = cert(_action_table_ok(alg))
             try:
@@ -535,6 +541,9 @@ def run(argv) -> int:
             ascii_body = json.dumps(results, sort_keys=True, indent=2)
 
         elif args.subcommand == "pages":
+            _check_base(args.base)
+            if args.smax < 0 or args.fmax < 0:
+                raise UsageError("--smax and --fmax must be non-negative")
             truncation = args.truncation or (args.smax + 2)
             builder = {"ko": ko_homology_model, "kgl": kgl_homology_model,
                        "sphere": sphere_model}[args.model]

@@ -37,6 +37,22 @@ def row_reduce(rows: list[int]) -> list[int]:
     return sorted(basis, key=lambda r: r & -r)
 
 
+def transpose(columns: list[int], nrows: int) -> list[int]:
+    """Rows of the matrix whose j-th column is the bitmask `columns[j]`.
+
+    Bit j of row i is bit i of `columns[j]`; every column must fit in
+    `nrows` bits.
+    """
+    rows = [0] * nrows
+    for j, col in enumerate(columns):
+        bit = 1 << j
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= bit
+            col ^= low
+    return rows
+
+
 def in_span(rows: list[int], vec: int) -> bool:
     for b in row_reduce(rows):
         low = b & -b
@@ -101,14 +117,7 @@ def span_intersection(a_rows: list[int], b_rows: list[int]) -> list[int]:
     if not a_rows or not b_rows:
         return []
     vecs = a_rows + b_rows
-    nbits = max(v.bit_length() for v in vecs)
-    eqs = []
-    for k in range(nbits):
-        row = 0
-        for j, v in enumerate(vecs):
-            if (v >> k) & 1:
-                row |= 1 << j
-        eqs.append(row)
+    eqs = transpose(vecs, max(v.bit_length() for v in vecs))
     out = []
     for sol in nullspace(len(vecs), eqs):
         v = 0

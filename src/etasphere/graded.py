@@ -6,7 +6,8 @@ a kind: `polynomial` (free), `exterior` (square is zero), or `square`
 sparse monomial -> coefficient maps; monomials are tuples of
 (generator index, exponent) sorted by index.  Coefficients live in a small
 pluggable ring; homology is implemented over F2 only, with ranks over the
-rationals available for derivation matrices.
+rationals (by fraction-free integer elimination) available for derivation
+matrices.
 
 Truncation degree D is mandatory: operations that would need a monomial of
 degree beyond D raise TruncationExceeded instead of silently dropping it.
@@ -18,6 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import gf2
 
@@ -292,6 +294,7 @@ class AlgebraSpec:
     def __init__(self, generators, coefficients=None, truncation: int = 24):
         self.coefficients = coefficients if coefficients is not None else F2()
         self.truncation = truncation
+        self._monomials: dict[int, tuple] = {}  # degree -> monomial basis
         self.generators: list[GeneratorSpec] = []
         self.index_of: dict[str, int] = {}
         for g in generators:
@@ -452,9 +455,18 @@ class AlgebraSpec:
 
     # -- monomial bases ---------------------------------------------------------
     def monomials_of_degree(self, n: int):
-        """Normalized monomials of generator-degree n (coefficient part 1)."""
+        """Normalized monomials of generator-degree n (coefficient part 1).
+
+        Each degree is enumerated once per algebra; callers get a fresh list.
+        """
         if n > self.truncation:
             raise TruncationExceeded(f"degree {n} exceeds truncation {self.truncation}")
+        cached = self._monomials.get(n)
+        if cached is None:
+            cached = self._monomials[n] = tuple(self._enumerate_monomials(n))
+        return list(cached)
+
+    def _enumerate_monomials(self, n: int):
         gens = self.generators
 
         def rec(idx: int, remaining: int):
@@ -471,7 +483,7 @@ class AlgebraSpec:
                 for rest in rec(idx + 1, remaining - e * g.degree):
                     yield ((idx, e),) + rest if e else rest
 
-        return [mon_from_dict({i: e for i, e in m}) for m in rec(0, n)]
+        return (mon_from_dict({i: e for i, e in m}) for m in rec(0, n))
 
     def describe_monomial(self, mon: Monomial) -> str:
         if not mon:
@@ -721,14 +733,7 @@ def homology_at_degree(d: Derivation, n: int,
                 mask |= 1 << tindex[mon]
         col_masks.append(mask)
     # kernel of the map out of degree n
-    rows = []
-    for ti in range(len(target)):
-        row = 0
-        for j, mask in enumerate(col_masks):
-            if (mask >> ti) & 1:
-                row |= 1 << j
-        rows.append(row)
-    cycles = gf2.nullspace(len(source), rows)
+    cycles = gf2.nullspace(len(source), gf2.transpose(col_masks, len(target)))
     # image of the map into degree n
     prev = n - shift
     boundaries = []
@@ -762,11 +767,14 @@ def homology_at_degree(d: Derivation, n: int,
 
 
 def rank_and_kernel_dim(d: Derivation, n: int) -> tuple[int, int]:
-    """Rank/kernel of d out of degree n over F2 or Q coefficients."""
+    """Rank/kernel of d out of degree n over F2, or over Q for Z and Q coefficients."""
     alg = d.algebra
+    ring = alg.coefficients
+    if not isinstance(ring, (F2, IntegerRing)):
+        raise AlgebraError(f"rank is implemented over F2, Z and Q only, not {ring.name}")
     source, target, cols = derivation_matrix(d, n)
-    if isinstance(alg.coefficients, F2):
-        tindex = {mon: i for i, mon in enumerate(target)}
+    tindex = {mon: i for i, mon in enumerate(target)}
+    if isinstance(ring, F2):
         masks = []
         for col in cols:
             mask = 0
@@ -775,38 +783,38 @@ def rank_and_kernel_dim(d: Derivation, n: int) -> tuple[int, int]:
                     mask |= 1 << tindex[mon]
             masks.append(mask)
         r = gf2.rank(masks)
-        return r, len(source) - r
-    # dense elimination over an exact field
-    tindex = {mon: i for i, mon in enumerate(target)}
-    matrix = [[Fraction(0)] * len(cols) for _ in range(len(target))]
-    for j, col in enumerate(cols):
-        for mon, c in col.items():
-            matrix[tindex[mon]][j] = Fraction(c)
-    r = _fraction_rank(matrix)
+    else:
+        r = rational_rank({tindex[mon]: c for mon, c in col.items()} for col in cols)
     return r, len(source) - r
 
 
-def _fraction_rank(matrix) -> int:
-    rows = [row[:] for row in matrix if any(row)]
-    rank = 0
-    col = 0
-    ncols = len(matrix[0]) if matrix else 0
-    while rows and col < ncols:
-        piv = next((i for i, row in enumerate(rows) if row[col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[0], rows[piv] = rows[piv], rows[0]
-        head = rows[0]
-        for row in rows[1:]:
-            if row[col] != 0:
-                f = row[col] / head[col]
-                for k in range(col, ncols):
-                    row[k] -= f * head[k]
-        rows = [row for row in rows[1:] if any(row)]
-        rank += 1
-        col += 1
-    return rank
+def rational_rank(vectors) -> int:
+    """Rank over Q of sparse vectors {index: int or Fraction}.
+
+    Fraction-free elimination: each vector is scaled to a primitive integer
+    vector, then reduced against the pivot vectors found so far, whose
+    pivot is their smallest index; each combination is divided by its gcd.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for vec in vectors:
+        den = lcm(*(c.denominator for c in vec.values()))
+        row = {k: c.numerator * (den // c.denominator) for k, c in vec.items() if c}
+        while row:
+            g = gcd(*row.values())
+            if g != 1:
+                row = {k: v // g for k, v in row.items()}
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            g = gcd(row[lead], pivot[lead])
+            a, b = row[lead] // g, pivot[lead] // g
+            combined = {k: b * v for k, v in row.items()}
+            for k, v in pivot.items():
+                combined[k] = combined.get(k, 0) - a * v
+            row = {k: v for k, v in combined.items() if v}
+    return len(pivots)
 
 
 def hilbert_dimension(algebra: AlgebraSpec, n: int) -> int:

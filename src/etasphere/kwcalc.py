@@ -556,17 +556,10 @@ def _kernel_indecomposables(algebra, phi, max_degree):
                 if c:
                     m |= 1 << tindex[mon]
             masks.append(m)
-        rows = []
-        for ti in range(len(target)):
-            row = 0
-            for j, mask in enumerate(masks):
-                if (mask >> ti) & 1:
-                    row |= 1 << j
-            rows.append(row)
         kernel_elements[degree] = [
             GradedElement(algebra, {source[j]: 1 for j in range(len(source))
                                     if (mask >> j) & 1})
-            for mask in gf2.nullspace(len(source), rows)
+            for mask in gf2.nullspace(len(source), gf2.transpose(masks, len(target)))
         ]
     new_generator_degrees = []
     chosen: dict[int, list] = {}

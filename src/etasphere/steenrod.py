@@ -14,7 +14,7 @@ kgl-models are assembled from the delta-complex with the class h adjoined.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import gf2
 from .graded import (
@@ -806,7 +806,8 @@ class HomologyModel:
 
     The algebra is graded by the stem s; each generator also carries its
     motivic weight w, and coefficients are k^M (powers of rho, with w = +1
-    each).  delta lowers s by 1 and raises w by 1.
+    each).  delta lowers s by 1 and raises w by 1.  Cell bases and delta
+    columns are computed once per (s, w) cell and kept with the model.
     """
 
     name: str
@@ -814,24 +815,37 @@ class HomologyModel:
     algebra: AlgebraSpec
     delta: Derivation
     gen_weights: list  # w per generator index
+    _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _deltas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def monomial_weight(self, mon) -> int:
         return sum(self.gen_weights[i] * e for i, e in mon)
 
     def cell_basis(self, s: int, w: int):
-        """F2-basis of the (stem, weight) cell: pairs (rho_exp, monomial)."""
-        if s < 0 or s > self.algebra.truncation:
-            return []
-        km = self.algebra.coefficients
-        out = []
-        for mon in self.algebra.monomials_of_degree(s):
-            a = w - self.monomial_weight(mon)
-            if a >= 0 and km._admissible(a):
-                out.append((a, mon))
-        return sorted(out)
+        """F2-basis of the (stem, weight) cell: pairs (rho_exp, monomial).
+
+        Callers get a fresh list.
+        """
+        cell = self._cells.get((s, w))
+        if cell is None:
+            out = []
+            if 0 <= s <= self.algebra.truncation:
+                km = self.algebra.coefficients
+                for mon in self.algebra.monomials_of_degree(s):
+                    a = w - self.monomial_weight(mon)
+                    if a >= 0 and km._admissible(a):
+                        out.append((a, mon))
+            cell = self._cells[(s, w)] = tuple(sorted(out))
+        return list(cell)
 
     def delta_matrix(self, s: int, w: int):
-        """Columns of delta: C(s, w) -> C(s-1, w+1) as bitmasks."""
+        """Columns of delta: C(s, w) -> C(s-1, w+1) as bitmasks.
+
+        Returns the tuples (source basis, target basis, columns).
+        """
+        cached = self._deltas.get((s, w))
+        if cached is not None:
+            return cached
         source = self.cell_basis(s, w)
         target = self.cell_basis(s - 1, w + 1)
         tindex = {item: i for i, item in enumerate(target)}
@@ -852,28 +866,24 @@ class HomologyModel:
                             f"delta image leaves the requested weight window at {key}"
                         )
             cols.append(mask)
-        return source, target, cols
+        cached = self._deltas[(s, w)] = (tuple(source), tuple(target), tuple(cols))
+        return cached
 
     def cell_cycles(self, s: int, w: int):
-        source, _, cols = self.delta_matrix(s, w)
+        source, target, cols = self.delta_matrix(s, w)
         if not source:
             return source, []
-        nbits = len(source)
-        rows = []
-        max_target = max((c.bit_length() for c in cols), default=0)
-        for ti in range(max_target):
-            row = 0
-            for j, mask in enumerate(cols):
-                if (mask >> ti) & 1:
-                    row |= 1 << j
-            rows.append(row)
-        return source, gf2.nullspace(nbits, rows)
+        return source, gf2.nullspace(len(source), gf2.transpose(cols, len(target)))
 
-    def cell_homology_dim(self, s: int, w: int) -> int:
+    def cell_homology(self, s: int, w: int):
+        """Source basis of the cell and bitmask representatives of its delta-homology."""
         source, cycles = self.cell_cycles(s, w)
         _, _, incoming = self.delta_matrix(s + 1, w - 1)
         boundaries = gf2.row_reduce([c for c in incoming if c])
-        return len(gf2.quotient_basis(cycles, boundaries))
+        return source, gf2.quotient_basis(cycles, boundaries)
+
+    def cell_homology_dim(self, s: int, w: int) -> int:
+        return len(self.cell_homology(s, w)[1])
 
     def check_delta_squared(self, smax: int) -> int:
         km = self.algebra.coefficients
@@ -1023,32 +1033,19 @@ def bockstein_pages(
                 cell = model.cell_basis(s, w + f)
                 if cell:
                     e1_entries[(s, f, w)] = _cell_labels(model, cell, f)
-            # E2: f = 0 row = cycles at (s, w)
+            # E2: f = 0 row = cycles at (s, w), labelled by leading monomials
             source, cycles = model.cell_cycles(s, w)
             reduced = gf2.row_reduce(cycles)
             if reduced:
-                labels = []
-                for mask in reduced:
-                    lead = max(j for j in range(len(source)) if (mask >> j) & 1)
-                    labels.append(_cell_labels(model, [source[lead]], 0)[0])
-                e2_entries[(s, 0, w)] = labels
+                leads = [source[mask.bit_length() - 1] for mask in reduced]
+                e2_entries[(s, 0, w)] = _cell_labels(model, leads, 0)
     for s in range(0, smax + 1):
         for w in range(wmin, wmax + 1):
             for f in range(1, fmax + 1):
-                dim = model.cell_homology_dim(s, w + f)
-                if dim:
-                    cellw = w + f
-                    source, cycles = model.cell_cycles(s, cellw)
-                    _, _, incoming = model.delta_matrix(s + 1, cellw - 1)
-                    boundaries = gf2.row_reduce([c for c in incoming if c])
-                    reps = gf2.quotient_basis(cycles, boundaries)
-                    labels = []
-                    for mask in reps:
-                        lead = max(j for j in range(len(source)) if (mask >> j) & 1)
-                        labels.append(
-                            _cell_labels(model, [source[lead]], f)[0]
-                        )
-                    e2_entries[(s, f, w)] = labels
+                source, reps = model.cell_homology(s, w + f)
+                if reps:
+                    leads = [source[mask.bit_length() - 1] for mask in reps]
+                    e2_entries[(s, f, w)] = _cell_labels(model, leads, f)
 
     offenders = [
         (s, f, w)

@@ -176,3 +176,15 @@ def test_stems_chart_real_closed_degree_7(capsys):
     assert code == 0
     row7 = next(line for line in out.splitlines() if line.strip().startswith("7 |"))
     assert "Z/16" in row7 and "Z/15" in row7
+
+
+def test_pages_and_steenrod_usage_errors_exit_2(capsys):
+    for argv in (
+        ["pages", "--base", "nosuch"],
+        ["steenrod", "--base", "nosuch", "--weight", "2"],
+        ["pages", "--smax", "-1"],
+        ["pages", "--fmax", "-1"],
+    ):
+        code, _, err = run_capture(capsys, argv)
+        assert code == 2, argv
+        assert "usage error" in err

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from etasphere import gf2
 from etasphere.graded import (
     EXTERIOR,
     POLYNOMIAL,
     SQUARE,
+    AlgebraError,
     AlgebraSpec,
     Derivation,
     F2,
     GeneratorSpec,
     IntegerRing,
+    IntegersMod,
     KMTau,
     NonSquareZero,
     RationalRing,
@@ -23,6 +29,7 @@ from etasphere.graded import (
     homology_at_degree,
     normalize_product,
     rank_and_kernel_dim,
+    rational_rank,
 )
 
 
@@ -221,3 +228,73 @@ def test_homology_rank_nullity_consistency():
     for n in range(0, 13):
         h = homology_at_degree(delta, n)
         assert h.homology_dim == h.cycle_dim - h.boundary_dim
+
+
+def test_rank_refuses_rings_without_a_rank():
+    a = AlgebraSpec([GeneratorSpec("x", 2)], IntegersMod(4), truncation=6)
+    d = Derivation(a, 0, {"x": a.gen("x").scale(2)})  # d(x) = 2x
+    with pytest.raises(AlgebraError):
+        rank_and_kernel_dim(d, 2)
+
+
+def fraction_rank(matrix) -> int:
+    """Reference: Gaussian elimination on a dense matrix of Fractions."""
+    rows = [[Fraction(c) for c in row] for row in matrix]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        head = rows[rank]
+        for row in rows[rank + 1:]:
+            f = row[col] / head[col]
+            for k in range(col, ncols):
+                row[k] -= f * head[k]
+        rank += 1
+    return rank
+
+
+entries = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+matrices = st.integers(0, 6).flatmap(
+    lambda ncols: st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=6)
+)
+
+
+@given(matrices)
+@example([])
+@example([[0, 0, 0], [0, 0, 0]])  # zero rows and zero columns only
+@example([[0, Fraction(1, 2), 0], [0, 0, 0], [0, Fraction(-3, 4), 0]])
+@example([[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), 1]])  # rank 2 over Q
+@example([[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), 1], [2, 4]])
+def test_rational_rank_matches_fraction_elimination(matrix):
+    ncols = len(matrix[0]) if matrix else 0
+    # the kernel consumes columns; zero entries may or may not be stored
+    columns = [{i: row[j] for i, row in enumerate(matrix) if row[j] or i % 2}
+               for j in range(ncols)]
+    assert rational_rank(columns) == fraction_rank(matrix)
+    # rank of the transpose: the rows as vectors
+    assert rational_rank(dict(enumerate(row)) for row in matrix) == fraction_rank(matrix)
+
+
+@given(st.lists(st.integers(0, 255), max_size=8))
+def test_gf2_transpose_against_bits(columns):
+    rows = gf2.transpose(columns, 8)
+    for i in range(8):
+        for j, col in enumerate(columns):
+            assert (rows[i] >> j) & 1 == (col >> i) & 1
+    assert gf2.transpose(rows, len(columns)) == columns
+
+
+def test_monomial_bases_are_not_aliased():
+    a = poly_f2([("x", 1), ("y", 2)], truncation=8)
+    first = a.monomials_of_degree(4)
+    want = list(first)
+    first.append(((0, 99),))
+    first[0] = ()
+    assert a.monomials_of_degree(4) == want

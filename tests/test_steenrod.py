@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from etasphere.graded import TruncationExceeded
@@ -303,3 +305,38 @@ def test_ko_and_kgl_models_differ_exactly_by_xi1_generator():
     kgl_names = {g.name for g in kgl.algebra.generators}
     assert ko_names - kgl_names == {"xi1sq"}
     assert kgl_names - ko_names == {"xi1"}
+
+
+def brute_force_monomials(algebra, n):
+    """Every exponent vector of degree n that normalization leaves fixed."""
+    one = algebra.coefficients.one
+    ranges = [range(n // g.degree + 1) for g in algebra.generators]
+    out = []
+    for exps in itertools.product(*ranges):
+        if sum(e * g.degree for e, g in zip(exps, algebra.generators)) != n:
+            continue
+        mon = tuple((i, e) for i, e in enumerate(exps) if e)
+        if algebra.normalize({mon: one}) == {mon: one}:
+            out.append(mon)
+    return out
+
+
+@pytest.mark.parametrize("make_model", [ko_homology_model, kgl_homology_model])
+@pytest.mark.parametrize("base", ["real_closed", "quadratically_closed"])
+def test_model_monomials_match_brute_force(make_model, base):
+    algebra = make_model(base, truncation=18).algebra
+    for n in range(0, algebra.truncation + 1):
+        got = algebra.monomials_of_degree(n)
+        assert len(set(got)) == len(got)
+        assert sorted(got) == sorted(brute_force_monomials(algebra, n)), n
+
+
+def test_cell_basis_is_not_aliased():
+    model = ko_homology_model("real_closed", truncation=10)
+    first = model.cell_basis(4, -3)
+    assert first
+    want = list(first)
+    first.clear()
+    assert model.cell_basis(4, -3) == want
+    source, _, _ = model.delta_matrix(4, -3)
+    assert list(source) == want
