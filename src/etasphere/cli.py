@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__, kwcalc, steenrod, witt
 from .abelian import FinAbGroup
-from .graded import check_confluence_random
+from .graded import BoundsExceeded, check_confluence_random
 from .kwcalc import (
     DividedPowerModel,
     cobordism_stems,
@@ -34,6 +34,7 @@ from .kwcalc import (
 )
 from .steenrod import (
     SteenrodAlgebra,
+    action_table_ok,
     bockstein_pages,
     check_antipode_axiom,
     check_coassociativity,
@@ -278,7 +279,7 @@ def verify_steenrod(weight: int = 12) -> dict:
             certs[f"coassoc_counit_{base}"] = cert(checked > 0 and counit_checked > 0)
         except Exception as exc:
             certs[f"coassoc_counit_{base}"] = cert(False, str(exc))
-        certs[f"action_table_{base}"] = cert(_action_table_ok(alg))
+        certs[f"action_table_{base}"] = cert(action_table_ok(alg))
     alg = SteenrodAlgebra("real_closed", weight=16)
     try:
         checked = conjugate_basis_triangularity(alg, max_weight=8, max_tau_power=2)
@@ -291,32 +292,6 @@ def verify_steenrod(weight: int = 12) -> dict:
     except Exception as exc:
         certs["antipode_axiom"] = cert(False, str(exc))
     return certs
-
-
-def _action_table_ok(alg) -> bool:
-    from .steenrod import dual_action
-
-    taus = range(0, alg.max_tau + 1)
-    xis = range(1, alg.max_xi + 1)
-    ok = dual_action("tau0_hat", "L", alg.tau(0)) == alg.one()
-    ok &= all(dual_action("tau0_hat", "L", alg.tau(i)).is_zero() for i in taus if i)
-    ok &= all(dual_action("tau0_hat", "L", alg.xi(i)).is_zero() for i in xis)
-    ok &= dual_action("tau1_hat", "L", alg.tau(1)) == alg.one()
-    ok &= all(dual_action("tau1_hat", "L", alg.tau(i)).is_zero() for i in taus if i != 1)
-    ok &= all(dual_action("tau1_hat", "L", alg.xi(i)).is_zero() for i in xis)
-    ok &= dual_action("xi1_hat", "L", alg.tau(1)) == alg.tau(0)
-    ok &= all(dual_action("xi1_hat", "L", alg.tau(i)).is_zero() for i in taus if i != 1)
-    ok &= dual_action("xi1_hat", "L", alg.xi(1)) == alg.one()
-    ok &= all(dual_action("xi1_hat", "L", alg.xi(i)).is_zero() for i in xis if i != 1)
-    ok &= all(dual_action("tau0_hat", "R", alg.tau(i)) == alg.xi(i) for i in taus)
-    ok &= all(dual_action("tau0_hat", "R", alg.xi(i)).is_zero() for i in xis)
-    ok &= all(dual_action("xi1_hat", "R", alg.tau(i)).is_zero() for i in taus)
-    ok &= all(
-        dual_action("xi1_hat", "R", alg.xi(i))
-        == (alg.xi(i - 1) * alg.xi(i - 1) if i > 1 else alg.one())
-        for i in xis
-    )
-    return bool(ok)
 
 
 def verify_kwcalc(rng: random.Random) -> dict:
@@ -456,9 +431,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_base(name: str) -> None:
-    if name not in steenrod.MOTIVIC_BASES:
-        raise UsageError(f"unknown motivic base {name!r}")
+# integer options that bound a computation: none of them may be negative
+BOUND_OPTIONS = ("max", "weight", "smax", "fmax", "truncation", "imax", "jmax", "nmax",
+                 "modulus_bits")
+
+
+def check_arguments(args, fields) -> None:
+    """Reject negative bounds and unknown fields or motivic bases up front."""
+    negative = [f"--{name.replace('_', '-')}" for name in BOUND_OPTIONS
+                if (getattr(args, name, None) or 0) < 0]
+    if negative:
+        raise UsageError(f"{', '.join(negative)} must be non-negative")
+    field = getattr(args, "field", None)
+    if field is not None and field not in fields:
+        raise UsageError(f"unknown field {field!r}")
+    base = getattr(args, "base", None)
+    if base is not None and base not in steenrod.MOTIVIC_BASES:
+        raise UsageError(f"unknown motivic base {base!r}")
 
 
 def _parse_word(raw: str):
@@ -494,10 +483,9 @@ def run(argv) -> int:
 
     try:
         fields, stems_data = load_config(args.catalog, getattr(args, "stems_data", None))
+        check_arguments(args, fields)
 
         if args.subcommand == "stems":
-            if args.field not in fields:
-                raise UsageError(f"unknown field {args.field!r}")
             table = eta_stems(args.field, args.max, stems_data, args.catalog)
             results = table.to_json()
             ascii_body = emit_stems_chart(table)
@@ -505,8 +493,6 @@ def run(argv) -> int:
         elif args.subcommand == "witt":
             out = {}
             if args.field:
-                if args.field not in fields:
-                    raise UsageError(f"unknown field {args.field!r}")
                 ring = fields[args.field]
                 out["presentation"] = ring.to_json()
                 certificates["presentation_validates"] = cert(True)
@@ -526,9 +512,8 @@ def run(argv) -> int:
             ascii_body = json.dumps(out, sort_keys=True, indent=2)
 
         elif args.subcommand == "steenrod":
-            _check_base(args.base)
             alg = SteenrodAlgebra(args.base, weight=max(16, args.weight + 4))
-            certificates["action_table"] = cert(_action_table_ok(alg))
+            certificates["action_table"] = cert(action_table_ok(alg))
             try:
                 n1 = check_coassociativity(alg, args.weight)
                 n2 = check_counit(alg, args.weight)
@@ -541,9 +526,6 @@ def run(argv) -> int:
             ascii_body = json.dumps(results, sort_keys=True, indent=2)
 
         elif args.subcommand == "pages":
-            _check_base(args.base)
-            if args.smax < 0 or args.fmax < 0:
-                raise UsageError("--smax and --fmax must be non-negative")
             truncation = args.truncation or (args.smax + 2)
             builder = {"ko": ko_homology_model, "kgl": kgl_homology_model,
                        "sphere": sphere_model}[args.model]
@@ -602,8 +584,6 @@ def run(argv) -> int:
             ascii_body = emit_stems_chart(table)
 
         elif args.subcommand == "hwhw":
-            if args.field not in fields:
-                raise UsageError(f"unknown field {args.field!r}")
             table = hw_hw_stems(args.field, args.max, args.catalog)
             results = table.to_json()
             ascii_body = emit_stems_chart(table)
@@ -650,11 +630,11 @@ def run(argv) -> int:
         return 2
     except (
         witt.UnknownField,
+        witt.UnsupportedCharacteristic,
         kwcalc.ParseError,
         kwcalc.DegreeOutOfRange,
-        kwcalc.BoundsExceeded,
         kwcalc.UnitInversionFailed,
-        steenrod.BoundsExceeded,
+        BoundsExceeded,
     ) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -250,7 +250,11 @@ def filtered_lemma_suite(alpha: FilteredMorphism) -> dict:
 # ---------------------------------------------------------------------------
 
 class FiniteRing:
-    """Finite commutative ring on generators with given additive orders."""
+    """Finite commutative ring on generators with given additive orders.
+
+    Elements are reduced coordinate tuples.  The ring is also a coefficient
+    ring for `graded.AlgebraSpec` (W/2^K for the completed Witt models).
+    """
 
     def __init__(self, orders, mult_table, unit, name="R"):
         self.orders = list(orders)
@@ -258,11 +262,24 @@ class FiniteRing:
         self.mult_table = [
             [self.reduce(mult_table[i][j]) for j in range(self.n)] for i in range(self.n)
         ]
-        self.unit = self.reduce(unit)
+        self.zero = (0,) * self.n
+        self.one = self.reduce(unit)
         self.name = name
 
     def reduce(self, coords):
         return tuple(c % d for c, d in zip(coords, self.orders))
+
+    def neg(self, a):
+        return self.reduce([-x for x in a])
+
+    def is_zero(self, a):
+        return not any(self.reduce(a))
+
+    def degrees(self, a):
+        return {0}
+
+    def describe(self, a):
+        return str(list(a))
 
     def relations(self):
         cols = []

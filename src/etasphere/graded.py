@@ -4,10 +4,18 @@ An algebra is a list of generators, each with a positive integer degree and
 a kind: `polynomial` (free), `exterior` (square is zero), or `square`
 (the square rewrites to a stated element of twice the degree).  Elements are
 sparse monomial -> coefficient maps; monomials are tuples of
-(generator index, exponent) sorted by index.  Coefficients live in a small
-pluggable ring; homology is implemented over F2 only, with ranks over the
-rationals (by fraction-free integer elimination) available for derivation
-matrices.
+(generator index, exponent) sorted by index.  Homology is implemented over
+F2 only, with ranks over the rationals (by fraction-free integer
+elimination) available for derivation matrices.
+
+Coefficients live in a small pluggable ring: any object with the attributes
+`name`, `zero` and `one` and the methods `add`, `neg`, `mul`, `is_zero`,
+`degrees` (the set of internal degrees of an element, {0} for an ungraded
+ring) and `describe`; derivations and JSON specs also call `from_int`.
+`F2`, `IntegerRing`, `RationalRing`, `IntegersMod` and `KMTau` live here;
+`filtered.FiniteRing` is the W/2^K ring of the completed Witt models.
+Every sparse term dict over such a ring is accumulated with `add_term` and
+compared with `terms_equal`.
 
 Truncation degree D is mandatory: operations that would need a monomial of
 degree beyond D raise TruncationExceeded instead of silently dropping it.
@@ -26,6 +34,10 @@ from . import gf2
 
 class TruncationExceeded(ValueError):
     pass
+
+
+class BoundsExceeded(ValueError):
+    """A request exceeds a stated bound, or a structural self-check failed."""
 
 
 class NonSquareZero(ValueError):
@@ -137,53 +149,6 @@ class IntegersMod:
 
     def describe(self, a):
         return str(a)
-
-
-class WittCoefficients:
-    """Coefficients in a presented Witt ring (or W/2^K when modulus_bits set)."""
-
-    def __init__(self, presentation, modulus_bits: int | None = None):
-        self.presentation = presentation
-        self.modulus_bits = modulus_bits
-        self.name = f"W({presentation.name})" + (
-            f"/2^{modulus_bits}" if modulus_bits else ""
-        )
-        self.zero = self._reduce(presentation.zero())
-        self.one = self._reduce(presentation.one())
-
-    def _reduce(self, el):
-        if self.modulus_bits is None:
-            return el
-        g = el.ring.additive
-        m = 1 << self.modulus_bits
-        coords = list(el.coords)
-        for i in range(g.free_rank):
-            coords[i] %= m
-        from math import gcd
-        for j, d in enumerate(g.invariant_factors):
-            coords[g.free_rank + j] %= gcd(d, m)
-        return el.ring.element(coords)
-
-    def add(self, a, b):
-        return self._reduce(a + b)
-
-    def neg(self, a):
-        return self._reduce(-a)
-
-    def mul(self, a, b):
-        return self._reduce(a * b)
-
-    def is_zero(self, a):
-        return self._reduce(a).is_zero()
-
-    def from_int(self, n):
-        return self._reduce(n * self.presentation.one())
-
-    def degrees(self, a):
-        return {0}
-
-    def describe(self, a):
-        return repr(list(a.coords))
 
 
 class KMTau:
@@ -396,11 +361,7 @@ class AlgebraSpec:
             if indices:
                 target = min(indices) if strategy == "low" else max(indices)
             if target is None:
-                acc = ring.add(out.get(mon, ring.zero), coeff)
-                if ring.is_zero(acc):
-                    out.pop(mon, None)
-                else:
-                    out[mon] = acc
+                add_term(ring, out, mon, coeff)
                 continue
             g = self.generators[target]
             rest = {i: e for i, e in mon}
@@ -513,6 +474,15 @@ class AlgebraSpec:
         return cls(gens, ring, int(obj.get("truncation", 24)))
 
 
+def add_term(ring, terms: dict, key, coeff) -> None:
+    """terms[key] += coeff in place; a key whose sum is zero is dropped."""
+    acc = ring.add(terms.get(key, ring.zero), coeff)
+    if ring.is_zero(acc):
+        terms.pop(key, None)
+    else:
+        terms[key] = acc
+
+
 def terms_equal(ring, a: dict, b: dict) -> bool:
     keys = set(a) | set(b)
     for k in keys:
@@ -545,11 +515,7 @@ class GradedElement:
         ring = self.algebra.coefficients
         out = dict(self.terms)
         for mon, coeff in other.terms.items():
-            acc = ring.add(out.get(mon, ring.zero), coeff)
-            if ring.is_zero(acc):
-                out.pop(mon, None)
-            else:
-                out[mon] = acc
+            add_term(ring, out, mon, coeff)
         return GradedElement(self.algebra, out)
 
     def __neg__(self):
@@ -607,15 +573,7 @@ def normalize_product(a: GradedElement, b: GradedElement) -> GradedElement:
     raw: dict[Monomial, object] = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            mon = mon_mul(m1, m2)
-            coeff = ring.mul(c1, c2)
-            if ring.is_zero(coeff):
-                continue
-            acc = ring.add(raw.get(mon, ring.zero), coeff)
-            if ring.is_zero(acc):
-                raw.pop(mon, None)
-            else:
-                raw[mon] = acc
+            add_term(ring, raw, mon_mul(m1, m2), ring.mul(c1, c2))
     return GradedElement(alg, alg.normalize(raw))
 
 
@@ -687,6 +645,26 @@ def derivation_matrix(d: Derivation, n: int):
     return source, target, cols
 
 
+def f2_masks(columns, basis) -> list[int]:
+    """Sparse F2 columns (monomial -> 0/1 dicts) as bitmasks over `basis`."""
+    index = {mon: i for i, mon in enumerate(basis)}
+    masks = []
+    for col in columns:
+        mask = 0
+        for mon, c in col.items():
+            if c:
+                mask |= 1 << index[mon]
+        masks.append(mask)
+    return masks
+
+
+def f2_kernel(d: Derivation, n: int):
+    """Source basis of degree n and bitmasks over it spanning ker d (F2 only)."""
+    source, target, cols = derivation_matrix(d, n)
+    masks = f2_masks(cols, target)
+    return source, gf2.nullspace(len(source), gf2.transpose(masks, len(target)))
+
+
 @dataclass
 class HomologyAtDegree:
     degree: int
@@ -723,30 +701,14 @@ def homology_at_degree(d: Derivation, n: int,
                     raise NonSquareZero(
                         f"d({d.name}) fails d.d = 0 on {alg.describe_monomial(mon)}"
                     )
-    source, target, cols = derivation_matrix(d, n)
-    tindex = {mon: i for i, mon in enumerate(target)}
-    col_masks = []
-    for col in cols:
-        mask = 0
-        for mon, c in col.items():
-            if c:
-                mask |= 1 << tindex[mon]
-        col_masks.append(mask)
     # kernel of the map out of degree n
-    cycles = gf2.nullspace(len(source), gf2.transpose(col_masks, len(target)))
+    source, cycles = f2_kernel(d, n)
     # image of the map into degree n
     prev = n - shift
     boundaries = []
     if 0 <= prev <= alg.truncation:
-        psource, ptarget, pcols = derivation_matrix(d, prev)
-        sindex = {mon: i for i, mon in enumerate(source)}
-        for col in pcols:
-            mask = 0
-            for mon, c in col.items():
-                if c:
-                    mask |= 1 << sindex[mon]
-            if mask:
-                boundaries.append(mask)
+        _, _, pcols = derivation_matrix(d, prev)
+        boundaries = [mask for mask in f2_masks(pcols, source) if mask]
     boundary_basis = gf2.row_reduce(boundaries)
     if allow_non_differential:
         # quotient by boundaries that actually lie in the cycle space
@@ -773,17 +735,10 @@ def rank_and_kernel_dim(d: Derivation, n: int) -> tuple[int, int]:
     if not isinstance(ring, (F2, IntegerRing)):
         raise AlgebraError(f"rank is implemented over F2, Z and Q only, not {ring.name}")
     source, target, cols = derivation_matrix(d, n)
-    tindex = {mon: i for i, mon in enumerate(target)}
     if isinstance(ring, F2):
-        masks = []
-        for col in cols:
-            mask = 0
-            for mon, c in col.items():
-                if c:
-                    mask |= 1 << tindex[mon]
-            masks.append(mask)
-        r = gf2.rank(masks)
+        r = gf2.rank(f2_masks(cols, target))
     else:
+        tindex = {mon: i for i, mon in enumerate(target)}
         r = rational_rank({tindex[mon]: c for mon, c in col.items()} for col in cols)
     return r, len(source) - r
 

@@ -21,19 +21,18 @@ from .graded import (
     POLYNOMIAL,
     SQUARE,
     AlgebraSpec,
+    BoundsExceeded,
     Derivation,
     GeneratorSpec,
     KMTau,
     TruncationExceeded,
+    add_term,
     apply_derivation,
+    terms_equal,
 )
 
 
 class UnknownOperator(KeyError):
-    pass
-
-
-class BoundsExceeded(ValueError):
     pass
 
 
@@ -317,11 +316,7 @@ class SteenrodAlgebra:
                     raise TruncationExceeded(
                         f"monomial of weight {mon_weight(key)} exceeds {self.weight}"
                     )
-                acc = km.add(out.get(key, km.zero), coeff)
-                if km.is_zero(acc):
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                add_term(km, out, key, coeff)
                 continue
             rest_eps = list(eps)
             rest_eps[hot] -= 2
@@ -342,11 +337,7 @@ class SteenrodElement:
         km = self.algebra.km
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            acc = km.add(out.get(key, km.zero), coeff)
-            if km.is_zero(acc):
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            add_term(km, out, key, coeff)
         return SteenrodElement(self.algebra, out)
 
     def __mul__(self, other):
@@ -354,15 +345,7 @@ class SteenrodElement:
         raw: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                key = mon_mul_raw(k1, k2)
-                coeff = km.mul(c1, c2)
-                if km.is_zero(coeff):
-                    continue
-                acc = km.add(raw.get(key, km.zero), coeff)
-                if km.is_zero(acc):
-                    raw.pop(key, None)
-                else:
-                    raw[key] = acc
+                add_term(km, raw, mon_mul_raw(k1, k2), km.mul(c1, c2))
         return SteenrodElement(self.algebra, self.algebra._normalize(raw))
 
     def scale(self, coeff) -> "SteenrodElement":
@@ -380,12 +363,7 @@ class SteenrodElement:
     def __eq__(self, other):
         if not isinstance(other, SteenrodElement):
             return NotImplemented
-        km = self.algebra.km
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            km.is_zero(km.add(self.terms.get(k, km.zero), other.terms.get(k, km.zero)))
-            for k in keys
-        )
+        return terms_equal(self.algebra.km, self.terms, other.terms)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -423,31 +401,16 @@ class TensorElement:
         self.slots = slots
         self.terms = dict(terms or {})
 
-    def add_term(self, mons: tuple, coeff):
-        km = self.algebra.km
-        if km.is_zero(coeff):
-            return
-        acc = km.add(self.terms.get(mons, km.zero), coeff)
-        if km.is_zero(acc):
-            self.terms.pop(mons, None)
-        else:
-            self.terms[mons] = acc
-
     def __add__(self, other):
         out = TensorElement(self.algebra, self.slots, self.terms)
         for mons, coeff in other.terms.items():
-            out.add_term(mons, coeff)
+            add_term(self.algebra.km, out.terms, mons, coeff)
         return out
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement) or self.slots != other.slots:
             return NotImplemented
-        km = self.algebra.km
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            km.is_zero(km.add(self.terms.get(k, km.zero), other.terms.get(k, km.zero)))
-            for k in keys
-        )
+        return terms_equal(self.algebra.km, self.terms, other.terms)
 
     def is_zero(self):
         return not self.terms
@@ -484,23 +447,13 @@ def combine_slots(alg: SteenrodAlgebra, slot_elements) -> TensorElement:
             else:
                 slot_el = el * alg.eta_r_of_coeff(pending)
             for key, c in slot_el.terms.items():
-                word = (key,) + suffix
-                acc = km.add(nxt.get(word, km.zero), c)
-                if km.is_zero(acc):
-                    nxt.pop(word, None)
-                else:
-                    nxt[word] = acc
+                add_term(km, nxt, (key,) + suffix, c)
         if r == 0:
-            out = TensorElement(alg, len(slot_elements))
-            for word, c in nxt.items():
-                out.add_term(word, c)
-            return out
+            return TensorElement(alg, len(slot_elements), nxt)
         # split each accumulated coefficient off as the new pending one
         state = nxt
     # zero slots: empty tensor product is the unit
-    out = TensorElement(alg, 0)
-    out.add_term((), km.one)
-    return out
+    return TensorElement(alg, 0, {(): km.one})
 
 
 def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
@@ -520,7 +473,7 @@ def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
             ]
             combined = combine_slots(alg, slot_elements)
             for word, c in combined.terms.items():
-                out.add_term(word, km.mul(base, c))
+                add_term(km, out.terms, word, km.mul(base, c))
     return out
 
 
@@ -541,13 +494,13 @@ def tensor_from_element(x: SteenrodElement, slots: int, position: int) -> Tensor
         # global left, it must migrate.  Only slot 0 needs no migration.
         if position == 0 or km.is_zero(c) or c == km.one:
             for word, cc in combined.terms.items():
-                out.add_term(word, km.mul(c, cc))
+                add_term(km, out.terms, word, km.mul(c, cc))
         else:
             scaled = [alg.one()] * slots
             scaled[position] = SteenrodElement(alg, {key: c})
             combined2 = combine_slots(alg, scaled)
             for word, cc in combined2.terms.items():
-                out.add_term(word, cc)
+                add_term(km, out.terms, word, cc)
     return out
 
 
@@ -574,12 +527,12 @@ def _gen_coproduct(alg: SteenrodAlgebra, kind: str, i: int) -> TensorElement:
     km = alg.km
     out = TensorElement(alg, 2)
     if kind == "tau":
-        out.add_term((_tau_key(i), UNIT_MON), km.one)
+        add_term(km, out.terms, (_tau_key(i), UNIT_MON), km.one)
         for j in range(0, i + 1):
-            out.add_term((_power_key(alg, i - j, 2**j), _tau_key(j)), km.one)
+            add_term(km, out.terms, (_power_key(alg, i - j, 2**j), _tau_key(j)), km.one)
     else:
         for j in range(0, i + 1):
-            out.add_term((_power_key(alg, i - j, 2**j), _xi_key(j)), km.one)
+            add_term(km, out.terms, (_power_key(alg, i - j, 2**j), _xi_key(j)), km.one)
     return out
 
 
@@ -621,7 +574,7 @@ def coproduct(x: SteenrodElement) -> TensorElement:
                     delta_mon = tensor_mul(delta_mon, _gen_coproduct(alg, "xi", j + 1))
             alg._coproduct_cache[key] = delta_mon
         for word, c in delta_mon.terms.items():
-            out.add_term(word, km.mul(coeff, c))
+            add_term(km, out.terms, word, km.mul(coeff, c))
     return out
 
 
@@ -640,7 +593,7 @@ def coproduct_left(t: TensorElement) -> TensorElement:
         inner = coproduct(SteenrodElement(alg, {m1: c}))
         for (a, b), cc in inner.terms.items():
             # append m2 on the right: no coefficient crosses to the right
-            out.add_term((a, b, m2), cc)
+            add_term(km, out.terms, (a, b, m2), cc)
     return out
 
 
@@ -655,7 +608,7 @@ def coproduct_right(t: TensorElement) -> TensorElement:
             # cc sits left of slot a, which is slot 2 of 3: migrate across m1
             left = SteenrodElement(alg, {m1: km.mul(c, km.one)}) * alg.eta_r_of_coeff(cc)
             for key1, c1 in left.terms.items():
-                out.add_term((key1, a, b), c1)
+                add_term(km, out.terms, (key1, a, b), c1)
     return out
 
 
@@ -794,6 +747,36 @@ def check_antipode_axiom(alg: SteenrodAlgebra, max_weight: int) -> int:
             raise BoundsExceeded(f"antipode axiom fails on {describe_mon(key)}")
         count += 1
     return count
+
+
+def action_table_ok(alg: SteenrodAlgebra) -> bool:
+    """The dual actions of tau0, tau1 and xi1 on the generators match the table.
+
+    On the left each operation sends its own generator to 1, xi1_hat sends
+    tau_1 to tau_0, and all other generators go to 0; on the right tau0_hat
+    sends tau_i to xi_i and xi1_hat sends xi_i to xi_{i-1}^2.
+    """
+    taus = range(0, alg.max_tau + 1)
+    xis = range(1, alg.max_xi + 1)
+    ok = dual_action("tau0_hat", "L", alg.tau(0)) == alg.one()
+    ok &= all(dual_action("tau0_hat", "L", alg.tau(i)).is_zero() for i in taus if i)
+    ok &= all(dual_action("tau0_hat", "L", alg.xi(i)).is_zero() for i in xis)
+    ok &= dual_action("tau1_hat", "L", alg.tau(1)) == alg.one()
+    ok &= all(dual_action("tau1_hat", "L", alg.tau(i)).is_zero() for i in taus if i != 1)
+    ok &= all(dual_action("tau1_hat", "L", alg.xi(i)).is_zero() for i in xis)
+    ok &= dual_action("xi1_hat", "L", alg.tau(1)) == alg.tau(0)
+    ok &= all(dual_action("xi1_hat", "L", alg.tau(i)).is_zero() for i in taus if i != 1)
+    ok &= dual_action("xi1_hat", "L", alg.xi(1)) == alg.one()
+    ok &= all(dual_action("xi1_hat", "L", alg.xi(i)).is_zero() for i in xis if i != 1)
+    ok &= all(dual_action("tau0_hat", "R", alg.tau(i)) == alg.xi(i) for i in taus)
+    ok &= all(dual_action("tau0_hat", "R", alg.xi(i)).is_zero() for i in xis)
+    ok &= all(dual_action("xi1_hat", "R", alg.tau(i)).is_zero() for i in taus)
+    ok &= all(
+        dual_action("xi1_hat", "R", alg.xi(i))
+        == (alg.xi(i - 1) * alg.xi(i - 1) if i > 1 else alg.one())
+        for i in xis
+    )
+    return bool(ok)
 
 
 # ---------------------------------------------------------------------------

@@ -437,12 +437,10 @@ class BruteWittRing:
     """
 
     def __init__(self, q: int, bound: int = 4):
-        if q % 2 == 0:
-            raise UnsupportedCharacteristic("q must be odd")
+        if q % 2 == 0 or not 3 <= q <= 49:
+            raise UnsupportedCharacteristic("q must be odd with 3 <= q <= 49 (desk scale)")
         if bound < 4:
             raise InvalidPresentation("dimension bound must be at least 4")
-        if q > 49:
-            raise InvalidPresentation("oracle is desk-scale: q <= 49")
         self.q = q
         self.bound = bound
         squares = {(x * x) % q for x in range(1, q)}

@@ -188,3 +188,20 @@ def test_pages_and_steenrod_usage_errors_exit_2(capsys):
         code, _, err = run_capture(capsys, argv)
         assert code == 2, argv
         assert "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stems", "--field", "real_closed", "--max", "-1"],
+    ["hopf", "--imax", "-3"],
+    ["steenrod", "--weight", "-5"],
+    ["cobordism", "--theory", "MSp", "--max", "-1"],
+    ["hwhw", "--field", "real_closed", "--max", "-1"],
+    ["cobordism", "--theory", "MSp", "--field", "nosuch"],
+    ["divided", "--nmax", "-1"],
+    ["kwhw", "--field", "real_closed", "--imax", "-1"],
+    ["witt", "--brute-force", "4"],
+])
+def test_bad_bounds_and_fields_exit_2(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2, argv
+    assert "usage error" in err and not out

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from etasphere.abelian import FinAbGroup
 from etasphere.filtered import (
@@ -19,7 +21,7 @@ from etasphere.filtered import (
     lift_free_basis,
     solve_module_coefficients,
 )
-from etasphere.witt import catalog_lookup
+from etasphere.witt import catalog_lookup, catalog_names
 
 
 def two_adic_component(bits: int) -> FilteredComponent:
@@ -248,3 +250,22 @@ def test_gr_tensor_of_filtered_f2_modules():
                 if a + b < len(expected):
                     expected[a + b] += da * db
         assert dims_t == expected, (dims_m, dims_mp, dims_t, expected)
+
+
+@given(st.sampled_from(catalog_names()), st.data())
+def test_witt_mod_2k_ring_axioms(name, data):
+    # the axioms AlgebraSpec relies on when W/2^6 is its coefficient ring
+    ring = FiniteRing.from_witt_mod2k(catalog_lookup(name), 6)
+    element = st.tuples(*(st.integers(0, d - 1) for d in ring.orders))
+    x, y, z = data.draw(element), data.draw(element), data.draw(element)
+    add, mul = ring.add, ring.mul
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert mul(x, y) == mul(y, x)
+    assert add(x, y) == add(y, x)
+    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+    assert mul(ring.one, x) == x
+    assert add(ring.zero, x) == x
+    assert mul(ring.zero, x) == ring.zero
+    assert ring.is_zero(add(x, ring.neg(x)))
+    assert ring.is_zero(ring.zero) and not ring.is_zero(ring.one)

@@ -23,6 +23,7 @@ from etasphere.graded import (
     NonSquareZero,
     RationalRing,
     TruncationExceeded,
+    add_term,
     apply_derivation,
     check_confluence_random,
     hilbert_dimension,
@@ -30,6 +31,7 @@ from etasphere.graded import (
     normalize_product,
     rank_and_kernel_dim,
     rational_rank,
+    terms_equal,
 )
 
 
@@ -298,3 +300,40 @@ def test_monomial_bases_are_not_aliased():
     first.append(((0, 99),))
     first[0] = ()
     assert a.monomials_of_degree(4) == want
+
+
+TERM_RINGS = {
+    "F2": (F2(), st.integers(0, 1)),
+    "Z/8": (IntegersMod(8), st.integers(0, 7)),
+    "kM[tau]": (KMTau("free"), st.frozensets(st.tuples(st.integers(0, 2), st.integers(0, 2)))),
+}
+
+
+def dense_sum(ring, pairs, keys):
+    """Per-key sum of every coefficient, keys with a zero sum left out."""
+    out = {}
+    for k in keys:
+        total = ring.zero
+        for key, c in pairs:
+            if key == k:
+                total = ring.add(total, c)
+        if not ring.is_zero(total):
+            out[k] = total
+    return out
+
+
+@given(st.sampled_from(sorted(TERM_RINGS)), st.data())
+def test_add_term_and_terms_equal_match_dense_sums(name, data):
+    ring, coeff = TERM_RINGS[name]
+    pairs = st.lists(st.tuples(st.integers(0, 4), coeff), max_size=12)
+    a_pairs, b_pairs = data.draw(pairs), data.draw(pairs)
+    a, b = {}, {}
+    for key, c in a_pairs:
+        add_term(ring, a, key, c)
+    for key, c in b_pairs:
+        add_term(ring, b, key, c)
+    dense_a, dense_b = dense_sum(ring, a_pairs, range(5)), dense_sum(ring, b_pairs, range(5))
+    assert a == dense_a and b == dense_b
+    assert all(not ring.is_zero(c) for c in a.values())
+    assert terms_equal(ring, a, b) == (dense_a == dense_b)
+    assert terms_equal(ring, a, dict(a))

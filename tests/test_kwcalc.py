@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from etasphere.abelian import FinAbGroup
+from etasphere.witt import catalog_lookup
 from etasphere.kwcalc import (
     BoundsExceeded,
     DegreeOutOfRange,
@@ -21,6 +22,7 @@ from etasphere.kwcalc import (
     eta_stems,
     hopf_constants,
     hw_hw_stems,
+    kw_hw_algebra,
     kw_hw_generators_check,
     load_stable_stems,
     msp_phi_gr,
@@ -270,6 +272,17 @@ def test_divided_power_with_kummer_units():
     assert out["certificate"]
 
 
+def test_divided_power_algebra_square_rule():
+    # t_i^2 = 2 w_i t_{i+1} in the graded model; t_imax has no square rule
+    model = DividedPowerModel(modulus_bits=8, units=(3, 5, 7), imax=3)
+    alg = model.algebra
+    assert alg.truncation == 15
+    for i, w in enumerate(model.units):
+        square = alg.gen(f"t{i}") * alg.gen(f"t{i}")
+        assert square == alg.gen(f"t{i + 1}").scale(2 * w)
+    assert alg.square_images[3] is None
+
+
 def test_divided_power_rejects_bad_model():
     with pytest.raises(UnitInversionFailed):
         DividedPowerModel(modulus_bits=8, units=(2, 1, 1), imax=3)
@@ -304,6 +317,17 @@ def test_kw_hw_generators_quadratically_closed():
     assert out["squares_in_2_plus_I2"]
     assert out["binary_products_generate"]
     assert out["lift_certificate_ok"]
+
+
+def test_kw_hw_algebra_uses_the_ideal_square_sample():
+    # over a real closed field I^2 != 0: t_0 t_0 = (2 + r) t_1 with r != 0
+    alg, r = kw_hw_algebra(catalog_lookup("real_closed"), imax=3, modulus_bits=8)
+    finite = alg.coefficients
+    two = finite.add(finite.one, finite.one)
+    assert not finite.is_zero(r)
+    t0 = alg.gen("t0")
+    assert (t0 * t0).terms == {((1, 1),): finite.add(two, r)}
+    assert t0 * t0 != alg.gen("t1").scale(two)
 
 
 def test_kw_hw_generators_with_unit_twists():
