@@ -361,6 +361,15 @@ VERIFY_SUITES = {
 # subcommands
 # ---------------------------------------------------------------------------
 
+# --format and --verify go on either side of the subcommand: every subcommand
+# takes a copy of these, which leaves the value unset unless given after it.
+# Built once, since `run` builds the rest of the parser on every call.
+OUTPUT_FLAGS = argparse.ArgumentParser(add_help=False)
+OUTPUT_FLAGS.add_argument("--format", choices=("json", "ascii"), default=argparse.SUPPRESS)
+OUTPUT_FLAGS.add_argument("--verify", action="store_true", default=argparse.SUPPRESS,
+                          help="also run the module invariant suite")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etasphere",
@@ -374,20 +383,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also run the module invariant suite")
     sub = parser.add_subparsers(dest="subcommand")
 
-    p = sub.add_parser("stems", help="eta-periodic stable stems table")
+    def command(name, help):
+        return sub.add_parser(name, help=help, parents=[OUTPUT_FLAGS])
+
+    p = command("stems", help="eta-periodic stable stems table")
     p.add_argument("--field", required=True)
     p.add_argument("--max", type=int, default=8)
 
-    p = sub.add_parser("witt", help="catalog presentation summary and checks")
+    p = command("witt", help="catalog presentation summary and checks")
     p.add_argument("--field")
     p.add_argument("--brute-force", type=int, metavar="Q",
                    help="classify diagonal forms over F_Q and compare")
 
-    p = sub.add_parser("steenrod", help="dual Steenrod algebra verification")
+    p = command("steenrod", help="dual Steenrod algebra verification")
     p.add_argument("--base", default="real_closed")
     p.add_argument("--weight", type=int, default=12)
 
-    p = sub.add_parser("pages", help="eta-Bockstein spectral sequence pages")
+    p = command("pages", help="eta-Bockstein spectral sequence pages")
     p.add_argument("--base", default="real_closed")
     p.add_argument("--model", choices=("ko", "kgl", "sphere"), default="ko")
     p.add_argument("--smax", type=int, default=16)
@@ -396,35 +408,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wmax", type=int)
     p.add_argument("--truncation", type=int)
 
-    p = sub.add_parser("operator", help="normal-order a word in beta and phi")
+    p = command("operator", help="normal-order a word in beta and phi")
     p.add_argument("--word", required=True,
                    help="space-separated tokens: beta, phi, integers, fractions")
 
-    p = sub.add_parser("hopf", help="Hopf algebroid constants a_ij mod 8")
+    p = command("hopf", help="Hopf algebroid constants a_ij mod 8")
     p.add_argument("--imax", type=int, default=12)
     p.add_argument("--jmax", type=int, default=12)
 
-    p = sub.add_parser("divided", help="divided-power generator certificate")
+    p = command("divided", help="divided-power generator certificate")
     p.add_argument("--nmax", type=int, default=16)
     p.add_argument("--modulus-bits", type=int, default=8)
     p.add_argument("--units", help="comma-separated odd units w_i")
     p.add_argument("--imax", type=int, default=5)
 
-    p = sub.add_parser("cobordism", help="eta-periodic cobordism ranks")
+    p = command("cobordism", help="eta-periodic cobordism ranks")
     p.add_argument("--theory", choices=("MSp", "MSL", "msp", "msl"), required=True)
     p.add_argument("--field", default="real_closed")
     p.add_argument("--max", type=int, default=12)
 
-    p = sub.add_parser("hwhw", help="HW smash HW summands")
+    p = command("hwhw", help="HW smash HW summands")
     p.add_argument("--field", required=True)
     p.add_argument("--max", type=int, default=5)
 
-    p = sub.add_parser("kwhw", help="kw smash HW generator certificate")
+    p = command("kwhw", help="kw smash HW generator certificate")
     p.add_argument("--field", required=True)
     p.add_argument("--imax", type=int, default=3)
     p.add_argument("--modulus-bits", type=int, default=8)
 
-    p = sub.add_parser("verify", help="run invariant suites")
+    p = command("verify", help="run invariant suites")
     p.add_argument("--module", choices=sorted(VERIFY_SUITES), action="append")
     p.add_argument("--seed", type=int, default=421)
 
@@ -455,13 +467,11 @@ def _parse_word(raw: str):
     for token in raw.split():
         if token in ("beta", "phi"):
             out.append(token)
-        elif "/" in token:
-            out.append(Fraction(token))
-        else:
-            try:
-                out.append(int(token))
-            except ValueError as exc:
-                raise UsageError(f"bad operator token {token!r}") from exc
+            continue
+        try:
+            out.append(Fraction(token) if "/" in token else int(token))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad operator token {token!r}") from exc
     return out
 
 
@@ -482,7 +492,10 @@ def run(argv) -> int:
     inputs = {k: v for k, v in vars(args).items() if k not in ("format",) and v is not None}
 
     try:
-        fields, stems_data = load_config(args.catalog, getattr(args, "stems_data", None))
+        try:
+            fields, stems_data = load_config(args.catalog, args.stems_data)
+        except OSError as exc:
+            raise UsageError(f"cannot read data file: {exc}") from exc
         check_arguments(args, fields)
 
         if args.subcommand == "stems":
@@ -565,7 +578,10 @@ def run(argv) -> int:
             ascii_body = f"a_ij = binom(i+j, i) mod 8 verified for i <= {args.imax}, j <= {args.jmax}"
 
         elif args.subcommand == "divided":
-            units = tuple(int(u) for u in args.units.split(",")) if args.units else ()
+            try:
+                units = tuple(int(u) for u in args.units.split(",")) if args.units else ()
+            except ValueError as exc:
+                raise UsageError(f"--units takes comma-separated integers: {args.units!r}") from exc
             model = DividedPowerModel(args.modulus_bits, units, args.imax)
             out = divided_power_construct(model, args.nmax)
             certificates["divided_power_identities"] = cert(

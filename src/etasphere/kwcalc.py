@@ -117,7 +117,7 @@ def nu2_suite(n: int) -> dict:
 def _as_coeff(c) -> Fraction:
     out = Fraction(c)
     if out.denominator % 2 == 0:
-        raise ValueError("operator coefficients must have odd denominator")
+        raise ParseError(f"operator coefficient {out} must have an odd denominator")
     return out
 
 

@@ -13,6 +13,7 @@ kgl-models are assembled from the delta-complex with the class h adjoined.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -85,6 +86,7 @@ def mon_key(eps=(), E=()):
 UNIT_MON = ((), ())
 
 
+@functools.lru_cache(maxsize=None)
 def mon_weight(key) -> int:
     eps, E = key
     return sum(e * (2**i - 1) for i, e in enumerate(eps)) + sum(
@@ -92,6 +94,7 @@ def mon_weight(key) -> int:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def mon_bidegree(key) -> tuple[int, int]:
     eps, E = key
     p = sum(e * (2 ** (i + 1) - 1) for i, e in enumerate(eps)) + sum(
@@ -166,9 +169,12 @@ class SteenrodAlgebra:
         self.km = base.coefficient_ring()
         self.max_tau = max(i for i in range(0, 64) if 2**i - 1 <= weight)
         self.max_xi = max(j for j in range(1, 64) if 2**j - 1 <= weight)
+        # memos keyed by basis monomials: Delta(m) terms, chi(m), m*m', m*eta_R(c)
         self._coproduct_cache: dict = {}
         self._antipode_cache: dict = {}
         self._product_cache: dict = {}
+        self._eta_product_cache: dict = {}
+        self._eta_cache: dict = {}
 
     def mono_product(self, k1, k2) -> dict:
         """Cached normal form of the product of two basis monomials."""
@@ -178,6 +184,19 @@ class SteenrodAlgebra:
                 {mon_mul_raw(k1, k2): self.km.one}
             )
         return self._product_cache[key]
+
+    def mono_times_eta(self, key, coeff) -> dict:
+        """Cached normal form of the basis monomial times eta_R(coeff).
+
+        The result is shared between callers and must not be modified.
+        """
+        if coeff == self.km.one:
+            return {key: coeff}
+        memo = (key, coeff)
+        if memo not in self._eta_product_cache:
+            mono = SteenrodElement(self, {key: self.km.one})
+            self._eta_product_cache[memo] = (mono * self.eta_r_of_coeff(coeff)).terms
+        return self._eta_product_cache[memo]
 
     # -- element constructors ---------------------------------------------
     def element(self, terms: dict) -> "SteenrodElement":
@@ -229,9 +248,7 @@ class SteenrodAlgebra:
 
     def eta_r_of_coeff(self, coeff) -> "SteenrodElement":
         """eta_R on a k^M[tau] coefficient, as an algebra element."""
-        cached = getattr(self, "_eta_cache", None)
-        if cached is None:
-            cached = self._eta_cache = {}
+        cached = self._eta_cache
         if coeff in cached:
             return cached[coeff]
         km = self.km
@@ -550,6 +567,39 @@ def _power_key(alg: SteenrodAlgebra, xi_index: int, power: int):
     return key
 
 
+def _split_last(key):
+    """(key / g, kind, index) for the last generator g of a non-unit monomial.
+
+    Generators are read tau_0 .. tau_k, then xi_1 .. xi_l, so Delta and chi of
+    key are their values on key / g times one more generator factor.
+    """
+    eps, E = key
+    if E:
+        E = list(E)
+        E[-1] -= 1
+        return (eps, _trim(E)), "xi", len(E)
+    eps = list(eps)
+    eps[-1] -= 1
+    return (_trim(eps), E), "tau", len(eps) - 1
+
+
+def _mono_coproduct(alg: SteenrodAlgebra, key) -> dict:
+    """Terms of Delta(key), built as Delta(key / g) . Delta(g) and cached on alg.
+
+    The result is shared between callers and must not be modified.
+    """
+    cached = alg._coproduct_cache.get(key)
+    if cached is None:
+        if key == UNIT_MON:
+            cached = {(UNIT_MON, UNIT_MON): alg.km.one}
+        else:
+            rest, kind, i = _split_last(key)
+            prefix = TensorElement(alg, 2, _mono_coproduct(alg, rest))
+            cached = tensor_mul(prefix, _gen_coproduct(alg, kind, i)).terms
+        alg._coproduct_cache[key] = cached
+    return cached
+
+
 def coproduct(x: SteenrodElement) -> TensorElement:
     """Delta in the left normal form (coefficients migrated to the far left).
 
@@ -559,21 +609,13 @@ def coproduct(x: SteenrodElement) -> TensorElement:
     """
     alg = x.algebra
     km = alg.km
+    if len(x.terms) == 1:
+        (key, coeff), = x.terms.items()
+        if coeff == km.one:
+            return TensorElement(alg, 2, _mono_coproduct(alg, key))
     out = TensorElement(alg, 2)
     for key, coeff in x.terms.items():
-        if key in alg._coproduct_cache:
-            delta_mon = alg._coproduct_cache[key]
-        else:
-            eps, E = key
-            delta_mon = TensorElement(alg, 2, {(UNIT_MON, UNIT_MON): km.one})
-            for i, e in enumerate(eps):
-                for _ in range(e):
-                    delta_mon = tensor_mul(delta_mon, _gen_coproduct(alg, "tau", i))
-            for j, e in enumerate(E):
-                for _ in range(e):
-                    delta_mon = tensor_mul(delta_mon, _gen_coproduct(alg, "xi", j + 1))
-            alg._coproduct_cache[key] = delta_mon
-        for word, c in delta_mon.terms.items():
+        for word, c in _mono_coproduct(alg, key).items():
             add_term(km, out.terms, word, km.mul(coeff, c))
     return out
 
@@ -590,25 +632,26 @@ def coproduct_left(t: TensorElement) -> TensorElement:
     km = alg.km
     out = TensorElement(alg, 3)
     for (m1, m2), c in t.terms.items():
-        inner = coproduct(SteenrodElement(alg, {m1: c}))
-        for (a, b), cc in inner.terms.items():
+        for (a, b), cc in _mono_coproduct(alg, m1).items():
             # append m2 on the right: no coefficient crosses to the right
-            add_term(km, out.terms, (a, b, m2), cc)
+            add_term(km, out.terms, (a, b, m2), km.mul(c, cc))
     return out
 
 
 def coproduct_right(t: TensorElement) -> TensorElement:
-    """(id (x) Delta) on a 2-tensor, giving a 3-tensor."""
+    """(id (x) Delta) on a 2-tensor, giving a 3-tensor.
+
+    A coefficient cc of Delta(m2) sits left of slot 2 and crosses m1 as
+    eta_R(cc); the normal form is left-linear, so c . (m1 eta_R(cc)) is the
+    cached unit product scaled by c.
+    """
     alg = t.algebra
     km = alg.km
     out = TensorElement(alg, 3)
     for (m1, m2), c in t.terms.items():
-        inner = coproduct(SteenrodElement(alg, {m2: km.one}))
-        for (a, b), cc in inner.terms.items():
-            # cc sits left of slot a, which is slot 2 of 3: migrate across m1
-            left = SteenrodElement(alg, {m1: km.mul(c, km.one)}) * alg.eta_r_of_coeff(cc)
-            for key1, c1 in left.terms.items():
-                add_term(km, out.terms, (key1, a, b), c1)
+        for (a, b), cc in _mono_coproduct(alg, m2).items():
+            for key1, c1 in alg.mono_times_eta(m1, cc).items():
+                add_term(km, out.terms, (key1, a, b), km.mul(c, c1))
     return out
 
 
@@ -672,7 +715,7 @@ def dual_action(op_id: str, side: str, x: SteenrodElement) -> SteenrodElement:
     out = alg.zero()
     for (m1, m2), c in coproduct(x).terms.items():
         if side == "L":
-            chi = alg.eta_r_of_coeff(c) * antipode(SteenrodElement(alg, {m1: km.one}))
+            chi = alg.eta_r_of_coeff(c) * _mono_antipode(alg, m1)
             coeff = chi.terms.get(target, km.zero)
             if not km.is_zero(coeff):
                 out = out + SteenrodElement(alg, {m2: coeff})
@@ -687,43 +730,42 @@ def antipode(x: SteenrodElement) -> SteenrodElement:
     chi swaps the two units, so a left coefficient rho^a tau^t becomes
     rho^a eta_R(tau)^t; the generators follow the recursive identities
     chi(xi_i) = sum_{j<i} xi_{i-j}^{2^j} chi(xi_j) and likewise with tau,
-    starting from chi(tau_0) = tau_0.
+    starting from chi(tau_0) = tau_0.  chi is multiplicative, so
+    chi(c m) = eta_R(c) chi(m) with chi(m) cached per basis monomial.
     """
     alg = x.algebra
+    km = alg.km
     out = alg.zero()
     for key, coeff in x.terms.items():
-        eps, E = key
-        piece = alg.eta_r_of_coeff(coeff)
-        for i, e in enumerate(eps):
-            for _ in range(e):
-                piece = piece * _antipode_gen(alg, "tau", i)
-        for j, e in enumerate(E):
-            for _ in range(e):
-                piece = piece * _antipode_gen(alg, "xi", j + 1)
-        out = out + piece
+        chi = _mono_antipode(alg, key)
+        out = out + (chi if coeff == km.one else alg.eta_r_of_coeff(coeff) * chi)
     return out
 
 
-def _antipode_gen(alg: SteenrodAlgebra, kind: str, i: int) -> SteenrodElement:
-    cache_key = (kind, i)
-    if cache_key in alg._antipode_cache:
-        return alg._antipode_cache[cache_key]
-    if kind == "xi":
-        if i == 0:
-            out = alg.one()
-        else:
-            out = alg.zero()
-            for j in range(i):
-                power = SteenrodElement(
-                    alg, {_power_key(alg, i - j, 2**j): alg.km.one}
-                )
-                out = out + power * _antipode_gen(alg, "xi", j)
+def _mono_antipode(alg: SteenrodAlgebra, key) -> SteenrodElement:
+    """chi(key), cached on alg: chi(key / g) . chi(g) for the last generator g,
+    and the recursive identities of `antipode` on a generator.
+
+    The result is shared between callers and must not be modified.
+    """
+    cached = alg._antipode_cache.get(key)
+    if cached is not None:
+        return cached
+    one = alg.km.one
+    if key == UNIT_MON:
+        out = alg.one()
     else:
-        out = alg.tau(i)
-        for j in range(i):
-            power = SteenrodElement(alg, {_power_key(alg, i - j, 2**j): alg.km.one})
-            out = out + power * _antipode_gen(alg, "tau", j)
-    alg._antipode_cache[cache_key] = out
+        rest, kind, i = _split_last(key)
+        gen = _tau_key(i) if kind == "tau" else _xi_key(i)
+        if rest != UNIT_MON:
+            out = _mono_antipode(alg, rest) * _mono_antipode(alg, gen)
+        else:
+            out = alg.tau(i) if kind == "tau" else alg.zero()
+            for j in range(i):
+                power = SteenrodElement(alg, {_power_key(alg, i - j, 2**j): one})
+                lower = _tau_key(j) if kind == "tau" else _xi_key(j)
+                out = out + power * _mono_antipode(alg, lower)
+    alg._antipode_cache[key] = out
     return out
 
 
@@ -740,8 +782,7 @@ def check_antipode_axiom(alg: SteenrodAlgebra, max_weight: int) -> int:
         x = SteenrodElement(alg, {key: km.one})
         acc = alg.zero()
         for (m1, m2), c in coproduct(x).terms.items():
-            chi_m2 = antipode(SteenrodElement(alg, {m2: km.one}))
-            acc = acc + SteenrodElement(alg, {m1: c}) * chi_m2
+            acc = acc + SteenrodElement(alg, {m1: c}) * _mono_antipode(alg, m2)
         expected = alg.scalar(counit(x))
         if acc != expected:
             raise BoundsExceeded(f"antipode axiom fails on {describe_mon(key)}")
@@ -790,7 +831,8 @@ class HomologyModel:
     The algebra is graded by the stem s; each generator also carries its
     motivic weight w, and coefficients are k^M (powers of rho, with w = +1
     each).  delta lowers s by 1 and raises w by 1.  Cell bases and delta
-    columns are computed once per (s, w) cell and kept with the model.
+    columns are computed once per (s, w) cell and kept with the model, and
+    so is delta of each monomial, which every rho-multiple of it shares.
     """
 
     name: str
@@ -800,6 +842,7 @@ class HomologyModel:
     gen_weights: list  # w per generator index
     _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _deltas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def monomial_weight(self, mon) -> int:
         return sum(self.gen_weights[i] * e for i, e in mon)
@@ -835,10 +878,12 @@ class HomologyModel:
         km = self.algebra.coefficients
         cols = []
         for (a, mon) in source:
-            el = self.algebra.element({mon: km.one})
-            image = apply_derivation(self.delta, el)
+            image = self._images.get(mon)
+            if image is None:
+                el = self.algebra.element({mon: km.one})
+                image = self._images[mon] = apply_derivation(self.delta, el).terms
             mask = 0
-            for mon2, coeff in image.terms.items():
+            for mon2, coeff in image.items():
                 for (a2, t2) in coeff:
                     assert t2 == 0, "tau coefficient cannot appear in a k^M model"
                     key = (a + a2, mon2)
@@ -1116,12 +1161,6 @@ def conjugate_basis_triangularity(alg: SteenrodAlgebra, max_weight: int = 8,
     # conjugation and eta_R(tau) factors cascade monomial weights upward
     # (tau-square rewrites), so candidates come from the full algebra window
     pool = alg.basis_monomials()
-    conj: dict = {}
-
-    def conjugate(key):
-        if key not in conj:
-            conj[key] = antipode(SteenrodElement(alg, {key: km.one}))
-        return conj[key]
 
     def flatten(el: SteenrodElement) -> int:
         mask = 0
@@ -1142,7 +1181,7 @@ def conjugate_basis_triangularity(alg: SteenrodAlgebra, max_weight: int = 8,
     eta = alg.eta_r_tau()
     for p in range(0, max_tau_power + 1):
         for m in mons:
-            x = conjugate(m)
+            x = _mono_antipode(alg, m)
             for _ in range(p):
                 x = x * eta
             target_bidegree = _element_bidegree(x)
@@ -1158,7 +1197,7 @@ def conjugate_basis_triangularity(alg: SteenrodAlgebra, max_weight: int = 8,
                 q = (base_q - target_bidegree[1]) - a
                 if a < 0 or q < 0 or not km._admissible(a):
                     continue
-                el = conjugate(mp).scale(km.monomial(a, q))
+                el = _mono_antipode(alg, mp).scale(km.monomial(a, q))
                 if el.is_zero():
                     continue
                 columns.append(flatten(el))

@@ -437,8 +437,9 @@ class BruteWittRing:
     """
 
     def __init__(self, q: int, bound: int = 4):
-        if q % 2 == 0 or not 3 <= q <= 49:
-            raise UnsupportedCharacteristic("q must be odd with 3 <= q <= 49 (desk scale)")
+        # Z/q arithmetic is F_q arithmetic only for a prime q
+        if not 3 <= q <= 49 or any(q % p == 0 for p in range(2, q)):
+            raise UnsupportedCharacteristic("q must be an odd prime with 3 <= q <= 49 (desk scale)")
         if bound < 4:
             raise InvalidPresentation("dimension bound must be at least 4")
         self.q = q

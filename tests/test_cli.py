@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etasphere.cli import emit_json, load_config, run
 
@@ -200,8 +204,81 @@ def test_pages_and_steenrod_usage_errors_exit_2(capsys):
     ["divided", "--nmax", "-1"],
     ["kwhw", "--field", "real_closed", "--imax", "-1"],
     ["witt", "--brute-force", "4"],
+    ["witt", "--brute-force", "9"],
+    ["witt", "--field", "F5", "--brute-force", "9"],
+    ["witt", "--brute-force", "15"],
+    ["divided", "--units", "abc"],
+    ["operator", "--word", "1/2"],
+    ["operator", "--word", "1/0"],
+    ["--catalog", "nosuch", "witt"],
 ])
 def test_bad_bounds_and_fields_exit_2(capsys, argv):
     code, out, err = run_capture(capsys, argv)
     assert code == 2, argv
     assert "usage error" in err and not out
+
+
+def test_operator_unknown_token_message(capsys):
+    code, out, err = run_capture(capsys, ["--format", "json", "operator", "--word", "phi gamma"])
+    assert code == 2 and not out
+    assert err == "usage error: bad operator token 'gamma'\n"
+
+
+@pytest.mark.parametrize("before, after", [
+    (["--format", "json"], ["stems", "--field", "real_closed", "--max", "20"]),
+    (["--verify"], ["hopf", "--imax", "4", "--jmax", "4"]),
+])
+def test_output_flags_on_either_side_of_the_subcommand(capsys, before, after):
+    reports = []
+    for argv in (before + after, after + before):
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0, argv
+        reports.append(out)
+    if "--format" in before:
+        reports = [{k: v for k, v in json.loads(r).items() if k != "timing_seconds"}
+                   for r in reports]
+    assert reports[0] == reports[1]
+
+
+def test_format_before_the_subcommand_is_kept(capsys):
+    code, out, _ = run_capture(capsys, ["--format", "json", "--verify", "hopf", "--imax", "2"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"]["verify"] is True
+    assert "kwcalc.normal_order_phi_beta_n" in report["certificates"]
+
+
+# every subcommand but `verify`, with its flags; `verify` and `--verify` run
+# whole invariant suites, which take seconds each
+FUZZ_FLAGS = {
+    "stems": ["--field", "--max"],
+    "witt": ["--field", "--brute-force"],
+    "steenrod": ["--base", "--weight"],
+    "pages": ["--base", "--model", "--smax", "--fmax", "--wmin", "--wmax", "--truncation"],
+    "operator": ["--word"],
+    "hopf": ["--imax", "--jmax"],
+    "divided": ["--nmax", "--modulus-bits", "--units", "--imax"],
+    "cobordism": ["--theory", "--field", "--max"],
+    "hwhw": ["--field", "--max"],
+    "kwhw": ["--field", "--imax", "--modulus-bits"],
+}
+FUZZ_TOKENS = ["0", "1", "2", "3", "6", "-1", "real_closed", "nosuch", "abc", "1/0",
+               "phi", "beta", "json"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_fuzz_exit_codes(data):
+    tokens = st.sampled_from(FUZZ_TOKENS)
+    command = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    head = data.draw(st.dictionaries(
+        st.sampled_from(["--format", "--catalog", "--stems-data"]), tokens, max_size=2))
+    options = data.draw(st.dictionaries(
+        st.sampled_from(FUZZ_FLAGS[command] + ["--format"]), tokens, max_size=4))
+    loose = data.draw(st.lists(tokens, max_size=1))
+    argv = [w for item in head.items() for w in item] + [command]
+    argv += [w for item in options.items() for w in item] + loose
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = run(argv)
+    assert code in (0, 1, 2), argv

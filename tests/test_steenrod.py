@@ -8,8 +8,11 @@ from etasphere.graded import TruncationExceeded
 from etasphere.steenrod import (
     MilnorMonomial,
     SteenrodAlgebra,
+    SteenrodElement,
+    TensorElement,
     UNIT_MON,
     UnknownOperator,
+    _gen_coproduct,
     antipode,
     bockstein_pages,
     check_antipode_axiom,
@@ -17,6 +20,8 @@ from etasphere.steenrod import (
     check_counit,
     conjugate_basis_triangularity,
     coproduct,
+    coproduct_left,
+    coproduct_right,
     counit,
     dual_action,
     kgl_homology_model,
@@ -26,6 +31,7 @@ from etasphere.steenrod import (
     mon_key,
     sphere_model,
     tau_monomial_homology_dims,
+    tensor_mul,
 )
 
 
@@ -340,3 +346,77 @@ def test_cell_basis_is_not_aliased():
     assert model.cell_basis(4, -3) == want
     source, _, _ = model.delta_matrix(4, -3)
     assert list(source) == want
+
+
+# -- the per-algebra memos against cache-free references -----------------------
+
+def _generators(key):
+    """(kind, index) of each generator factor of tau^eps xi^E, in fold order."""
+    eps, E = key
+    out = [("tau", i) for i, e in enumerate(eps) for _ in range(e)]
+    return out + [("xi", j + 1) for j, e in enumerate(E) for _ in range(e)]
+
+
+@pytest.mark.parametrize("base", FULL_TABLE_BASES)
+def test_memoized_coproducts_match_generator_products(base):
+    alg = SteenrodAlgebra(base, weight=16)
+    ref = SteenrodAlgebra(base, weight=16)
+    km = alg.km
+    etas = set()
+    for key in alg.basis_monomials(9):
+        want = TensorElement(ref, 2, {(UNIT_MON, UNIT_MON): km.one})
+        for kind, i in _generators(key):
+            want = tensor_mul(want, _gen_coproduct(ref, kind, i))
+        got = coproduct(SteenrodElement(alg, {key: km.one}))
+        assert got == want, key
+        for (m1, m2), _ in got.terms.items():
+            etas.update((m1, cc) for cc in coproduct(ref.monomial(*m2)).terms.values())
+    assert any(cc != km.one for _, cc in etas)
+    for m1, cc in etas:
+        want = SteenrodElement(ref, {m1: km.one}) * ref.eta_r_of_coeff(cc)
+        assert alg.mono_times_eta(m1, cc) == want.terms, (m1, cc)
+
+
+@pytest.mark.parametrize("base", FULL_TABLE_BASES)
+def test_memoized_antipode_matches_a_fresh_algebra(base):
+    alg = SteenrodAlgebra(base, weight=16)
+    km = alg.km
+    coeffs = [km.one, km.monomial(0, 1), km.monomial(1, 1) | km.monomial(0, 2)]
+    keys = alg.basis_monomials(9)
+    for key in keys:  # warm the memo in one order ...
+        antipode(SteenrodElement(alg, {key: km.one}))
+    for key in reversed(keys):  # ... and check it against the generator fold
+        fresh = SteenrodAlgebra(base, weight=16)
+        chi = fresh.one()
+        for kind, i in _generators(key):
+            gen = fresh.tau(i) if kind == "tau" else fresh.xi(i)
+            chi = chi * antipode(gen)
+        for c in coeffs:
+            got = antipode(SteenrodElement(alg, {key: c}))
+            assert got == fresh.eta_r_of_coeff(c) * chi, (key, c)
+
+
+def test_memoized_results_are_not_aliased():
+    alg = SteenrodAlgebra("real_closed", weight=16)
+    x = alg.tau(1) * alg.xi(1)
+    for fn in (coproduct, antipode):
+        first = fn(x)
+        assert not first.is_zero()
+        want = dict(first.terms)
+        first.terms.clear()
+        assert fn(x).terms == want, fn.__name__
+    d = coproduct(x)
+    left, right = coproduct_left(d), coproduct_right(d)
+    for t in (left, right):
+        t.terms.clear()
+    assert coproduct_left(d) == coproduct_right(d) and not coproduct_left(d).is_zero()
+
+
+def test_delta_matrix_memo_is_independent_of_cell_order():
+    cells = [(s, w) for s in range(0, 11) for w in range(-12, 6)]
+    forward = ko_homology_model("real_closed", truncation=10)
+    backward = ko_homology_model("real_closed", truncation=10)
+    got = {cell: forward.delta_matrix(*cell) for cell in cells}
+    for cell in reversed(cells):
+        assert backward.delta_matrix(*cell) == got[cell], cell
+    assert any(cols for _, _, cols in got.values())
