@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 a certificate failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__, kwcalc, steenrod, witt
 from .abelian import FinAbGroup
-from .graded import BoundsExceeded, check_confluence_random
+from .graded import AlgebraSpec, BoundsExceeded, KMTau, check_confluence_random
 from .kwcalc import (
     DividedPowerModel,
     cobordism_stems,
@@ -43,6 +44,7 @@ from .steenrod import (
     kgl_homology_model,
     ko_homology_model,
     sphere_model,
+    steenrod_generators,
 )
 from .witt import brute_force_witt_ring, catalog_lookup, catalog_names, find_ring_isomorphism
 
@@ -236,22 +238,8 @@ def verify_witt(rng: random.Random) -> dict:
 
 
 def verify_graded(rng: random.Random, trials: int = 10_000) -> dict:
-    from .graded import GeneratorSpec, KMTau, AlgebraSpec, SQUARE, POLYNOMIAL
-
     km = KMTau("free")
-    tau = km.monomial(0, 1)
-    rho = km.monomial(1, 0)
-    motivic = AlgebraSpec(
-        [
-            GeneratorSpec("tau0", 1, SQUARE, {"xi1": tau, "tau0*xi1": rho, "tau1": rho}),
-            GeneratorSpec("xi1", 1, POLYNOMIAL),
-            GeneratorSpec("tau1", 2, SQUARE, {"xi2": tau, "tau0*xi2": rho, "tau2": rho}),
-            GeneratorSpec("xi2", 3, POLYNOMIAL),
-            GeneratorSpec("tau2", 4, SQUARE, None),
-        ],
-        km,
-        truncation=24,
-    )
+    motivic = AlgebraSpec(steenrod_generators(km, 3), km, truncation=24)
     certs = {}
     try:
         done = check_confluence_random(motivic, trials, rng)
@@ -361,16 +349,9 @@ VERIFY_SUITES = {
 # subcommands
 # ---------------------------------------------------------------------------
 
-# --format and --verify go on either side of the subcommand: every subcommand
-# takes a copy of these, which leaves the value unset unless given after it.
-# Built once, since `run` builds the rest of the parser on every call.
-OUTPUT_FLAGS = argparse.ArgumentParser(add_help=False)
-OUTPUT_FLAGS.add_argument("--format", choices=("json", "ascii"), default=argparse.SUPPRESS)
-OUTPUT_FLAGS.add_argument("--verify", action="store_true", default=argparse.SUPPRESS,
-                          help="also run the module invariant suite")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: it is most of the cost of a short request."""
     parser = argparse.ArgumentParser(
         prog="etasphere",
         description="Exact calculators for eta-periodic stems, Witt rings, and "
@@ -383,8 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also run the module invariant suite")
     sub = parser.add_subparsers(dest="subcommand")
 
+    # --format and --verify go on either side of the subcommand: every
+    # subcommand takes a copy of these, which leaves the value unset unless
+    # given after it.  Built once, for all the subcommands.
+    output_flags = argparse.ArgumentParser(add_help=False)
+    output_flags.add_argument("--format", choices=("json", "ascii"), default=argparse.SUPPRESS)
+    output_flags.add_argument("--verify", action="store_true", default=argparse.SUPPRESS,
+                              help="also run the module invariant suite")
+
     def command(name, help):
-        return sub.add_parser(name, help=help, parents=[OUTPUT_FLAGS])
+        return sub.add_parser(name, help=help, parents=[output_flags])
 
     p = command("stems", help="eta-periodic stable stems table")
     p.add_argument("--field", required=True)
@@ -539,7 +528,7 @@ def run(argv) -> int:
             ascii_body = json.dumps(results, sort_keys=True, indent=2)
 
         elif args.subcommand == "pages":
-            truncation = args.truncation or (args.smax + 2)
+            truncation = args.smax + 2 if args.truncation is None else args.truncation
             builder = {"ko": ko_homology_model, "kgl": kgl_homology_model,
                        "sphere": sphere_model}[args.model]
             model = builder(args.base, truncation=truncation)

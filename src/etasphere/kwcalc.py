@@ -784,6 +784,8 @@ def kw_hw_algebra(presentation: WittPresentation, imax: int, modulus_bits: int,
     without the sample) and t_imax has no square rule.  Returns the algebra
     and the coordinates of r.
     """
+    if modulus_bits < 1:
+        raise BoundsExceeded(f"modulus bits {modulus_bits} must be at least 1: W/2^0 is zero")
     finite = FiniteRing.from_witt_mod2k(presentation, modulus_bits)
     r_coords = [0] * finite.n
     if ideal_square_sample:
@@ -820,8 +822,8 @@ def kw_hw_generators_check(
     presentation = catalog_lookup(field_id, catalog_path)
     if presentation.vcd2 is None:
         raise BoundsExceeded("catalog field must have finite vcd2")
-    ring = FilteredRing.from_witt_mod2k(presentation, modulus_bits)
     alg, r_coords = kw_hw_algebra(presentation, imax, modulus_bits, ideal_square_sample)
+    ring = FilteredRing.from_witt_mod2k(presentation, modulus_bits)
     finite = alg.coefficients
     n = finite.n
     two_plus_r = finite.add(finite.add(finite.one, finite.one), r_coords)

@@ -2,13 +2,17 @@
 
 Elements are left k^M[tau]-linear combinations of Milnor monomials
 tau^eps xi^E; the square of tau_i rewrites to (tau + rho tau_0) xi_{i+1}
-+ rho tau_{i+1}.  The coproduct lives in the tensor square over the base,
-where the two units differ by eta_R(tau) = tau + rho tau_0: coefficients are
-normalized to the far left, migrating across tensor signs through eta_R.
-Dual operations are obtained by contracting the coproduct against dual
-basis monomials; the antipode is computed recursively and self-checked
-against the algebroid axiom.  The eta-Bockstein pages for the ko- and
-kgl-models are assembled from the delta-complex with the class h adjoined.
++ rho tau_{i+1}.  As a ring the algebra is a `graded.AlgebraSpec` (see
+`steenrod_generators`), whose `normalize` applies that rewrite, and the
+monomial keys are its monomials: tau_i is generator 2i and xi_j generator
+2j - 1, so keys do not depend on the weight bound of the algebra.  The
+coproduct lives in the tensor square over the base, where the two units
+differ by eta_R(tau) = tau + rho tau_0: coefficients are normalized to the
+far left, migrating across tensor signs through eta_R.  Dual operations are
+obtained by contracting the coproduct against dual basis monomials; the
+antipode is computed recursively and self-checked against the algebroid
+axiom.  The eta-Bockstein pages for the ko- and kgl-models are assembled
+from the delta-complex with the class h adjoined.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .graded import (
     TruncationExceeded,
     add_term,
     apply_derivation,
+    mon_mul,
     terms_equal,
 )
 
@@ -69,39 +74,65 @@ def motivic_base(name: str) -> MotivicBase:
 
 
 # ---------------------------------------------------------------------------
-# monomial keys: (eps tuple for tau_0.., E tuple for xi_1..), trailing zeros cut
+# generators and monomial keys: tau_i is generator 2i, xi_j is 2j - 1
 # ---------------------------------------------------------------------------
 
-def _trim(t):
-    t = list(t)
-    while t and t[-1] == 0:
-        t.pop()
-    return tuple(t)
+# weight (2^i - 1 for both tau_i and xi_i) and stem (2^i for tau_i, 2^i - 1
+# for xi_i) per generator index
+_WEIGHT = tuple(2 ** ((n + 1) // 2) - 1 for n in range(128))
+_STEM = tuple(w + (n % 2 == 0) for n, w in enumerate(_WEIGHT))
+
+
+def _generator(n: int) -> tuple[str, int]:
+    """("tau", i) or ("xi", j) for the generator of index n = 2i or 2j - 1."""
+    return ("xi", (n + 1) // 2) if n % 2 else ("tau", n // 2)
+
+
+def steenrod_generators(km, weight: int) -> list[GeneratorSpec]:
+    """tau_0, xi_1, tau_1, ..., xi_k, tau_k with 2^k - 1 <= weight, by index.
+
+    Each degree is the stem, so that every square image is homogeneous
+    (KMTau gives the coefficient tau stem 1).  The square of the top tau_k
+    needs tau_{k+1}, which is past the bound: its image is left unset, and
+    normalizing it raises TruncationExceeded.
+    """
+    top = max(i for i in range(64) if 2**i - 1 <= weight)
+    tau, rho = km.monomial(0, 1), km.monomial(1, 0)
+    gens = []
+    for n in range(2 * top + 1):
+        kind, i = _generator(n)
+        if kind == "xi":
+            gens.append(GeneratorSpec(f"xi{i}", _STEM[n], POLYNOMIAL))
+            continue
+        image = None
+        if i < top:
+            image = {f"xi{i + 1}": tau, f"tau0*xi{i + 1}": rho, f"tau{i + 1}": rho}
+            image = {mon: c for mon, c in image.items() if not km.is_zero(c)}
+        gens.append(GeneratorSpec(f"tau{i}", _STEM[n], SQUARE, image))
+    return gens
 
 
 def mon_key(eps=(), E=()):
-    return (_trim(eps), _trim(E))
+    """The key of tau^eps xi^E (eps indexed from tau_0, E from xi_1)."""
+    return tuple(sorted(
+        [(2 * i, e) for i, e in enumerate(eps) if e]
+        + [(2 * j + 1, e) for j, e in enumerate(E) if e]
+    ))
 
 
-UNIT_MON = ((), ())
+UNIT_MON = ()
 
 
 @functools.lru_cache(maxsize=None)
 def mon_weight(key) -> int:
-    eps, E = key
-    return sum(e * (2**i - 1) for i, e in enumerate(eps)) + sum(
-        e * (2 ** (j + 1) - 1) for j, e in enumerate(E)
-    )
+    return sum(_WEIGHT[n] * e for n, e in key)
 
 
 @functools.lru_cache(maxsize=None)
 def mon_bidegree(key) -> tuple[int, int]:
-    eps, E = key
-    p = sum(e * (2 ** (i + 1) - 1) for i, e in enumerate(eps)) + sum(
-        e * (2 ** (j + 2) - 2) for j, e in enumerate(E)
-    )
+    """(stem + weight, weight) of a monomial key."""
     q = mon_weight(key)
-    return p, q
+    return sum(_STEM[n] * e for n, e in key) + q, q
 
 
 def coeff_bidegree(a: int, t: int) -> tuple[int, int]:
@@ -109,51 +140,13 @@ def coeff_bidegree(a: int, t: int) -> tuple[int, int]:
     return (-a, -a - t)
 
 
-def mon_mul_raw(k1, k2):
-    e1, x1 = k1
-    e2, x2 = k2
-    eps = [a + b for a, b in itertools.zip_longest(e1, e2, fillvalue=0)]
-    E = [a + b for a, b in itertools.zip_longest(x1, x2, fillvalue=0)]
-    return (_trim(eps), _trim(E))
-
-
 def describe_mon(key) -> str:
-    eps, E = key
+    """tau factors first, then xi factors, each by increasing index."""
     bits = []
-    for i, e in enumerate(eps):
-        if e:
-            bits.append(f"tau{i}" + (f"^{e}" if e > 1 else ""))
-    for j, e in enumerate(E):
-        if e:
-            bits.append(f"xi{j + 1}" + (f"^{e}" if e > 1 else ""))
+    for n, e in sorted(key, key=lambda item: (item[0] % 2, item[0])):
+        kind, i = _generator(n)
+        bits.append(f"{kind}{i}" + (f"^{e}" if e > 1 else ""))
     return "*".join(bits) if bits else "1"
-
-
-@dataclass(frozen=True)
-class MilnorMonomial:
-    """Basis element tau^eps xi^E with a k^M[tau] coefficient."""
-
-    eps: tuple
-    E: tuple
-    coeff: frozenset = frozenset({(0, 0)})
-
-    @property
-    def key(self):
-        return mon_key(self.eps, self.E)
-
-    def bidegree(self) -> tuple[int, int]:
-        p, q = mon_bidegree(self.key)
-        degs = {coeff_bidegree(a, t) for (a, t) in self.coeff}
-        if len(degs) > 1:
-            raise BoundsExceeded("coefficient is not bihomogeneous")
-        if degs:
-            cp, cq = degs.pop()
-            p, q = p + cp, q + cq
-        return p, q
-
-    def stem_weight(self) -> tuple[int, int]:
-        p, q = self.bidegree()
-        return p - q, -q
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +162,11 @@ class SteenrodAlgebra:
         self.km = base.coefficient_ring()
         self.max_tau = max(i for i in range(0, 64) if 2**i - 1 <= weight)
         self.max_xi = max(j for j in range(1, 64) if 2**j - 1 <= weight)
+        # a normal form of weight <= the bound has at most max_tau + 1 tau
+        # factors, so its stem is at most weight + max_tau + 1
+        self.spec = AlgebraSpec(
+            steenrod_generators(self.km, weight), self.km, weight + self.max_tau + 1
+        )
         # memos keyed by basis monomials: Delta(m) terms, chi(m), m*m', m*eta_R(c)
         self._coproduct_cache: dict = {}
         self._antipode_cache: dict = {}
@@ -176,13 +174,21 @@ class SteenrodAlgebra:
         self._eta_product_cache: dict = {}
         self._eta_cache: dict = {}
 
+    def normal_form(self, raw: dict) -> dict:
+        """`spec.normalize` of raw terms, whose result must respect the weight bound."""
+        out = self.spec.normalize(raw)
+        for key in out:
+            if mon_weight(key) > self.weight:
+                raise TruncationExceeded(
+                    f"monomial of weight {mon_weight(key)} exceeds {self.weight}"
+                )
+        return out
+
     def mono_product(self, k1, k2) -> dict:
         """Cached normal form of the product of two basis monomials."""
         key = (k1, k2) if k1 <= k2 else (k2, k1)
         if key not in self._product_cache:
-            self._product_cache[key] = self._normalize(
-                {mon_mul_raw(k1, k2): self.km.one}
-            )
+            self._product_cache[key] = self.normal_form({mon_mul(k1, k2): self.km.one})
         return self._product_cache[key]
 
     def mono_times_eta(self, key, coeff) -> dict:
@@ -200,7 +206,7 @@ class SteenrodAlgebra:
 
     # -- element constructors ---------------------------------------------
     def element(self, terms: dict) -> "SteenrodElement":
-        return SteenrodElement(self, self._normalize(terms))
+        return SteenrodElement(self, self.normal_form(terms))
 
     def zero(self):
         return SteenrodElement(self, {})
@@ -211,18 +217,12 @@ class SteenrodAlgebra:
     def tau(self, i: int) -> "SteenrodElement":
         if i > self.max_tau:
             raise TruncationExceeded(f"tau_{i} exceeds the weight bound {self.weight}")
-        eps = [0] * (i + 1)
-        eps[i] = 1
-        return SteenrodElement(self, {mon_key(eps, ()): self.km.one})
+        return SteenrodElement(self, {_tau_key(i): self.km.one})
 
     def xi(self, j: int) -> "SteenrodElement":
-        if j == 0:
-            return self.one()
         if j > self.max_xi:
             raise TruncationExceeded(f"xi_{j} exceeds the weight bound {self.weight}")
-        E = [0] * j
-        E[j - 1] = 1
-        return SteenrodElement(self, {mon_key((), E): self.km.one})
+        return SteenrodElement(self, {_xi_key(j): self.km.one})
 
     def monomial(self, eps=(), E=()) -> "SteenrodElement":
         return self.element({mon_key(eps, E): self.km.one})
@@ -267,80 +267,24 @@ class SteenrodAlgebra:
 
     # -- weight bookkeeping ----------------------------------------------
     def basis_monomials(self, max_weight: int | None = None):
-        """All normalized tau^eps xi^E keys of weight <= the bound."""
+        """All normal-form keys (tau exponents <= 1) of weight <= the bound."""
         bound = self.weight if max_weight is None else min(max_weight, self.weight)
-        taus = [i for i in range(self.max_tau + 1) if 2**i - 1 <= bound]
-        xis = [j for j in range(1, self.max_xi + 1) if 2**j - 1 <= bound]
+        gens = self.spec.generators
         out = []
 
-        def rec(idx, remaining, eps, E):
-            if idx == len(taus) + len(xis):
-                out.append(mon_key(eps, E))
+        def rec(n, remaining, key):
+            if n == len(gens):
+                out.append(key)
                 return
-            if idx < len(taus):
-                i = taus[idx]
-                w = 2**i - 1
-                rec(idx + 1, remaining, eps, E)
-                if w <= remaining:
-                    eps2 = eps + [0] * (i + 1 - len(eps))
-                    eps2[i] = 1
-                    rec(idx + 1, remaining - w, eps2, E)
-            else:
-                j = xis[idx - len(taus)]
-                w = 2**j - 1
-                cap = remaining // w
-                for e in range(cap + 1):
-                    E2 = E
-                    if e:
-                        E2 = E + [0] * (j - len(E))
-                        E2[j - 1] = e
-                    rec(idx + 1, remaining - e * w, eps, E2)
+            w = _WEIGHT[n]
+            cap = remaining // w if w else 1
+            if gens[n].kind == SQUARE:
+                cap = min(cap, 1)
+            for e in range(cap + 1):
+                rec(n + 1, remaining - e * w, key + ((n, e),) if e else key)
 
-        rec(0, bound, [], [])
-        return sorted(set(out))
-
-    # -- normalization -----------------------------------------------------
-    def _relation(self, i: int) -> dict:
-        """tau_i^2 = (tau + rho tau_0) xi_{i+1} + rho tau_{i+1} as raw terms."""
-        if i + 1 > self.max_tau or i + 1 > self.max_xi:
-            raise TruncationExceeded(
-                f"square of tau_{i} needs index {i + 1} past the weight bound"
-            )
-        km = self.km
-        xi_next = [0] * (i + 1)
-        xi_next[i] = 1
-        eps_next = [0] * (i + 2)
-        eps_next[i + 1] = 1
-        out = {mon_key((), xi_next): km.monomial(0, 1)}        # tau . xi_{i+1}
-        rho = km.monomial(1, 0)
-        if not km.is_zero(rho):
-            out[mon_key((1,), xi_next)] = rho                  # rho tau_0 xi_{i+1}
-            out[mon_key(eps_next, ())] = rho                   # rho tau_{i+1}
-        return out
-
-    def _normalize(self, raw: dict) -> dict:
-        km = self.km
-        out: dict = {}
-        work = list(raw.items())
-        while work:
-            key, coeff = work.pop()
-            if km.is_zero(coeff):
-                continue
-            eps, E = key
-            hot = next((i for i, e in enumerate(eps) if e >= 2), None)
-            if hot is None:
-                if mon_weight(key) > self.weight:
-                    raise TruncationExceeded(
-                        f"monomial of weight {mon_weight(key)} exceeds {self.weight}"
-                    )
-                add_term(km, out, key, coeff)
-                continue
-            rest_eps = list(eps)
-            rest_eps[hot] -= 2
-            rest = (_trim(rest_eps), E)
-            for rel_key, rel_coeff in self._relation(hot).items():
-                work.append((mon_mul_raw(rest, rel_key), km.mul(coeff, rel_coeff)))
-        return out
+        rec(0, bound, ())
+        return sorted(out)
 
 
 class SteenrodElement:
@@ -362,8 +306,8 @@ class SteenrodElement:
         raw: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                add_term(km, raw, mon_mul_raw(k1, k2), km.mul(c1, c2))
-        return SteenrodElement(self.algebra, self.algebra._normalize(raw))
+                add_term(km, raw, mon_mul(k1, k2), km.mul(c1, c2))
+        return SteenrodElement(self.algebra, self.algebra.normal_form(raw))
 
     def scale(self, coeff) -> "SteenrodElement":
         km = self.algebra.km
@@ -372,7 +316,7 @@ class SteenrodElement:
             prod = km.mul(coeff, c)
             if not km.is_zero(prod):
                 raw[key] = prod
-        return SteenrodElement(self.algebra, self.algebra._normalize(raw))
+        return SteenrodElement(self.algebra, self.algebra.normal_form(raw))
 
     def is_zero(self):
         return not self.terms
@@ -385,9 +329,6 @@ class SteenrodElement:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def monomials(self):
-        return [MilnorMonomial(k[0], k[1], c) for k, c in sorted(self.terms.items())]
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -398,10 +339,6 @@ class SteenrodElement:
             m = describe_mon(key)
             bits.append(m if c == "1" else (c if m == "1" else f"({c})*{m}"))
         return " + ".join(bits)
-
-
-def milnor_product(a: SteenrodElement, b: SteenrodElement) -> SteenrodElement:
-    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -526,17 +463,11 @@ def tensor_from_element(x: SteenrodElement, slots: int, position: int) -> Tensor
 # ---------------------------------------------------------------------------
 
 def _tau_key(i: int):
-    eps = [0] * (i + 1)
-    eps[i] = 1
-    return mon_key(eps, ())
+    return ((2 * i, 1),)
 
 
 def _xi_key(j: int):
-    if j == 0:
-        return UNIT_MON
-    E = [0] * j
-    E[j - 1] = 1
-    return mon_key((), E)
+    return ((2 * j - 1, 1),) if j else UNIT_MON
 
 
 def _gen_coproduct(alg: SteenrodAlgebra, kind: str, i: int) -> TensorElement:
@@ -557,9 +488,7 @@ def _power_key(alg: SteenrodAlgebra, xi_index: int, power: int):
     """Key of xi_{xi_index}^power (xi_0 = 1)."""
     if xi_index == 0:
         return UNIT_MON
-    E = [0] * xi_index
-    E[xi_index - 1] = power
-    key = mon_key((), E)
+    key = ((2 * xi_index - 1, power),)
     if mon_weight(key) > alg.weight:
         raise TruncationExceeded(
             f"xi_{xi_index}^{power} exceeds the weight bound {alg.weight}"
@@ -568,19 +497,14 @@ def _power_key(alg: SteenrodAlgebra, xi_index: int, power: int):
 
 
 def _split_last(key):
-    """(key / g, kind, index) for the last generator g of a non-unit monomial.
+    """(key / g, g) for the generator g of highest index in a non-unit monomial.
 
-    Generators are read tau_0 .. tau_k, then xi_1 .. xi_l, so Delta and chi of
-    key are their values on key / g times one more generator factor.
+    Delta and chi of key are their values on key / g times one more
+    generator factor.
     """
-    eps, E = key
-    if E:
-        E = list(E)
-        E[-1] -= 1
-        return (eps, _trim(E)), "xi", len(E)
-    eps = list(eps)
-    eps[-1] -= 1
-    return (_trim(eps), E), "tau", len(eps) - 1
+    *head, (n, e) = key
+    rest = tuple(head) + (((n, e - 1),) if e > 1 else ())
+    return rest, n
 
 
 def _mono_coproduct(alg: SteenrodAlgebra, key) -> dict:
@@ -593,9 +517,9 @@ def _mono_coproduct(alg: SteenrodAlgebra, key) -> dict:
         if key == UNIT_MON:
             cached = {(UNIT_MON, UNIT_MON): alg.km.one}
         else:
-            rest, kind, i = _split_last(key)
+            rest, n = _split_last(key)
             prefix = TensorElement(alg, 2, _mono_coproduct(alg, rest))
-            cached = tensor_mul(prefix, _gen_coproduct(alg, kind, i)).terms
+            cached = tensor_mul(prefix, _gen_coproduct(alg, *_generator(n))).terms
         alg._coproduct_cache[key] = cached
     return cached
 
@@ -687,9 +611,9 @@ def check_counit(alg: SteenrodAlgebra, max_weight: int) -> int:
 
 
 _OPERATORS = {
-    "tau0_hat": mon_key((1,), ()),
-    "tau1_hat": mon_key((0, 1), ()),
-    "xi1_hat": mon_key((), (1,)),
+    "tau0_hat": _tau_key(0),
+    "tau1_hat": _tau_key(1),
+    "xi1_hat": _xi_key(1),
 }
 
 
@@ -755,11 +679,11 @@ def _mono_antipode(alg: SteenrodAlgebra, key) -> SteenrodElement:
     if key == UNIT_MON:
         out = alg.one()
     else:
-        rest, kind, i = _split_last(key)
-        gen = _tau_key(i) if kind == "tau" else _xi_key(i)
+        rest, n = _split_last(key)
         if rest != UNIT_MON:
-            out = _mono_antipode(alg, rest) * _mono_antipode(alg, gen)
+            out = _mono_antipode(alg, rest) * _mono_antipode(alg, ((n, 1),))
         else:
+            kind, i = _generator(n)
             out = alg.tau(i) if kind == "tau" else alg.zero()
             for j in range(i):
                 power = SteenrodElement(alg, {_power_key(alg, i - j, 2**j): one})
@@ -1043,9 +967,10 @@ def bockstein_pages(
     that every nonzero E2 cell with f > 0 sits in a stem divisible by 4 and
     records why no later differential can be nonzero.
     """
-    if smax > model.algebra.truncation:
+    if smax >= model.algebra.truncation:
+        # the cells at stem smax take their boundaries from stem smax + 1
         raise BoundsExceeded(
-            f"smax {smax} exceeds the model truncation {model.algebra.truncation}"
+            f"smax {smax} must be below the model truncation {model.algebra.truncation}"
         )
     if wmin is None:
         wmin = -smax - fmax
@@ -1136,13 +1061,12 @@ def _monomial_order_vector(alg: SteenrodAlgebra, tau_power: int, key) -> tuple:
     Comparing these tuples lexicographically realizes the monomial order in
     which a monomial with a higher top variable is larger.
     """
-    eps, E = key
+    exps = dict(key)
     vec = []
     for i in range(alg.max_tau, 0, -1):
-        if i <= alg.max_xi:
-            vec.append(E[i - 1] if i - 1 < len(E) else 0)
-        vec.append(eps[i] if i < len(eps) else 0)
-    vec.append(eps[0] if eps else 0)
+        vec.append(exps.get(2 * i - 1, 0))  # xi_i
+        vec.append(exps.get(2 * i, 0))      # tau_i
+    vec.append(exps.get(0, 0))
     vec.append(tau_power)
     return tuple(vec)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etasphere.cli import emit_json, load_config, run
+from etasphere.cli import build_parser, emit_json, load_config, run
 
 
 def run_capture(capsys, argv):
@@ -211,6 +211,9 @@ def test_pages_and_steenrod_usage_errors_exit_2(capsys):
     ["operator", "--word", "1/2"],
     ["operator", "--word", "1/0"],
     ["--catalog", "nosuch", "witt"],
+    ["pages", "--model", "kgl", "--smax", "6", "--fmax", "2", "--truncation", "6"],
+    ["pages", "--truncation", "0"],
+    ["kwhw", "--field", "real_closed", "--modulus-bits", "0"],
 ])
 def test_bad_bounds_and_fields_exit_2(capsys, argv):
     code, out, err = run_capture(capsys, argv)
@@ -229,15 +232,17 @@ def test_operator_unknown_token_message(capsys):
     (["--verify"], ["hopf", "--imax", "4", "--jmax", "4"]),
 ])
 def test_output_flags_on_either_side_of_the_subcommand(capsys, before, after):
+    # run twice in one process: the parser is built once and shared by every call
     reports = []
-    for argv in (before + after, after + before):
+    for argv in (before + after, after + before) * 2:
         code, out, _ = run_capture(capsys, argv)
         assert code == 0, argv
         reports.append(out)
     if "--format" in before:
         reports = [{k: v for k, v in json.loads(r).items() if k != "timing_seconds"}
                    for r in reports]
-    assert reports[0] == reports[1]
+    assert all(r == reports[0] for r in reports)
+    assert build_parser() is build_parser()
 
 
 def test_format_before_the_subcommand_is_kept(capsys):

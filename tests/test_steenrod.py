@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from etasphere.graded import TruncationExceeded
+from etasphere.graded import TruncationExceeded, check_confluence_random
 from etasphere.steenrod import (
-    MilnorMonomial,
     SteenrodAlgebra,
     SteenrodElement,
     TensorElement,
@@ -26,7 +28,6 @@ from etasphere.steenrod import (
     dual_action,
     kgl_homology_model,
     ko_homology_model,
-    milnor_product,
     mon_bidegree,
     mon_key,
     sphere_model,
@@ -42,14 +43,13 @@ def test_bidegrees():
     assert mon_bidegree(mon_key((0, 0, 1), ())) == (7, 3)  # tau_2
     assert mon_bidegree(mon_key((), (1,))) == (2, 1)       # xi_1
     assert mon_bidegree(mon_key((), (0, 1))) == (6, 3)     # xi_2
-    m = MilnorMonomial((1,), (1,))
-    assert m.bidegree() == (3, 1)
+    assert mon_bidegree(mon_key((1,), (1,))) == (3, 1)     # tau_0 xi_1
 
 
 def test_tau0_squared_real_closed():
     alg = SteenrodAlgebra("real_closed", weight=16)
     km = alg.km
-    prod = milnor_product(alg.tau(0), alg.tau(0))
+    prod = alg.tau(0) * alg.tau(0)
     expected = {
         mon_key((), (1,)): km.monomial(0, 1),       # tau . xi_1
         mon_key((1,), (1,)): km.monomial(1, 0),     # rho tau_0 xi_1
@@ -351,10 +351,12 @@ def test_cell_basis_is_not_aliased():
 # -- the per-algebra memos against cache-free references -----------------------
 
 def _generators(key):
-    """(kind, index) of each generator factor of tau^eps xi^E, in fold order."""
-    eps, E = key
-    out = [("tau", i) for i, e in enumerate(eps) for _ in range(e)]
-    return out + [("xi", j + 1) for j, e in enumerate(E) for _ in range(e)]
+    """(kind, index) of each generator factor of a monomial key, in fold order.
+
+    Generator 2i is tau_i and generator 2j - 1 is xi_j.
+    """
+    return [("xi", (n + 1) // 2) if n % 2 else ("tau", n // 2)
+            for n, e in key for _ in range(e)]
 
 
 @pytest.mark.parametrize("base", FULL_TABLE_BASES)
@@ -370,7 +372,7 @@ def test_memoized_coproducts_match_generator_products(base):
         got = coproduct(SteenrodElement(alg, {key: km.one}))
         assert got == want, key
         for (m1, m2), _ in got.terms.items():
-            etas.update((m1, cc) for cc in coproduct(ref.monomial(*m2)).terms.values())
+            etas.update((m1, cc) for cc in coproduct(ref.element({m2: km.one})).terms.values())
     assert any(cc != km.one for _, cc in etas)
     for m1, cc in etas:
         want = SteenrodElement(ref, {m1: km.one}) * ref.eta_r_of_coeff(cc)
@@ -420,3 +422,48 @@ def test_delta_matrix_memo_is_independent_of_cell_order():
     for cell in reversed(cells):
         assert backward.delta_matrix(*cell) == got[cell], cell
     assert any(cols for _, _, cols in got.values())
+
+
+# -- properties of the shared rewriting core, on every base --------------------
+
+# keys do not depend on the base, so one list serves all three algebras
+SMALL_KEYS = st.sampled_from(SteenrodAlgebra("real_closed", weight=16).basis_monomials(6))
+BASES = st.sampled_from(FULL_TABLE_BASES)
+
+
+def _unless_truncated(check):
+    try:
+        check()
+    except TruncationExceeded:
+        reject()
+
+
+@settings(max_examples=150, deadline=None)
+@given(BASES, SMALL_KEYS, SMALL_KEYS, SMALL_KEYS)
+def test_products_commute_and_associate(base, a, b, c):
+    alg = SteenrodAlgebra(base, weight=16)
+    x, y, z = (SteenrodElement(alg, {key: alg.km.one}) for key in (a, b, c))
+
+    def check():
+        assert x * y == y * x
+        assert (x * y) * z == x * (y * z)
+
+    _unless_truncated(check)
+
+
+@settings(max_examples=100, deadline=None)
+@given(BASES, SMALL_KEYS, SMALL_KEYS)
+def test_coproduct_is_multiplicative(base, a, b):
+    alg = SteenrodAlgebra(base, weight=16)
+    x, y = (SteenrodElement(alg, {key: alg.km.one}) for key in (a, b))
+
+    def check():
+        assert coproduct(x * y) == tensor_mul(coproduct(x), coproduct(y))
+
+    _unless_truncated(check)
+
+
+@settings(max_examples=20, deadline=None)
+@given(BASES, st.integers(0, 2**32))
+def test_steenrod_rewriting_is_confluent(base, seed):
+    assert check_confluence_random(SteenrodAlgebra(base, weight=16).spec, 30, random.Random(seed)) > 0
