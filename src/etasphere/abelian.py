@@ -2,13 +2,16 @@
 
 Groups are presented as Z^n / (column span of a relation matrix).  All
 arithmetic is exact arbitrary-precision integer arithmetic; the Smith
-reduction never touches floats.  The lattice helpers at the bottom
-(`lattice_basis`, `solve_in_lattice`, `quotient_structure`) are shared by
-the Witt-ring and filtered-module code.
+reduction never touches floats.  The Witt-ring, filtered-module and kw^HW
+code share the lattice tools: `lattice(n, generators)` returns a `Lattice`,
+the span of the generators Smith-factored once (and built once per
+generator tuple), which answers membership, `solve`, `basis` and span
+equality; `quotient_structure` reads L/L' off the factored L.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd
 
@@ -161,98 +164,99 @@ def smith_normal_form(
     return u, d, v
 
 
-def snf_diagonal(matrix: list[list[int]]) -> list[int]:
-    """Nonzero diagonal entries of the Smith form (the invariant chain)."""
-    _, d, _ = smith_normal_form(matrix)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i] != 0:
-            out.append(d[i][i])
-    return out
+def invert_unimodular(u: list[list[int]]) -> list[list[int]]:
+    """Exact inverse of a unimodular integer matrix."""
+    n = len(u)
+    aug = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(u)]
+    for col in range(n):
+        # Euclid on the rows from col down leaves their gcd, +/-1 because
+        # det = +/-1, at the pivot; the rows above col are already reduced
+        while True:
+            piv = min((r for r in range(col, n) if aug[r][col]), key=lambda r: abs(aug[r][col]))
+            aug[col], aug[piv] = aug[piv], aug[col]
+            for r in range(col + 1, n):
+                q = aug[r][col] // aug[col][col]
+                if q:
+                    aug[r] = [x - q * y for x, y in zip(aug[r], aug[col])]
+            if not any(aug[r][col] for r in range(col + 1, n)):
+                break
+        if aug[col][col] < 0:
+            aug[col] = [-x for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                q = aug[r][col]
+                aug[r] = [x - q * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------
 # lattices: sublattices of Z^n given by generating column vectors
 # ---------------------------------------------------------------------------
 
-def lattice_basis(ambient_dim: int, generators: list[list[int]]) -> list[list[int]]:
-    """Basis (as columns) of the sublattice of Z^n spanned by the generators."""
-    if not generators:
-        return []
-    mat = [[g[i] for g in generators] for i in range(ambient_dim)]
-    u, d, _ = smith_normal_form(mat)
-    # lattice = U^{-1} * im(D); basis vectors are the nonzero columns of U^{-1}D.
-    uinv = invert_unimodular(u)
-    basis = []
-    for k in range(min(ambient_dim, len(generators))):
-        if d[k][k] != 0:
-            basis.append([uinv[i][k] * d[k][k] for i in range(ambient_dim)])
-    return basis
+class Lattice:
+    """The sublattice of Z^dim spanned by generator columns, Smith-factored once.
 
+    With M the dim x len(generators) matrix of the generators, U M V = D is
+    kept as U, the nonzero diagonal d_0 | d_1 | ... and V, so each question
+    about the lattice is a reduction of U*vec against the diagonal.  No
+    generators is the zero lattice.  Build lattices with `lattice`, which
+    factors each generator tuple once.
+    """
 
-def invert_unimodular(u: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(u)
-    aug = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(u)]
-    # integer Gauss-Jordan; pivots are +/-1 after full reduction because det = +/-1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                if piv is None or abs(aug[r][col]) < abs(aug[piv][col]):
-                    piv = r
-        aug[col], aug[piv] = aug[piv], aug[col]
-        while True:
-            done = True
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    q = aug[r][col] // aug[col][col]
-                    aug[r] = [x - q * y for x, y in zip(aug[r], aug[col])]
-                    if aug[r][col] != 0:
-                        aug[col], aug[r] = aug[r], aug[col]
-                        done = False
-            if done:
-                break
-        if aug[col][col] < 0:
-            aug[col] = [-x for x in aug[col]]
-    return [row[n:] for row in aug]
+    def __init__(self, dim: int, generators: tuple[tuple[int, ...], ...]):
+        self.dim = dim
+        self.generators = generators
+        u, d, v = smith_normal_form([[g[i] for g in generators] for i in range(dim)])
+        # a matrix with no rows does not tell smith_normal_form its column count
+        self._u, self._v = u, v if dim else identity_matrix(len(generators))
+        self._diag = [d[k][k] for k in range(min(dim, len(generators))) if d[k][k]]
 
-
-def solve_in_lattice(
-    ambient_dim: int, generators: list[list[int]], target: list[int]
-) -> list[int] | None:
-    """Integer coefficients c with sum c_k * generators[k] = target, or None."""
-    if all(x == 0 for x in target):
-        return [0] * len(generators)
-    if not generators:
-        return None
-    mat = [[g[i] for g in generators] for i in range(ambient_dim)]
-    u, d, v = smith_normal_form(mat)
-    rhs = mat_vec(u, target)
-    ncols = len(generators)
-    y = [0] * ncols
-    rank = 0
-    for k in range(min(ambient_dim, ncols)):
-        if d[k][k] != 0:
-            rank = k + 1
-    for i in range(ambient_dim):
-        if i < rank and d[i][i] != 0:
-            if rhs[i] % d[i][i] != 0:
-                return None
-            y[i] = rhs[i] // d[i][i]
-        elif rhs[i] != 0:
+    def _coordinates(self, vec) -> list[int] | None:
+        """Coordinates of vec in `basis()`, or None when vec is not in the lattice."""
+        rhs = mat_vec(self._u, list(vec))
+        rank = len(self._diag)
+        if any(rhs[rank:]):
             return None
-    return mat_vec(v, y)
+        if any(x % d for x, d in zip(rhs, self._diag)):
+            return None
+        return [x // d for x, d in zip(rhs, self._diag)]
+
+    @functools.cached_property
+    def _u_inverse(self) -> list[list[int]]:
+        return invert_unimodular(self._u)
+
+    def basis(self) -> list[list[int]]:
+        """A basis of the lattice: the columns d_k * U^{-1} e_k."""
+        uinv = self._u_inverse
+        return [[uinv[i][k] * d for i in range(self.dim)] for k, d in enumerate(self._diag)]
+
+    def solve(self, vec) -> list[int] | None:
+        """Integer c with sum c_k * generators[k] = vec (one c_k per generator), or None."""
+        y = self._coordinates(vec)
+        if y is None:
+            return None
+        return mat_vec(self._v, y + [0] * (len(self.generators) - len(y)))
+
+    def __contains__(self, vec) -> bool:
+        return self._coordinates(vec) is not None
+
+    def __le__(self, other: "Lattice") -> bool:
+        return self.dim == other.dim and all(g in other for g in self.generators)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Lattice):
+            return NotImplemented
+        return self is other or (self <= other and other <= self)
 
 
-def lattice_contains(ambient_dim: int, generators: list[list[int]], vec: list[int]) -> bool:
-    return solve_in_lattice(ambient_dim, generators, vec) is not None
+def lattice(dim: int, generators) -> Lattice:
+    """The factored lattice spanned by `generators` (column vectors of length dim)."""
+    return _factored_lattice(dim, tuple(tuple(g) for g in generators))
 
 
-def lattices_equal(ambient_dim: int, gens_a: list[list[int]], gens_b: list[list[int]]) -> bool:
-    return all(lattice_contains(ambient_dim, gens_a, v) for v in gens_b) and all(
-        lattice_contains(ambient_dim, gens_b, v) for v in gens_a
-    )
+@functools.lru_cache(maxsize=256)
+def _factored_lattice(dim: int, generators: tuple[tuple[int, ...], ...]) -> Lattice:
+    return Lattice(dim, generators)
 
 
 def lattice_intersection(
@@ -284,7 +288,8 @@ def quotient_structure(
     generator for each listed invariant factor / free summand (torsion
     generators first, in the order of `invariant_factors`, then free ones).
     """
-    basis = lattice_basis(ambient_dim, big_generators)
+    big = lattice(ambient_dim, big_generators)
+    basis = big.basis()
     if not basis:
         if small_generators and any(any(x) for x in small_generators):
             raise InvariantError("small lattice not contained in big lattice")
@@ -292,23 +297,20 @@ def quotient_structure(
     t = len(basis)
     rel_cols = []
     for s in small_generators:
-        c = solve_in_lattice(ambient_dim, basis, s)
+        c = big._coordinates(s)
         if c is None:
             raise InvariantError("small lattice not contained in big lattice")
         rel_cols.append(c)
     if not rel_cols:
         return FinAbGroup(t, []), basis
-    mat = [[c[i] for c in rel_cols] for i in range(t)]
-    u, d, _ = smith_normal_form(mat)
-    uinv = invert_unimodular(u)
-    # new basis of L adapted to the relations: columns of  B * U^{-1}
-    ncols = len(rel_cols)
-    diag = [d[i][i] if i < min(t, ncols) else 0 for i in range(t)]
+    # a basis of L adapted to the relations: columns of B * U^{-1}
+    rel = lattice(t, rel_cols)
+    uinv = rel._u_inverse
     torsion = []
     torsion_gens = []
     free_gens = []
     for i in range(t):
-        e = diag[i]
+        e = rel._diag[i] if i < len(rel._diag) else 0
         newgen = [
             sum(basis[k][j] * uinv[k][i] for k in range(t)) for j in range(ambient_dim)
         ]
@@ -490,7 +492,7 @@ class GroupHom:
         rel = self.target.relation_columns()
         for col in self.source.relation_columns():
             img = mat_vec(self.matrix, col)
-            if not lattice_contains(n, rel, img):
+            if img not in lattice(n, rel):
                 raise InvariantError("matrix does not respect source relations")
 
     def __call__(self, coords) -> tuple[int, ...]:

@@ -142,15 +142,6 @@ def emit_page_chart(page, smax: int, fmax: int) -> str:
     return "\n".join(lines)
 
 
-def emit_chart(obj, smax=None, fmax=None) -> str:
-    if hasattr(obj, "entries") and hasattr(obj, "page_number"):
-        keys = list(obj.entries)
-        smax = smax if smax is not None else max((k[0] for k in keys), default=0)
-        fmax = fmax if fmax is not None else max((k[1] for k in keys), default=0)
-        return emit_page_chart(obj, smax, fmax)
-    return emit_stems_chart(obj)
-
-
 # ---------------------------------------------------------------------------
 # invariant suites (run by `verify` and by --verify on subcommands)
 # ---------------------------------------------------------------------------

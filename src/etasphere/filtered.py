@@ -17,9 +17,8 @@ from .abelian import (
     FinAbGroup,
     _integer_kernel,
     _unit_vectors,
-    lattice_contains,
+    lattice,
     lattice_intersection,
-    lattices_equal,
     mat_vec,
     quotient_structure,
 )
@@ -50,14 +49,12 @@ class FilteredComponent:
         full = _unit_vectors(n) + [list(r) for r in self.relations]
         if not self.chain:
             raise HypothesisViolated("empty filtration chain")
-        if not lattices_equal(n, self.chain[0], full):
+        if lattice(n, self.chain[0]) != lattice(n, full):
             raise HypothesisViolated("filtration not exhaustive: F^0 != everything")
         for s in range(len(self.chain) - 1):
-            for g in self.chain[s + 1]:
-                if not lattice_contains(n, self.chain[s], list(g)):
-                    raise HypothesisViolated(f"F^{s + 1} not contained in F^{s}")
-        rel = self.relations if self.relations else [[0] * n]
-        if not lattices_equal(n, self.chain[-1], rel):
+            if not lattice(n, self.chain[s + 1]) <= lattice(n, self.chain[s]):
+                raise HypothesisViolated(f"F^{s + 1} not contained in F^{s}")
+        if lattice(n, self.chain[-1]) != lattice(n, self.relations):
             raise HypothesisViolated("filtration not Hausdorff within truncation")
 
     def level(self, s: int) -> list[list[int]]:
@@ -70,7 +67,7 @@ class FilteredComponent:
         return quotient_structure(self.ngens, self.level(s), self.level(s + 1))
 
     def group(self) -> FinAbGroup:
-        g, _ = quotient_structure(self.ngens, self.chain[0], self.relations or [[0] * self.ngens])
+        g, _ = quotient_structure(self.ngens, self.chain[0], self.relations)
         return g
 
 
@@ -112,9 +109,9 @@ class FilteredMorphism:
                 raise HypothesisViolated(f"matrix shape mismatch in degree {n}")
             depth = max(len(src.chain), len(tgt.chain))
             for s in range(depth):
+                level = lattice(tgt.ngens, tgt.level(s))
                 for g in src.level(s):
-                    img = mat_vec(mat, list(g))
-                    if not lattice_contains(tgt.ngens, tgt.level(s), img):
+                    if mat_vec(mat, list(g)) not in level:
                         raise HypothesisViolated(
                             f"map does not respect filtration at degree {n}, level {s}"
                         )
@@ -126,13 +123,11 @@ def _image_lattice(mat, gens):
 
 def _gr_map_surjective(mat, src: FilteredComponent, tgt: FilteredComponent, s: int) -> bool:
     img = _image_lattice(mat, src.level(s)) + [list(g) for g in tgt.level(s + 1)]
-    return lattices_equal(tgt.ngens, img, tgt.level(s))
+    return lattice(tgt.ngens, img) == lattice(tgt.ngens, tgt.level(s))
 
 
 def _preimage_lattice(mat, tgt_lattice, src_dim, tgt_dim):
     """{x in Z^src : mat x in tgt_lattice} as a lattice."""
-    if not tgt_lattice:
-        tgt_lattice = [[0] * tgt_dim]
     stacked = [
         [mat[i][j] for j in range(src_dim)] + [g[i] for g in tgt_lattice]
         for i in range(tgt_dim)
@@ -145,7 +140,8 @@ def _preimage_lattice(mat, tgt_lattice, src_dim, tgt_dim):
 def _gr_map_injective(mat, src: FilteredComponent, tgt: FilteredComponent, s: int) -> bool:
     pre = _preimage_lattice(mat, tgt.level(s + 1), src.ngens, tgt.ngens)
     inside = lattice_intersection(src.ngens, pre, src.level(s)) if pre else []
-    return all(lattice_contains(src.ngens, src.level(s + 1), v) for v in inside)
+    level = lattice(src.ngens, src.level(s + 1))
+    return all(v in level for v in inside)
 
 
 def filtered_lemma_suite(alpha: FilteredMorphism) -> dict:
@@ -181,10 +177,8 @@ def filtered_lemma_suite(alpha: FilteredMorphism) -> dict:
             tgt = alpha.target.components[n]
             depth = max(len(src.chain), len(tgt.chain)) - 1
             for s in range(depth + 1):
-                img = _image_lattice(mat, src.level(s)) + [
-                    list(g) for g in (tgt.relations or [[0] * tgt.ngens])
-                ]
-                if not lattices_equal(tgt.ngens, img, tgt.level(s)):
+                img = _image_lattice(mat, src.level(s)) + [list(g) for g in tgt.relations]
+                if lattice(tgt.ngens, img) != lattice(tgt.ngens, tgt.level(s)):
                     ok = False
         report["alpha_surjective_each_level"] = ok
 
@@ -194,15 +188,12 @@ def filtered_lemma_suite(alpha: FilteredMorphism) -> dict:
             src = alpha.source.components[n]
             tgt = alpha.target.components[n]
             depth = max(len(src.chain), len(tgt.chain)) - 1
-            ker = _preimage_lattice(mat, tgt.relations or [[0] * tgt.ngens],
-                                    src.ngens, tgt.ngens)
+            ker = _preimage_lattice(mat, tgt.relations, src.ngens, tgt.ngens)
             ker_full = ker + [list(r) for r in src.relations]
             for s in range(depth):
                 k_s = lattice_intersection(src.ngens, ker_full, src.level(s)) or []
                 k_s1 = lattice_intersection(src.ngens, ker_full, src.level(s + 1)) or []
-                gr_ker, _ = quotient_structure(
-                    src.ngens, k_s + k_s1, k_s1 if k_s1 else [[0] * src.ngens]
-                )
+                gr_ker, _ = quotient_structure(src.ngens, k_s + k_s1, k_s1)
                 pre = _preimage_lattice(mat, tgt.level(s + 1), src.ngens, tgt.ngens)
                 num = lattice_intersection(src.ngens, pre, src.level(s)) if pre else []
                 ker_gr, _ = quotient_structure(
@@ -219,10 +210,9 @@ def filtered_lemma_suite(alpha: FilteredMorphism) -> dict:
         for n, mat in alpha.matrices.items():
             src = alpha.source.components[n]
             tgt = alpha.target.components[n]
-            ker = _preimage_lattice(mat, tgt.relations or [[0] * tgt.ngens],
-                                    src.ngens, tgt.ngens)
-            rel = src.relations if src.relations else [[0] * src.ngens]
-            if any(not lattice_contains(src.ngens, rel, v) for v in ker):
+            ker = _preimage_lattice(mat, tgt.relations, src.ngens, tgt.ngens)
+            rel = lattice(src.ngens, src.relations)
+            if any(v not in rel for v in ker):
                 ok = False
         report["alpha_injective"] = ok
 
@@ -236,10 +226,8 @@ def filtered_lemma_suite(alpha: FilteredMorphism) -> dict:
             tgt = alpha.target.components[n]
             depth = max(len(src.chain), len(tgt.chain))
             for s in range(depth):
-                img = _image_lattice(mat, src.level(s)) + [
-                    list(g) for g in (tgt.relations or [[0] * tgt.ngens])
-                ]
-                if not lattices_equal(tgt.ngens, img, tgt.level(s)):
+                img = _image_lattice(mat, src.level(s)) + [list(g) for g in tgt.relations]
+                if lattice(tgt.ngens, img) != lattice(tgt.ngens, tgt.level(s)):
                     ok = False
         report["alpha_filtered_iso"] = ok
     return report
@@ -339,7 +327,7 @@ class FilteredRing:
         for gens in chain_generators:
             chain.append([list(g) for g in gens] + rel)
         # force termination at zero
-        if not lattices_equal(ring.n, chain[-1], rel):
+        if lattice(ring.n, chain[-1]) != lattice(ring.n, rel):
             raise HypothesisViolated("ideal chain does not reach zero")
         self.chain = chain
 
@@ -371,7 +359,7 @@ class FilteredRing:
             gens = [list(v) for v in power.generator_coords]
             chains.append(gens)
             span = [list(g) for g in gens] + rel
-            if lattices_equal(ring.n, span, rel):
+            if lattice(ring.n, span) == lattice(ring.n, rel):
                 break
             s += 1
             if s > 8 * max(1, modulus_bits):
@@ -397,7 +385,7 @@ class FilteredRModule:
         chain = [_unit_vectors(n) + rel]
         for gens in chain_generators:
             chain.append([list(g) for g in gens] + rel)
-        if not lattices_equal(n, chain[-1], rel if rel else [[0] * n]):
+        if lattice(n, chain[-1]) != lattice(n, rel):
             raise HypothesisViolated("module chain does not reach zero")
         self.components[degree] = {
             "orders": list(orders),
@@ -481,9 +469,8 @@ def lift_free_basis(module: FilteredRModule, gr_basis) -> LiftCertificate:
                 comp["ngens"], module.level(t, sigma), module.level(t, sigma + 1)
             )
             actual = group.order()
-            span_ok = lattices_equal(
-                comp["ngens"], spans, module.level(t, sigma)
-            )
+            level = lattice(comp["ngens"], module.level(t, sigma))
+            span_ok = lattice(comp["ngens"], spans) == level
             if actual != expected or not span_ok:
                 raise NotFree(
                     f"gr(M) is not free on the stated basis at degree {t}, "
@@ -504,11 +491,11 @@ def lift_free_basis(module: FilteredRModule, gr_basis) -> LiftCertificate:
             filtered_iso = False
         depth = len(comp["chain"])
         for sigma in range(depth):
-            img = [list(g) for g in comp["relations"]] or [[0] * comp["ngens"]]
+            img = [list(g) for g in comp["relations"]]
             for (s_i, x_i) in basis_here:
                 for rgen in ring.level(max(0, sigma - s_i)):
                     img.append(list(module.act(t, rgen, x_i)))
-            if not lattices_equal(comp["ngens"], img, module.level(t, sigma)):
+            if lattice(comp["ngens"], img) != lattice(comp["ngens"], module.level(t, sigma)):
                 filtered_iso = False
         details[t]["order"] = module.component_order(t)
 
@@ -535,8 +522,7 @@ def solve_module_coefficients(module: FilteredRModule, degree: int, basis, targe
             cols.append(list(module.act(degree, e, x)))
             col_owner.append((b_idx, i))
     cols += [list(c) for c in comp["relations"]]
-    from .abelian import solve_in_lattice
-    sol = solve_in_lattice(n, cols, list(target))
+    sol = lattice(n, cols).solve(target)
     if sol is None:
         return None
     out = [[0] * ring.n for _ in basis]

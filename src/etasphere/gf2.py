@@ -53,14 +53,6 @@ def transpose(columns: list[int], nrows: int) -> list[int]:
     return rows
 
 
-def in_span(rows: list[int], vec: int) -> bool:
-    for b in row_reduce(rows):
-        low = b & -b
-        if vec & low:
-            vec ^= b
-    return vec == 0
-
-
 def nullspace(columns: int, rows: list[int]) -> list[int]:
     """Kernel basis of the linear map with the given matrix rows.
 

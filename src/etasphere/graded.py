@@ -24,7 +24,6 @@ degree beyond D raise TruncationExceeded instead of silently dropping it.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -603,9 +602,6 @@ class Derivation:
             if idx not in self.images:
                 self.images[idx] = algebra.zero()
 
-    def of_gen(self, idx: int) -> GradedElement:
-        return self.images[idx]
-
 
 def apply_derivation(d: Derivation, a: GradedElement) -> GradedElement:
     alg = d.algebra
@@ -805,8 +801,3 @@ def check_confluence_random(algebra: AlgebraSpec, trials: int, rng) -> int:
             raise AlgebraError(f"confluence failure on {mon}")
         done += 1
     return done
-
-
-def load_algebra_spec(path: str) -> AlgebraSpec:
-    with open(path) as fh:
-        return AlgebraSpec.from_json(json.load(fh))

@@ -16,7 +16,7 @@ from importlib import resources
 from math import comb
 
 from . import gf2
-from .abelian import FinAbGroup, ker_coker_of_mul, lattice_contains
+from .abelian import FinAbGroup, ker_coker_of_mul, lattice
 from .filtered import FilteredRModule, FilteredRing, FiniteRing, lift_free_basis
 from .graded import (
     POLYNOMIAL,
@@ -832,7 +832,7 @@ def kw_hw_generators_check(
     amb = presentation.additive.ngens
     i2 = fundamental_ideal_power(presentation, 2)
     span = [list(v) for v in i2.generator_coords] + presentation.additive.relation_columns()
-    r_in_i2 = lattice_contains(amb, span if span else [[0] * amb], list(r_coords))
+    r_in_i2 = r_coords in lattice(amb, span)
 
     twists = list(unit_twists) if unit_twists else [finite.one] * (imax + 1)
 

@@ -112,6 +112,18 @@ def steenrod_generators(km, weight: int) -> list[GeneratorSpec]:
     return gens
 
 
+@functools.lru_cache(maxsize=16)
+def steenrod_spec(rho_mode: str, weight: int) -> AlgebraSpec:
+    """The ring of `SteenrodAlgebra(base, weight)`, built once per (rho-mode, weight).
+
+    A normal form of weight <= the bound has at most max_tau + 1 tau factors,
+    so its stem is at most weight + max_tau + 1: that is the truncation.
+    """
+    km = KMTau(rho_mode)
+    max_tau = max(i for i in range(64) if 2**i - 1 <= weight)
+    return AlgebraSpec(steenrod_generators(km, weight), km, weight + max_tau + 1)
+
+
 def mon_key(eps=(), E=()):
     """The key of tau^eps xi^E (eps indexed from tau_0, E from xi_1)."""
     return tuple(sorted(
@@ -159,14 +171,10 @@ class SteenrodAlgebra:
             base = motivic_base(base)
         self.base = base
         self.weight = weight
-        self.km = base.coefficient_ring()
         self.max_tau = max(i for i in range(0, 64) if 2**i - 1 <= weight)
         self.max_xi = max(j for j in range(1, 64) if 2**j - 1 <= weight)
-        # a normal form of weight <= the bound has at most max_tau + 1 tau
-        # factors, so its stem is at most weight + max_tau + 1
-        self.spec = AlgebraSpec(
-            steenrod_generators(self.km, weight), self.km, weight + self.max_tau + 1
-        )
+        self.spec = steenrod_spec(base.rho_mode, weight)
+        self.km = self.spec.coefficients
         # memos keyed by basis monomials: Delta(m) terms, chi(m), m*m', m*eta_R(c)
         self._coproduct_cache: dict = {}
         self._antipode_cache: dict = {}
@@ -428,33 +436,6 @@ def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
             combined = combine_slots(alg, slot_elements)
             for word, c in combined.terms.items():
                 add_term(km, out.terms, word, km.mul(base, c))
-    return out
-
-
-def tensor_from_element(x: SteenrodElement, slots: int, position: int) -> TensorElement:
-    """x placed in one slot, units elsewhere.  Coefficients migrate left."""
-    alg = x.algebra
-    km = alg.km
-    out = TensorElement(alg, slots)
-    for key, c in x.terms.items():
-        slot_elements = []
-        for r in range(slots):
-            if r == position:
-                slot_elements.append(SteenrodElement(alg, {key: km.one}))
-            else:
-                slot_elements.append(alg.one())
-        combined = combine_slots(alg, slot_elements)
-        # c is a left coefficient of slot `position`: if that is not the
-        # global left, it must migrate.  Only slot 0 needs no migration.
-        if position == 0 or km.is_zero(c) or c == km.one:
-            for word, cc in combined.terms.items():
-                add_term(km, out.terms, word, km.mul(c, cc))
-        else:
-            scaled = [alg.one()] * slots
-            scaled[position] = SteenrodElement(alg, {key: c})
-            combined2 = combine_slots(alg, scaled)
-            for word, cc in combined2.terms.items():
-                add_term(km, out.terms, word, cc)
     return out
 
 
@@ -932,9 +913,6 @@ class BocksteinPage:
 
     def dim(self, s: int, f: int, w: int) -> int:
         return len(self.entries.get((s, f, w), ()))
-
-    def nonzero_cells(self):
-        return sorted((k, len(v)) for k, v in self.entries.items() if v)
 
 
 def _cell_labels(model: HomologyModel, items, f: int):

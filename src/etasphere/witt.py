@@ -21,10 +21,8 @@ from .abelian import (
     FinAbGroup,
     _integer_kernel,
     _unit_vectors,
-    lattice_contains,
-    lattices_equal,
+    lattice,
     quotient_structure,
-    solve_in_lattice,
 )
 
 
@@ -108,13 +106,13 @@ class WittPresentation:
         if len(self.rank_mod2) != n:
             raise InvalidPresentation("rank_mod2 length mismatch")
         rel = g.relation_columns()
+        relations = lattice(n, rel)
 
         # bilinearity is well defined: d_i * (g_i . g_j) must die
         for i, d in enumerate(g.invariant_factors):
             gi = g.free_rank + i
             for j in range(n):
-                scaled = [d * x for x in self.mult_table[gi][j]]
-                if not lattice_contains(n, rel if rel else [[0] * n], scaled):
+                if [d * x for x in self.mult_table[gi][j]] not in relations:
                     raise InvalidPresentation(
                         f"product with torsion generator {gi} not well defined"
                     )
@@ -154,15 +152,15 @@ class WittPresentation:
             if self.rank_of(v) != 0:
                 raise InvalidPresentation("ideal generator with odd rank")
         span = [list(v) for v in self.ideal_generators] + rel
-        if not lattices_equal(n, span if span else [[0] * n], self.kernel_lattice_of_rank()):
+        if lattice(n, span) != lattice(n, self.kernel_lattice_of_rank()):
             raise InvalidPresentation("ideal generators do not generate ker(rank)")
 
         # I^(vcd2+1) inside 2W
         if self.vcd2 is not None:
             power = fundamental_ideal_power(self, self.vcd2 + 1)
-            two_w = self.two_torsion_free_lattice()
+            two_w = lattice(n, self.two_torsion_free_lattice())
             for v in power.generator_coords:
-                if not lattice_contains(n, two_w, list(v)):
+                if v not in two_w:
                     raise InvalidPresentation("I^(vcd2+1) not contained in 2W")
 
     # -- misc -----------------------------------------------------------------
@@ -311,23 +309,15 @@ def solve_2local_inverse(a: WittElement):
     ring = a.ring
     g = ring.additive
     n = g.ngens
-    mult = [[0] * n for _ in range(n)]  # matrix of multiplication by a
-    for j in range(n):
-        img = (a * ring.gen(j)).coords
-        for i in range(n):
-            mult[i][j] = img[i]
-    image = [[mult[i][j] for i in range(n)] for j in range(n)]
-    image += g.relation_columns()
-    # order of the unit class in Z^n / image
-    quotient, _ = quotient_structure(n, _unit_vectors(n), image)
+    # the image of multiplication by a, column by column, plus the relations
+    image = [list((a * ring.gen(j)).coords) for j in range(n)] + g.relation_columns()
     # smallest c > 0 with c * unit in image: compute via membership search on
     # the cyclic subgroup generated by the unit class
     c = _order_in_quotient(n, image, list(ring.unit))
     if c is None or c % 2 == 0:
         return None
     target = [c * x for x in ring.unit]
-    sol = solve_in_lattice(n, [[mult[i][j] for i in range(n)] for j in range(n)]
-                           + g.relation_columns(), target)
+    sol = lattice(n, image).solve(target)
     if sol is None:
         return None
     x = ring.element(sol[:n])
@@ -337,7 +327,7 @@ def solve_2local_inverse(a: WittElement):
 
 def _order_in_quotient(ambient, lattice_cols, vec):
     """Order of vec in Z^n / lattice (None = infinite)."""
-    if lattice_contains(ambient, lattice_cols, vec):
+    if vec in lattice(ambient, lattice_cols):
         return 1
     # invariant factors of (lattice + vec)/lattice: cyclic, order = index
     group, _ = quotient_structure(
@@ -485,9 +475,6 @@ class BruteWittRing:
         self._dist_cache[form] = out
         return out
 
-    def isometric(self, f, g) -> bool:
-        return sum(f) == sum(g) and self.distribution(f) == self.distribution(g)
-
     # Witt classes ------------------------------------------------------------
     def _classify(self):
         parent = {f: f for f in self.forms}
@@ -520,9 +507,6 @@ class BruteWittRing:
         # sums/products of representatives stay inside the bound
         self.classes = classes
         self.reps = {c: min((f for f in self.forms if find(f) == c), key=sum) for c in classes}
-
-    def witt_class(self, form):
-        return self.find(form)
 
     def add(self, c1, c2):
         f, g = self.reps[c1], self.reps[c2]

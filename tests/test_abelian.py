@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
+from math import gcd
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from etasphere import abelian, cli
 from etasphere.abelian import (
     CompletedGroup,
     FinAbGroup,
@@ -11,7 +17,10 @@ from etasphere.abelian import (
     counting_function,
     derived_p_completion,
     det_sign,
+    identity_matrix,
+    invert_unimodular,
     ker_coker_of_mul,
+    lattice,
     mat_mul,
     smith_normal_form,
 )
@@ -64,6 +73,24 @@ def test_snf_random_matrices():
 
 def test_snf_wide_entries():
     check_snf([[2**40, 3**25], [5**18, 7**12]])
+
+
+small_matrices = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+                          min_size=1, max_size=4)
+)
+
+
+@given(small_matrices)
+@example([[0, 0], [0, 0]])
+@example([[6, 4], [4, 6], [2, 2]])
+@example([[0, 2], [2, 3], [-3, 2]])  # U^{-1} needs a row swap above the pivot
+def test_snf_invariants_hold(matrix):
+    # U M V = D diagonal, d_i | d_{i+1}, U and V unimodular
+    check_snf(matrix)
+    u, _, v = smith_normal_form(matrix)
+    for w in (u, v):
+        assert mat_mul(w, invert_unimodular(w)) == identity_matrix(len(w))
 
 
 def test_normal_form_rules():
@@ -171,3 +198,148 @@ def test_hom_respects_relations_validation():
 def test_json_round_trip():
     g = FinAbGroup(2, [2, 6])
     assert FinAbGroup.from_json(g.to_json()) == g
+
+
+# ---------------------------------------------------------------------------
+# the factored lattice, against brute force on dims <= 3 with small entries
+# ---------------------------------------------------------------------------
+
+def _combine(generators, coeffs, dim):
+    return [sum(c * g[i] for c, g in zip(coeffs, generators)) for i in range(dim)]
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _rank_and_minor_gcd(dim, generators):
+    """Rank r of the generator matrix and the gcd of its r x r minors."""
+    for r in range(min(dim, len(generators)), 0, -1):
+        g = 0
+        for rows in itertools.combinations(range(dim), r):
+            for cols in itertools.combinations(generators, r):
+                g = gcd(g, _det([[col[i] for col in cols] for i in rows]))
+        if g:
+            return r, g
+    return 0, 1
+
+
+def _brute_force_contains(dim, generators, vec):
+    # L <= L + Z vec have the same rank and the index is the ratio of the
+    # minor gcds, so vec is in L iff both agree
+    return _rank_and_minor_gcd(dim, generators) == _rank_and_minor_gcd(
+        dim, list(generators) + [vec])
+
+
+lattice_cases = st.integers(0, 3).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim), max_size=3),
+        st.lists(st.integers(-6, 6), min_size=dim, max_size=dim),
+    )
+)
+
+
+@given(lattice_cases)
+@example((2, [[2, 0], [0, 0], [4, 6]], [6, 6]))
+@example((2, [[2, 4], [3, 6]], [1, 2]))  # gcd 1 along one line
+@example((3, [[1, 1, 0], [0, 2, 2]], [1, 3, 2]))
+def test_lattice_solve_and_membership_match_brute_force(case):
+    dim, generators, target = case
+    lat = lattice(dim, generators)
+    box = list(itertools.product(range(-2, 3), repeat=len(generators)))
+    # every combination in the coefficient box lies in the lattice
+    for coeffs in box:
+        vec = _combine(generators, coeffs, dim)
+        assert vec in lat
+        sol = lat.solve(vec)
+        assert len(sol) == len(generators)
+        assert _combine(generators, sol, dim) == vec
+    # an arbitrary target: membership, solve and the brute-force index agree
+    sol = lat.solve(target)
+    assert (target in lat) == (sol is not None) == _brute_force_contains(dim, generators, target)
+    if sol is not None:
+        assert len(sol) == len(generators)
+        assert _combine(generators, sol, dim) == target
+    if any(_combine(generators, c, dim) == target for c in box):
+        assert target in lat
+
+
+@given(lattice_cases)
+@example((3, [[0, 2, -3], [2, 3, 2]], [0, 0, 0]))
+def test_lattice_basis_spans_and_equality_is_mutual_containment(case):
+    dim, generators, target = case
+    lat = lattice(dim, generators)
+    basis = lat.basis()
+    assert len(basis) == _rank_and_minor_gcd(dim, generators)[0]
+    assert lattice(dim, basis) == lat
+    bigger = lattice(dim, generators + [target])
+    assert lat <= bigger
+    assert (bigger == lat) == (target in lat)
+
+
+def test_lattice_solve_keeps_zero_generators():
+    lat = lattice(2, [[0, 0], [1, 2], [0, 0]])
+    sol = lat.solve([3, 6])
+    assert len(sol) == 3
+    assert _combine([[0, 0], [1, 2], [0, 0]], sol, 2) == [3, 6]
+    assert lat.solve([1, 1]) is None
+
+
+def test_empty_lattice_contains_only_zero():
+    for dim in range(4):
+        lat = lattice(dim, [])
+        assert lat.basis() == []
+        assert lat.solve([0] * dim) == []
+        assert lat == lattice(dim, [[0] * dim])
+        for vec in itertools.product(range(-1, 2), repeat=dim):
+            assert (list(vec) in lat) == (not any(vec))
+
+
+def test_mutating_results_does_not_reach_the_cache():
+    gens = [[2, 0], [0, 3]]
+    basis = lattice(2, gens).basis()
+    want = [list(b) for b in basis]
+    basis[0][0] = 99
+    basis.append([1, 1])
+    sol = lattice(2, gens).solve([4, 9])
+    sol[0] = 99
+    assert lattice(2, gens).basis() == want
+    assert lattice(2, gens).solve([4, 9]) == [2, 3]
+    assert [1, 1] not in lattice(2, gens)
+
+
+def test_kwhw_factors_each_lattice_once(monkeypatch, capsys):
+    built = []  # (dim, generators) of each Lattice constructed
+    inside = []  # SNF calls made by each of those constructors
+    active = []
+    snf, init = abelian.smith_normal_form, abelian.Lattice.__init__
+
+    def recording_init(self, dim, generators):
+        built.append((dim, generators))
+        inside.append(0)
+        active.append(True)
+        try:
+            init(self, dim, generators)
+        finally:
+            active.pop()
+
+    def counting_snf(matrix):
+        if active:
+            inside[-1] += 1
+        return snf(matrix)
+
+    monkeypatch.setattr(abelian.Lattice, "__init__", recording_init)
+    monkeypatch.setattr(abelian, "smith_normal_form", counting_snf)
+    abelian._factored_lattice.cache_clear()
+    try:
+        assert cli.run(["kwhw", "--field", "F3", "--imax", "3"]) == 0
+    finally:
+        abelian._factored_lattice.cache_clear()
+    capsys.readouterr()
+    assert built
+    assert inside == [1] * len(built)
+    assert len(set(built)) == len(built)

@@ -293,6 +293,49 @@ def test_gf2_transpose_against_bits(columns):
     assert gf2.transpose(rows, len(columns)) == columns
 
 
+def _gf2_span(vectors):
+    span = {0}
+    for v in vectors:
+        span |= {x ^ v for x in span}
+    return span
+
+
+def _gf2_dot(a, b):
+    return bin(a & b).count("1") % 2
+
+
+gf2_rows = st.lists(st.integers(0, 31), max_size=5)
+
+
+@given(gf2_rows)
+def test_gf2_rank_against_span_size(rows):
+    assert 2 ** gf2.rank(rows) == len(_gf2_span(rows))
+
+
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2**n - 1), max_size=4))))
+def test_gf2_nullspace_against_brute_force(case):
+    columns, rows = case
+    kernel = {x for x in range(2**columns) if not any(_gf2_dot(r, x) for r in rows)}
+    basis = gf2.nullspace(columns, rows)
+    assert all(v in kernel for v in basis)
+    assert gf2.rank(basis) == len(basis)
+    assert len(_gf2_span(basis)) == len(kernel)
+
+
+@given(gf2_rows, st.integers(0, 31))
+def test_gf2_solve_against_brute_force(columns, target):
+    sol = gf2.solve(columns, target)
+    reachable = target in _gf2_span(columns)
+    assert (sol is not None) == reachable
+    if sol is not None:
+        acc = 0
+        for j, col in enumerate(columns):
+            if (sol >> j) & 1:
+                acc ^= col
+        assert acc == target
+
+
 def test_monomial_bases_are_not_aliased():
     a = poly_f2([("x", 1), ("y", 2)], truncation=8)
     first = a.monomials_of_degree(4)

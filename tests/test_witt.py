@@ -171,15 +171,15 @@ def test_brute_force_rejects_even_characteristic():
 
 def test_vcd2_containment_on_catalog():
     # validation already checks I^(vcd2+1) <= 2W; re-derive it element-wise here
-    from etasphere.abelian import lattice_contains
+    from etasphere.abelian import lattice
     for name in ALL_FIELDS:
         ring = catalog_lookup(name)
         if ring.vcd2 is None:
             continue
         power = fundamental_ideal_power(ring, ring.vcd2 + 1)
-        two_w = ring.two_torsion_free_lattice()
+        two_w = lattice(ring.additive.ngens, ring.two_torsion_free_lattice())
         for coords in power.generator_coords:
-            assert lattice_contains(ring.additive.ngens, two_w, list(coords))
+            assert list(coords) in two_w
 
 
 def test_loc2_equality_cross_multiplication():
