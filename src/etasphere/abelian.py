@@ -5,8 +5,9 @@ arithmetic is exact arbitrary-precision integer arithmetic; the Smith
 reduction never touches floats.  The Witt-ring, filtered-module and kw^HW
 code share the lattice tools: `lattice(n, generators)` returns a `Lattice`,
 the span of the generators Smith-factored once (and built once per
-generator tuple), which answers membership, `solve`, `basis` and span
-equality; `quotient_structure` reads L/L' off the factored L.
+generator tuple), which answers membership, `solve`, `basis`, span equality
+and `kernel`, the relations among its generators, through which `preimage`
+takes every kernel; `quotient_structure` reads L/L' off the factored L.
 """
 
 from __future__ import annotations
@@ -237,6 +238,14 @@ class Lattice:
             return None
         return mat_vec(self._v, y + [0] * (len(self.generators) - len(y)))
 
+    def kernel(self) -> list[list[int]]:
+        """A basis of the relations among the generators: c with sum c_k * generators[k] = 0.
+
+        These are the last columns of V, one per generator beyond the rank.
+        """
+        rank = len(self._diag)
+        return [[row[j] for row in self._v] for j in range(rank, len(self.generators))]
+
     def __contains__(self, vec) -> bool:
         return self._coordinates(vec) is not None
 
@@ -259,18 +268,19 @@ def _factored_lattice(dim: int, generators: tuple[tuple[int, ...], ...]) -> Latt
     return Lattice(dim, generators)
 
 
+def preimage(dim: int, images, targets) -> list[list[int]]:
+    """Generators of {x : sum_k x_k images[k] in the span of targets}, all in Z^dim."""
+    return [c[:len(images)] for c in lattice(dim, list(images) + list(targets)).kernel()]
+
+
 def lattice_intersection(
     ambient_dim: int, gens_a: list[list[int]], gens_b: list[list[int]]
 ) -> list[list[int]]:
     """Generators of the intersection of two sublattices of Z^n."""
     if not gens_a or not gens_b:
         return []
-    stacked = [
-        [g[i] for g in gens_a] + [-g[i] for g in gens_b] for i in range(ambient_dim)
-    ]
     out = []
-    for col in _integer_kernel(stacked):
-        u = col[: len(gens_a)]
+    for u in preimage(ambient_dim, gens_a, [[-x for x in g] for g in gens_b]):
         vec = [sum(gens_a[k][i] * u[k] for k in range(len(gens_a))) for i in range(ambient_dim)]
         if any(vec):
             out.append(vec)
@@ -515,34 +525,14 @@ class GroupHom:
     def kernel(self) -> tuple[FinAbGroup, list[list[int]]]:
         """Kernel with generator coordinates in the source presentation."""
         n, m = self.target.ngens, self.source.ngens
-        rel_t = self.target.relation_columns()
-        # solve M x + R y = 0: kernel lattice of the stacked matrix
-        stacked = [self.matrix[i][:] + [c[i] for c in rel_t] for i in range(n)]
-        ker_cols = _integer_kernel(stacked)
-        pre = [c[:m] for c in ker_cols]  # preimage lattice {x : Mx in relations}
-        pre += self.source.relation_columns()
-        group, gens = quotient_structure(m, pre, self.source.relation_columns())
-        return group, gens
+        # the preimage {x : Mx in relations}, then modulo the source relations
+        images = [mat_vec(self.matrix, e) for e in _unit_vectors(m)]
+        pre = preimage(n, images, self.target.relation_columns()) + self.source.relation_columns()
+        return quotient_structure(m, pre, self.source.relation_columns())
 
 
 def _unit_vectors(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-
-
-def _integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel lattice of a matrix (as column vectors)."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return _unit_vectors(cols)
-    u, d, v = smith_normal_form(matrix)
-    rank = 0
-    for i in range(min(rows, cols)):
-        if d[i][i] != 0:
-            rank = i + 1
-    return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 from .abelian import (
     FinAbGroup,
-    _integer_kernel,
     _unit_vectors,
     lattice,
     lattice_intersection,
     mat_vec,
+    preimage,
     quotient_structure,
 )
 
@@ -128,13 +128,8 @@ def _gr_map_surjective(mat, src: FilteredComponent, tgt: FilteredComponent, s: i
 
 def _preimage_lattice(mat, tgt_lattice, src_dim, tgt_dim):
     """{x in Z^src : mat x in tgt_lattice} as a lattice."""
-    stacked = [
-        [mat[i][j] for j in range(src_dim)] + [g[i] for g in tgt_lattice]
-        for i in range(tgt_dim)
-    ]
-    cols = _integer_kernel(stacked)
-    pre = [c[:src_dim] for c in cols]
-    return [p for p in pre if any(p)]
+    images = [[mat[i][j] for i in range(tgt_dim)] for j in range(src_dim)]
+    return [p for p in preimage(tgt_dim, images, tgt_lattice) if any(p)]
 
 
 def _gr_map_injective(mat, src: FilteredComponent, tgt: FilteredComponent, s: int) -> bool:

@@ -943,7 +943,8 @@ def bockstein_pages(
     (h has (s, f, w) = (0, 1, -1)); on E2 the f = 0 row holds the cycles and
     the rows f > 0 hold the delta-homology.  The collapse report verifies
     that every nonzero E2 cell with f > 0 sits in a stem divisible by 4 and
-    records why no later differential can be nonzero.
+    records why no later differential can be nonzero, and how many f > 0
+    positions (s, f, w) it examined.
     """
     if smax >= model.algebra.truncation:
         # the cells at stem smax take their boundaries from stem smax + 1
@@ -984,6 +985,7 @@ def bockstein_pages(
         if f > 0 and labels and s % 4 != 0
     ]
     collapse_report = {
+        "f_positive_cells": (smax + 1) * max(0, wmax - wmin + 1) * fmax,
         "f_positive_stems_mod_4": not offenders,
         "offending_cells": offenders,
         "argument": (
@@ -1057,6 +1059,10 @@ def conjugate_basis_triangularity(alg: SteenrodAlgebra, max_weight: int = 8,
     diagonal: the diagonal coefficient is exactly 1, and every other
     contribution involves a strictly larger (q, m') in the monomial order.
     Returns the number of pairs (p, m) checked.
+
+    The expansion is triangular in both orders of tau_i and xi_i on the
+    three bases for weights <= 8 and tau powers <= 2; the chain read from
+    the bottom fails over R, where eta_R(tau) = tau + rho tau_0.
     """
     km = alg.km
     mons = alg.basis_monomials(max_weight)

@@ -19,9 +19,9 @@ from math import gcd
 
 from .abelian import (
     FinAbGroup,
-    _integer_kernel,
     _unit_vectors,
     lattice,
+    preimage,
     quotient_structure,
 )
 
@@ -92,10 +92,7 @@ class WittPresentation:
 
     def kernel_lattice_of_rank(self):
         """Lattice {x in Z^n : rank(x) = 0 mod 2} (contains the relations)."""
-        n = self.additive.ngens
-        stacked = [list(self.rank_mod2) + [2]]
-        cols = _integer_kernel(stacked)
-        return [c[:n] for c in cols] + self.additive.relation_columns()
+        return preimage(1, [[r] for r in self.rank_mod2], [[2]]) + self.additive.relation_columns()
 
     # -- validation -----------------------------------------------------------
     def validate(self):

@@ -343,3 +343,37 @@ def test_kwhw_factors_each_lattice_once(monkeypatch, capsys):
     assert built
     assert inside == [1] * len(built)
     assert len(set(built)) == len(built)
+
+
+def test_kernel_of_a_map_into_the_zero_group_is_everything():
+    # a matrix with no rows: every source vector maps to 0
+    ker, gens = GroupHom(FinAbGroup(1, []), FinAbGroup(0, []), []).kernel()
+    assert ker == FinAbGroup(1, [])
+    assert gens == [[1]]
+    assert lattice(0, [[], []]).kernel() == [[1, 0], [0, 1]]
+
+
+kernel_cases = st.integers(0, 3).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim), max_size=3),
+    )
+)
+
+
+@given(kernel_cases)
+@example((2, [[2, 4], [1, 2], [0, 0]]))
+@example((0, [[], []]))
+def test_lattice_kernel_is_the_relations_among_the_generators(case):
+    dim, generators = case
+    kernel = lattice(dim, generators).kernel()
+    # every kernel vector is a relation, and there are cols - rank of them
+    for c in kernel:
+        assert len(c) == len(generators)
+        assert _combine(generators, c, dim) == [0] * dim
+    assert len(kernel) == len(generators) - _rank_and_minor_gcd(dim, generators)[0]
+    # and they generate every relation with small coefficients
+    relations = lattice(len(generators), kernel)
+    for coeffs in itertools.product(range(-2, 3), repeat=len(generators)):
+        if _combine(generators, coeffs, dim) == [0] * dim:
+            assert list(coeffs) in relations

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etasphere.cli import build_parser, emit_json, load_config, run
+from etasphere.cli import (
+    VERIFY_MODULE,
+    build_parser,
+    emit_json,
+    load_config,
+    run,
+    run_check,
+    verify_checks,
+)
 
 
 def run_capture(capsys, argv):
@@ -287,3 +296,80 @@ def test_cli_fuzz_exit_codes(data):
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = run(argv)
     assert code in (0, 1, 2), argv
+
+
+VERIFY_CERTIFICATES = {
+    "abelian.smith_normal_form_random", "abelian.ker_coker_oracle",
+    "graded.rewrite_confluence_random", "graded.delta_squared_zero",
+    "kwcalc.normal_order_phi_beta_n", "kwcalc.operator_associativity",
+    "kwcalc.hopf_constants_mod8", "kwcalc.eta_stems_valuations",
+    "kwcalc.msp_phi_surjective", "kwcalc.divided_power_two_unit_choices",
+    "kwcalc.legendre_kummer_cross_check",
+    "steenrod.coassoc_counit_real_closed", "steenrod.coassoc_counit_quadratically_closed",
+    "steenrod.coassoc_counit_finite_field_3mod4", "steenrod.action_table_real_closed",
+    "steenrod.action_table_quadratically_closed", "steenrod.action_table_finite_field_3mod4",
+    "steenrod.conjugate_triangularity", "steenrod.antipode_axiom",
+    "witt.catalog_validates", "witt.brute_force_matches_catalog",
+    "witt.unit_predicate_matches_solver", "witt.n_epsilon_odd_is_unit_class",
+}
+
+
+def test_verify_certificate_names_are_pinned():
+    # building the table runs no check
+    table = verify_checks(None)
+    names = {f"{module}.{name}" for module, checks in table.items() for name in checks}
+    assert len(VERIFY_CERTIFICATES) == 23
+    assert names == VERIFY_CERTIFICATES
+
+
+def test_runner_fails_a_raising_check_and_an_empty_check():
+    def raising():
+        raise ArithmeticError("boom")
+
+    assert run_check(raising) == ({"pass": False, "counterexample": "boom"}, None)
+    assert run_check(lambda: (True, 0, None)) == (
+        {"pass": False, "counterexample": "nothing checked"}, 0)
+    assert run_check(lambda: (False, 3, [1, 2])) == (
+        {"pass": False, "counterexample": [1, 2]}, 3)
+    assert run_check(lambda: (True, 3, "unused")) == ({"pass": True}, 3)
+
+
+def test_every_subcommand_but_verify_has_a_verify_module():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(VERIFY_MODULE) == set(sub.choices) - {"verify"}
+    assert set(VERIFY_MODULE.values()) <= set(verify_checks(None))
+
+
+@pytest.mark.parametrize("argv, vacuous", [
+    (["pages", "--smax", "6", "--fmax", "0"], ["f_positive_stems_mod_4", "collapse"]),
+    (["divided", "--imax", "0", "--nmax", "1"], ["squares_normalized"]),
+    (["pages", "--model", "kgl", "--smax", "8", "--fmax", "3"], []),
+])
+def test_a_certificate_that_checked_nothing_fails(capsys, argv, vacuous):
+    code, out, _ = run_capture(capsys, ["--format", "json"] + argv)
+    certificates = json.loads(out)["certificates"]
+    assert code == (1 if vacuous else 0)
+    for name, info in certificates.items():
+        if name in vacuous:
+            assert info == {"pass": False, "counterexample": "nothing checked"}
+        else:
+            assert info == {"pass": True}
+
+
+def test_malformed_data_files_exit_2(tmp_path, capsys):
+    bad_presentation = {
+        "name": "no_unit", "additive": {"free_rank": 0, "torsion": [2]},
+        "mult_table": [[[1]]], "unit": [1], "minus_one": [1], "rank_mod2": [0],
+    }
+    files = {
+        "catalog_not_json": ("--catalog", "{not json"),
+        "catalog_not_a_list": ("--catalog", "3"),
+        "catalog_invalid_entry": ("--catalog", json.dumps([bad_presentation])),
+        "stems_not_json": ("--stems-data", "[{"),
+    }
+    for name, (flag, text) in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code, out, err = run_capture(capsys, [flag, str(path), "witt"])
+        assert code == 2, name
+        assert err.startswith("usage error: ") and not out, name

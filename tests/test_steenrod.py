@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from etasphere.graded import TruncationExceeded, check_confluence_random
+from etasphere import steenrod
+from etasphere.graded import BoundsExceeded, TruncationExceeded, check_confluence_random
 from etasphere.steenrod import (
     SteenrodAlgebra,
     SteenrodElement,
@@ -217,6 +218,15 @@ def test_antipode():
     xi1 = alg.xi(1)
     assert chi_xi2 == alg.xi(2) + xi1 * xi1 * xi1
     assert check_antipode_axiom(alg, 7) > 0
+
+
+def test_conjugate_basis_triangularity_rejects_the_reversed_order(monkeypatch):
+    # the check has teeth: the order read from the bottom of the chain fails
+    order = steenrod._monomial_order_vector
+    monkeypatch.setattr(steenrod, "_monomial_order_vector",
+                        lambda alg, p, key: tuple(-x for x in order(alg, p, key)))
+    with pytest.raises(BoundsExceeded, match="triangularity violated"):
+        conjugate_basis_triangularity(SteenrodAlgebra("real_closed", 16), 0, 1)
 
 
 def test_conjugate_basis_triangularity_weight8():
