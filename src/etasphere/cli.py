@@ -517,7 +517,7 @@ def run(argv) -> int:
         check_arguments(args, fields)
 
         if args.subcommand == "stems":
-            table = eta_stems(args.field, args.max, stems_data, args.catalog)
+            table = eta_stems(fields[args.field], args.max, stems_data)
             results = table.to_json()
             ascii_body = emit_stems_chart(table)
 
@@ -608,14 +608,12 @@ def run(argv) -> int:
             ascii_body = emit_stems_chart(table)
 
         elif args.subcommand == "hwhw":
-            table = hw_hw_stems(args.field, args.max, args.catalog)
+            table = hw_hw_stems(fields[args.field], args.max)
             results = table.to_json()
             ascii_body = emit_stems_chart(table)
 
         elif args.subcommand == "kwhw":
-            out = kw_hw_generators_check(
-                args.field, args.imax, args.modulus_bits, catalog_path=args.catalog
-            )
+            out = kw_hw_generators_check(fields[args.field], args.imax, args.modulus_bits)
             # r in I^2 and each square; each product x_k; each lifted basis element
             for key, checked in (("squares_in_2_plus_I2", args.imax + 1),
                                  ("binary_products_generate", 2**args.imax + 1),

@@ -239,6 +239,8 @@ class FiniteRing:
     ring for `graded.AlgebraSpec` (W/2^K for the completed Witt models).
     """
 
+    xor_terms = False
+
     def __init__(self, orders, mult_table, unit, name="R"):
         self.orders = list(orders)
         self.n = len(orders)

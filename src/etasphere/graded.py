@@ -9,13 +9,16 @@ F2 only, with ranks over the rationals (by fraction-free integer
 elimination) available for derivation matrices.
 
 Coefficients live in a small pluggable ring: any object with the attributes
-`name`, `zero` and `one` and the methods `add`, `neg`, `mul`, `is_zero`,
-`degrees` (the set of internal degrees of an element, {0} for an ungraded
-ring) and `describe`; derivations and JSON specs also call `from_int`.
-`F2`, `IntegerRing`, `RationalRing`, `IntegersMod` and `KMTau` live here;
-`filtered.FiniteRing` is the W/2^K ring of the completed Witt models.
-Every sparse term dict over such a ring is accumulated with `add_term` and
-compared with `terms_equal`.
+`name`, `zero`, `one` and `xor_terms` and the methods `add`, `neg`, `mul`,
+`is_zero`, `degrees` (the set of internal degrees of an element, {0} for an
+ungraded ring) and `describe`; derivations and JSON specs also call
+`from_int`.  `F2`, `IntegerRing`, `RationalRing`, `IntegersMod` and `KMTau`
+live here; `filtered.FiniteRing` is the W/2^K ring of the completed Witt
+models.  Every sparse term dict over such a ring is accumulated with
+`add_term` and compared with `terms_equal`, and never stores a zero
+coefficient.  A ring class whose elements are ints added by XOR (`F2`,
+`KMTau`) sets `xor_terms`, which turns `add_term` into one `^` and
+`terms_equal` into dict equality.
 
 Truncation degree D is mandatory: operations that would need a monomial of
 degree beyond D raise TruncationExceeded instead of silently dropping it.
@@ -58,6 +61,7 @@ SQUARE = "square"
 
 class F2:
     name = "F2"
+    xor_terms = True
     zero = 0
     one = 1
 
@@ -85,6 +89,7 @@ class F2:
 
 class IntegerRing:
     name = "Z"
+    xor_terms = False
     zero = 0
     one = 1
 
@@ -122,6 +127,8 @@ class RationalRing(IntegerRing):
 class IntegersMod:
     """Z/m, used with m = 2^K for the completed models."""
 
+    xor_terms = False
+
     def __init__(self, modulus: int):
         self.modulus = modulus
         self.name = f"Z/{modulus}"
@@ -153,23 +160,36 @@ class IntegersMod:
 class KMTau:
     """F2-algebra on rho and tau: coefficients for the motivic models.
 
-    Elements are frozensets of (rho_exponent, tau_exponent) pairs (F2 sums of
-    monomials rho^a tau^p).  `rho_mode` controls the base field: "free"
-    (real closed, k^M = F2[rho]), "zero" (quadratically closed), or
-    "square_zero" (finite field with q = 3 mod 4, rho^2 = 0).  The grading
-    degree of rho^a tau^p is p (the stem of tau), matching the stem grading
-    used by the motivic algebra specs.
+    An element is one int, an F2 sum of monomials rho^r tau^t packed as
+    bits: bit r*S + t stands for rho^r tau^t, with the fixed stride
+    S = `KMTau.STRIDE`.  Each rho exponent owns a row of S bits, so a tau
+    exponent must stay below S: `monomial` raises AlgebraError for tau^S and
+    beyond, and so does `mul` when the tau exponents of a term of each
+    factor add up to S or more, rather than let tau^S alias into the next
+    rho row.  Addition is XOR, the zero is 0 and the unit is 1; `terms`
+    lists the (rho, tau) exponents in ascending order.  `rho_mode` controls
+    the base field: "free" (real closed, k^M = F2[rho]), "zero"
+    (quadratically closed, products masked to row 0), or "square_zero"
+    (finite field with q = 3 mod 4, rho^2 = 0, products masked to rows 0
+    and 1).  The grading degree of rho^r tau^t is t (the stem of tau),
+    matching the stem grading used by the motivic algebra specs.
     """
+
+    STRIDE = 64
+    xor_terms = True
+    zero = 0
+    one = 1
 
     def __init__(self, rho_mode: str = "free"):
         if rho_mode not in ("free", "zero", "square_zero"):
             raise AlgebraError(f"unknown rho mode {rho_mode!r}")
         self.rho_mode = rho_mode
         self.name = f"kM[tau]({rho_mode})"
-        self.zero = frozenset()
-        self.one = frozenset({(0, 0)})
+        rows = {"free": None, "zero": 1, "square_zero": 2}[rho_mode]
+        self._mask = None if rows is None else (1 << rows * self.STRIDE) - 1
 
-    def _admissible(self, a: int) -> bool:
+    def admissible(self, a: int) -> bool:
+        """Whether rho^a is nonzero in this base."""
         if a == 0:
             return True
         if self.rho_mode == "zero":
@@ -179,9 +199,33 @@ class KMTau:
         return True
 
     def monomial(self, rho_exp: int = 0, tau_exp: int = 0):
-        if not self._admissible(rho_exp):
-            return frozenset()
-        return frozenset({(rho_exp, tau_exp)})
+        if rho_exp < 0 or not 0 <= tau_exp < self.STRIDE:
+            raise AlgebraError(
+                f"rho^{rho_exp} tau^{tau_exp} is outside 0 <= tau < {self.STRIDE}, 0 <= rho"
+            )
+        if not self.admissible(rho_exp):
+            return 0
+        return 1 << (rho_exp * self.STRIDE + tau_exp)
+
+    @staticmethod
+    def terms(x):
+        """The (rho_exp, tau_exp) pairs of x, ascending."""
+        stride = KMTau.STRIDE
+        while x:
+            low = x & -x
+            yield divmod(low.bit_length() - 1, stride)
+            x ^= low
+
+    @staticmethod
+    def _tau_top(x) -> int:
+        """One more than the largest tau exponent of x (0 for x = 0)."""
+        stride = KMTau.STRIDE
+        row = (1 << stride) - 1
+        top = 0
+        while x:
+            top = max(top, (x & row).bit_length())
+            x >>= stride
+        return top
 
     def add(self, a, b):
         return a ^ b
@@ -190,35 +234,45 @@ class KMTau:
         return a
 
     def mul(self, a, b):
-        acc = set()
-        for (r1, t1) in a:
-            for (r2, t2) in b:
-                r, t = r1 + r2, t1 + t2
-                if self._admissible(r):
-                    acc ^= {(r, t)}
-        return frozenset(acc)
+        if a == 1:
+            return b
+        if b == 1:
+            return a
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        stride = self.STRIDE
+        # tau^t1 times the top tau power of b must stay inside its row
+        room = stride - self._tau_top(b)
+        acc = 0
+        while a:
+            low = a & -a
+            shift = low.bit_length() - 1
+            if shift % stride > room:
+                raise AlgebraError(f"a tau exponent of the product reaches {stride}")
+            acc ^= b << shift
+            a ^= low
+        return acc if self._mask is None else acc & self._mask
 
     def is_zero(self, a):
         return not a
 
     def from_int(self, n):
-        return self.one if n % 2 else self.zero
+        return n % 2
 
     def degrees(self, a):
-        return {t for (_, t) in a} or {0}
+        return {t for _, t in self.terms(a)} or {0}
 
     def describe(self, a):
         if not a:
             return "0"
-        def term(rt):
-            r, t = rt
+        def term(r, t):
             bits = []
             if r:
                 bits.append("rho" + (f"^{r}" if r > 1 else ""))
             if t:
                 bits.append("tau" + (f"^{t}" if t > 1 else ""))
             return "*".join(bits) if bits else "1"
-        return " + ".join(term(rt) for rt in sorted(a))
+        return " + ".join(term(r, t) for r, t in self.terms(a))
 
 
 COEFFICIENT_RINGS = {
@@ -475,6 +529,13 @@ class AlgebraSpec:
 
 def add_term(ring, terms: dict, key, coeff) -> None:
     """terms[key] += coeff in place; a key whose sum is zero is dropped."""
+    if ring.xor_terms:
+        acc = terms.get(key, 0) ^ coeff
+        if acc:
+            terms[key] = acc
+        else:
+            terms.pop(key, None)
+        return
     acc = ring.add(terms.get(key, ring.zero), coeff)
     if ring.is_zero(acc):
         terms.pop(key, None)
@@ -483,6 +544,8 @@ def add_term(ring, terms: dict, key, coeff) -> None:
 
 
 def terms_equal(ring, a: dict, b: dict) -> bool:
+    if ring.xor_terms:
+        return a == b
     keys = set(a) | set(b)
     for k in keys:
         if not ring.is_zero(ring.add(a.get(k, ring.zero), ring.neg(b.get(k, ring.zero)))):

@@ -35,7 +35,7 @@ from .graded import (
     hilbert_dimension,
     rank_and_kernel_dim,
 )
-from .witt import WittPresentation, catalog_lookup, fundamental_ideal_power, n_epsilon
+from .witt import WittPresentation, fundamental_ideal_power, n_epsilon, resolve_field
 
 
 class DegreeOutOfRange(ValueError):
@@ -242,13 +242,16 @@ def phi_on_beta_power(n: int) -> dict:
     return {"n": n, "coefficient": coeff, "nu2": nu2(coeff), "nu2_8n": nu2(8 * n)}
 
 
-def adams_on_bott(n: int, field_id: str = "real_closed", catalog_path=None):
-    """psi^n(beta) = n^2 . n_eps^2 . beta for odd n, as a GW coefficient."""
+def adams_on_bott(n: int, field="real_closed"):
+    """psi^n(beta) = n^2 . n_eps^2 . beta for odd n, as a GW coefficient.
+
+    `field` is a `WittPresentation` or the name of a bundled catalog field.
+    """
     if n % 2 == 0:
         raise EvenNotSupported("the image of n_eps^2 in W(k) vanishes for even n")
     if n < 1:
         raise ValueError("n must be a positive odd integer")
-    ring = catalog_lookup(field_id, catalog_path)
+    ring = resolve_field(field)
     eps = n_epsilon(ring, n)
     eps_sq = eps * eps
     from .witt import GWElement
@@ -371,14 +374,17 @@ def _two_local_ker_coker(ring: WittPresentation, multiplier: int):
 
 
 def eta_stems(
-    field_id: str,
+    field,
     max_degree: int,
     stems_data: StableStemsData | None = None,
-    catalog_path=None,
 ) -> StemsTable:
     """Homotopy of the eta-periodic sphere: W at 0, ker/coker(8n) in 4n/4n-1,
-    plus the odd part of the classical stems spread over the signatures."""
-    ring = catalog_lookup(field_id, catalog_path)
+    plus the odd part of the classical stems spread over the signatures.
+
+    `field` is a `WittPresentation` or the name of a bundled catalog field.
+    """
+    ring = resolve_field(field)
+    field_id = ring.name
     data = stems_data if stems_data is not None else load_stable_stems()
     signature_rank = ring.additive.free_rank
     # the odd summand is W[1/2] (x) pi^s: when W[1/2] has no signatures the
@@ -438,9 +444,13 @@ def cobordism_stems(theory: str, field_id: str, max_degree: int) -> StemsTable:
     return StemsTable(f"{theory.lower()}_stems", field_id, entries)
 
 
-def hw_hw_stems(field_id: str, max_n: int, catalog_path=None) -> StemsTable:
-    """HW smash HW: degree 4n holds coker(8n), 4n+1 the kernel summand."""
-    ring = catalog_lookup(field_id, catalog_path)
+def hw_hw_stems(field, max_n: int) -> StemsTable:
+    """HW smash HW: degree 4n holds coker(8n), 4n+1 the kernel summand.
+
+    `field` is a `WittPresentation` or the name of a bundled catalog field.
+    """
+    ring = resolve_field(field)
+    field_id = ring.name
     entries = {}
     entries[0] = StemEntry(0, [(f"W({field_id})_(2)", None)])
     for n in range(1, max_n + 1):
@@ -801,12 +811,11 @@ def kw_hw_algebra(presentation: WittPresentation, imax: int, modulus_bits: int,
 
 
 def kw_hw_generators_check(
-    field_id: str,
+    field,
     imax: int = 3,
     modulus_bits: int = 8,
     ideal_square_sample: bool = True,
     unit_twists: tuple = (),
-    catalog_path=None,
 ) -> dict:
     """Instantiate the W_I^-complete module model and verify the theorem's
     ring-level claims at desk scale.
@@ -817,9 +826,10 @@ def kw_hw_generators_check(
     (2 + I^2) t_{i+1}; binary products x_i = prod t_n^{eps_n} generate each
     pi_{4i} up to an explicit unit (also under twisted unit choices);
     x_0 = 1; and the module is free on the lifted basis in the filtered
-    sense (lift_free_basis certificate).
+    sense (lift_free_basis certificate).  `field` is a `WittPresentation` or
+    the name of a bundled catalog field.
     """
-    presentation = catalog_lookup(field_id, catalog_path)
+    presentation = resolve_field(field)
     if presentation.vcd2 is None:
         raise BoundsExceeded("catalog field must have finite vcd2")
     alg, r_coords = kw_hw_algebra(presentation, imax, modulus_bits, ideal_square_sample)
@@ -879,7 +889,7 @@ def kw_hw_generators_check(
     cert = lift_free_basis(module, gr_basis)
 
     return {
-        "field": field_id,
+        "field": presentation.name,
         "imax": imax,
         "modulus_bits": modulus_bits,
         "r_in_I_squared": r_in_i2,

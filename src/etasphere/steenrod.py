@@ -8,7 +8,10 @@ monomial keys are its monomials: tau_i is generator 2i and xi_j generator
 2j - 1, so keys do not depend on the weight bound of the algebra.  The
 coproduct lives in the tensor square over the base, where the two units
 differ by eta_R(tau) = tau + rho tau_0: coefficients are normalized to the
-far left, migrating across tensor signs through eta_R.  Dual operations are
+far left, migrating across tensor signs through eta_R.  The coefficient
+ring is always a `KMTau`, whose elements are ints added by XOR, so the
+tensor loops (`tensor_mul`, `coproduct_left`, `coproduct_right`)
+accumulate their terms with `^` inline.  Dual operations are
 obtained by contracting the coproduct against dual basis monomials; the
 antipode is computed recursively and self-checked against the algebroid
 axiom.  The eta-Bockstein pages for the ko- and kgl-models are assembled
@@ -204,8 +207,6 @@ class SteenrodAlgebra:
 
         The result is shared between callers and must not be modified.
         """
-        if coeff == self.km.one:
-            return {key: coeff}
         memo = (key, coeff)
         if memo not in self._eta_product_cache:
             mono = SteenrodElement(self, {key: self.km.one})
@@ -263,7 +264,7 @@ class SteenrodAlgebra:
         out = self.zero()
         eta = self.eta_r_tau()
         powers = {0: self.one()}
-        for (a, t) in sorted(coeff):
+        for a, t in km.terms(coeff):
             if t not in powers:
                 p = powers[max(powers)]
                 for _ in range(t - max(powers)):
@@ -396,38 +397,39 @@ def combine_slots(alg: SteenrodAlgebra, slot_elements) -> TensorElement:
     left, a coefficient crosses a tensor sign as eta_R of itself multiplied
     into the next slot.
     """
-    km = alg.km
     # state: suffix word -> coefficient waiting to cross into the next slot
-    state: dict[tuple, object] = {(): km.one}
+    state: dict[tuple, int] = {(): 1}
     for r in range(len(slot_elements) - 1, -1, -1):
         el = slot_elements[r]
-        nxt: dict[tuple, object] = {}
+        nxt: dict[tuple, int] = {}
         for suffix, pending in state.items():
             # multiply this slot by eta_R(pending); the unit crosses freely
-            if pending == km.one:
+            if pending == 1:
                 slot_el = el
             else:
                 slot_el = el * alg.eta_r_of_coeff(pending)
+            # each (key, suffix) is a new word: nothing to accumulate
             for key, c in slot_el.terms.items():
-                add_term(km, nxt, (key,) + suffix, c)
+                nxt[(key,) + suffix] = c
         if r == 0:
             return TensorElement(alg, len(slot_elements), nxt)
-        # split each accumulated coefficient off as the new pending one
+        # each word's coefficient is the pending one of the next slot
         state = nxt
     # zero slots: empty tensor product is the unit
-    return TensorElement(alg, 0, {(): km.one})
+    return TensorElement(alg, 0, {(): 1})
 
 
 def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
     alg = x.algebra
-    km = alg.km
+    mul = alg.km.mul
     if x.slots != y.slots:
         raise BoundsExceeded("tensor slot mismatch")
     out = TensorElement(alg, x.slots)
+    terms = out.terms
     for mons1, c1 in x.terms.items():
         for mons2, c2 in y.terms.items():
-            base = km.mul(c1, c2)
-            if km.is_zero(base):
+            base = mul(c1, c2)
+            if not base:
                 continue
             slot_elements = [
                 SteenrodElement(alg, alg.mono_product(mons1[r], mons2[r]))
@@ -435,7 +437,11 @@ def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
             ]
             combined = combine_slots(alg, slot_elements)
             for word, c in combined.terms.items():
-                add_term(km, out.terms, word, km.mul(base, c))
+                acc = terms.get(word, 0) ^ (c if base == 1 else mul(base, c))
+                if acc:
+                    terms[word] = acc
+                else:
+                    terms.pop(word, None)
     return out
 
 
@@ -534,12 +540,18 @@ def counit(x: SteenrodElement):
 def coproduct_left(t: TensorElement) -> TensorElement:
     """(Delta (x) id) on a 2-tensor, giving a 3-tensor."""
     alg = t.algebra
-    km = alg.km
+    mul = alg.km.mul
     out = TensorElement(alg, 3)
+    terms = out.terms
     for (m1, m2), c in t.terms.items():
         for (a, b), cc in _mono_coproduct(alg, m1).items():
             # append m2 on the right: no coefficient crosses to the right
-            add_term(km, out.terms, (a, b, m2), km.mul(c, cc))
+            word = (a, b, m2)
+            acc = terms.get(word, 0) ^ (c if cc == 1 else mul(c, cc))
+            if acc:
+                terms[word] = acc
+            else:
+                terms.pop(word, None)
     return out
 
 
@@ -551,12 +563,20 @@ def coproduct_right(t: TensorElement) -> TensorElement:
     cached unit product scaled by c.
     """
     alg = t.algebra
-    km = alg.km
+    mul = alg.km.mul
     out = TensorElement(alg, 3)
+    terms = out.terms
     for (m1, m2), c in t.terms.items():
         for (a, b), cc in _mono_coproduct(alg, m2).items():
-            for key1, c1 in alg.mono_times_eta(m1, cc).items():
-                add_term(km, out.terms, (key1, a, b), km.mul(c, c1))
+            # the unit crosses m1 unchanged
+            crossed = ((m1, 1),) if cc == 1 else alg.mono_times_eta(m1, cc).items()
+            for key1, c1 in crossed:
+                word = (key1, a, b)
+                acc = terms.get(word, 0) ^ (c if c1 == 1 else mul(c, c1))
+                if acc:
+                    terms[word] = acc
+                else:
+                    terms.pop(word, None)
     return out
 
 
@@ -764,7 +784,7 @@ class HomologyModel:
                 km = self.algebra.coefficients
                 for mon in self.algebra.monomials_of_degree(s):
                     a = w - self.monomial_weight(mon)
-                    if a >= 0 and km._admissible(a):
+                    if a >= 0 and km.admissible(a):
                         out.append((a, mon))
             cell = self._cells[(s, w)] = tuple(sorted(out))
         return list(cell)
@@ -789,12 +809,12 @@ class HomologyModel:
                 image = self._images[mon] = apply_derivation(self.delta, el).terms
             mask = 0
             for mon2, coeff in image.items():
-                for (a2, t2) in coeff:
+                for a2, t2 in km.terms(coeff):
                     assert t2 == 0, "tau coefficient cannot appear in a k^M model"
                     key = (a + a2, mon2)
                     if key in tindex:
                         mask ^= 1 << tindex[key]
-                    elif a + a2 >= 0 and km._admissible(a + a2):
+                    elif a + a2 >= 0 and km.admissible(a + a2):
                         raise BoundsExceeded(
                             f"delta image leaves the requested weight window at {key}"
                         )
@@ -1023,7 +1043,7 @@ def tau_monomial_homology_dims(model: HomologyModel, smax: int, wmin: int, wmax:
         if s > smax:
             continue
         for a in range(0, max(0, wmax - w) + 1):
-            if not km._admissible(a):
+            if not km.admissible(a):
                 continue
             ww = w + a
             if wmin <= ww <= wmax:
@@ -1073,7 +1093,7 @@ def conjugate_basis_triangularity(alg: SteenrodAlgebra, max_weight: int = 8,
     def flatten(el: SteenrodElement) -> int:
         mask = 0
         for key, coeff in el.terms.items():
-            for (a, t) in coeff:
+            for a, t in km.terms(coeff):
                 mask ^= 1 << _flat_index(a, t, key)
         return mask
 
@@ -1103,7 +1123,7 @@ def conjugate_basis_triangularity(alg: SteenrodAlgebra, max_weight: int = 8,
                 # rho^a tau^q: (-a, -a-q): solve for a, q
                 a = base_p - target_bidegree[0]
                 q = (base_q - target_bidegree[1]) - a
-                if a < 0 or q < 0 or not km._admissible(a):
+                if a < 0 or q < 0 or not km.admissible(a):
                     continue
                 el = _mono_antipode(alg, mp).scale(km.monomial(a, q))
                 if el.is_zero():
@@ -1144,7 +1164,7 @@ def _element_bidegree(el: SteenrodElement):
     degs = set()
     for key, coeff in el.terms.items():
         p, q = mon_bidegree(key)
-        for (a, t) in coeff:
+        for a, t in el.algebra.km.terms(coeff):
             cp, cq = coeff_bidegree(a, t)
             degs.add((p + cp, q + cq))
     if not degs:

@@ -393,21 +393,21 @@ def catalog_names() -> list[str]:
     return [entry["name"] for entry in _load_bundled_catalog()]
 
 
-def catalog_lookup(field_id: str, catalog_path=None) -> WittPresentation:
-    if catalog_path is None:
-        if field_id in _CATALOG_CACHE:
-            return _CATALOG_CACHE[field_id]
-        entries = _load_bundled_catalog()
-    else:
-        with open(catalog_path) as fh:
-            entries = json.load(fh)
-    for entry in entries:
-        if entry["name"] == field_id:
-            pres = WittPresentation.from_json(entry)
-            if catalog_path is None:
-                _CATALOG_CACHE[field_id] = pres
-            return pres
-    raise UnknownField(field_id)
+def catalog_lookup(field_id: str) -> WittPresentation:
+    """The bundled catalog's presentation of `field_id`, built and validated once."""
+    if field_id not in _CATALOG_CACHE:
+        for entry in _load_bundled_catalog():
+            if entry["name"] == field_id:
+                _CATALOG_CACHE[field_id] = WittPresentation.from_json(entry)
+                break
+        else:
+            raise UnknownField(field_id)
+    return _CATALOG_CACHE[field_id]
+
+
+def resolve_field(field) -> WittPresentation:
+    """`field` itself if it is a presentation, else the bundled entry of that name."""
+    return field if isinstance(field, WittPresentation) else catalog_lookup(field)
 
 
 # ---------------------------------------------------------------------------

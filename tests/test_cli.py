@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import argparse
+import builtins
 import contextlib
 import io
 import json
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etasphere import witt
 from etasphere.cli import (
     VERIFY_MODULE,
     build_parser,
@@ -151,6 +154,58 @@ def test_load_config_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("ETASPHERE_DATA_DIR", str(tmp_path))
     fields, stems = load_config()
     assert stems.max_degree == 1
+
+
+def _bundled_catalog() -> list:
+    return json.loads(resources.files("etasphere").joinpath("data/field_catalog.json").read_text())
+
+
+@pytest.mark.parametrize("argv", [
+    ["stems", "--max", "8"],
+    ["hwhw", "--max", "3"],
+    ["kwhw", "--imax", "2", "--modulus-bits", "6"],
+])
+def test_env_catalog_feeds_every_field_subcommand(tmp_path, monkeypatch, capsys, argv):
+    # a field only the ETASPHERE_DATA_DIR catalog has
+    entries = _bundled_catalog()
+    mine = dict(next(e for e in entries if e["name"] == "real_closed"), name="myfield")
+    (tmp_path / "field_catalog.json").write_text(json.dumps(entries + [mine]))
+    monkeypatch.setenv("ETASPHERE_DATA_DIR", str(tmp_path))
+    code, out, err = run_capture(capsys, ["--format", "json", *argv, "--field", "myfield"])
+    assert code == 0, err
+    assert json.loads(out)["all_passed"]
+    code, want, _ = run_capture(capsys, ["--format", "json", *argv, "--field", "real_closed"])
+    results = json.loads(out)["results"]
+    assert json.dumps(results).replace("myfield", "real_closed") == json.dumps(
+        json.loads(want)["results"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["stems", "--max", "8"], ["hwhw", "--max", "3"], ["witt", "--field", "F3"],
+])
+def test_user_catalog_is_read_once_per_request(tmp_path, monkeypatch, capsys, argv):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(_bundled_catalog()))
+    opened, built = [], []
+    real_open, real_from_json = builtins.open, witt.WittPresentation.from_json.__func__
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    def counting_from_json(cls, obj):
+        built.append(obj["name"])
+        return real_from_json(cls, obj)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(witt.WittPresentation, "from_json", classmethod(counting_from_json))
+    if "--field" not in argv:
+        argv = argv + ["--field", "F5"]
+    code, _, err = run_capture(capsys, ["--catalog", str(path), *argv])
+    assert code == 0, err
+    assert len(opened) == 1
+    assert len(built) == 6
 
 
 def test_bad_catalog_fails_validation(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -345,10 +346,17 @@ def test_monomial_bases_are_not_aliased():
     assert a.monomials_of_degree(4) == want
 
 
+def packed(km, pairs):
+    """The k^M[tau] element sum of rho^r tau^t over (r, t) in pairs, built by the ring."""
+    return functools.reduce(km.add, (km.monomial(r, t) for r, t in pairs), km.zero)
+
+
+KM_FREE = KMTau("free")
 TERM_RINGS = {
     "F2": (F2(), st.integers(0, 1)),
     "Z/8": (IntegersMod(8), st.integers(0, 7)),
-    "kM[tau]": (KMTau("free"), st.frozensets(st.tuples(st.integers(0, 2), st.integers(0, 2)))),
+    "kM[tau]": (KM_FREE, st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=5)
+                .map(lambda pairs: packed(KM_FREE, pairs))),
 }
 
 
@@ -380,3 +388,101 @@ def test_add_term_and_terms_equal_match_dense_sums(name, data):
     assert all(not ring.is_zero(c) for c in a.values())
     assert terms_equal(ring, a, b) == (dense_a == dense_b)
     assert terms_equal(ring, a, dict(a))
+
+
+@given(gf2_rows, gf2_rows)
+def test_gf2_quotient_basis_against_brute_force(space, subspace):
+    reps = gf2.quotient_basis(space, subspace)
+    assert all(v in space for v in reps)
+    # the representatives are independent modulo the subspace and fill the quotient
+    sub = _gf2_span(subspace)
+    assert 2 ** len(reps) * len(sub & _gf2_span(space)) == len(_gf2_span(space))
+    assert len(_gf2_span(reps + subspace)) == len(_gf2_span(space + subspace))
+    assert len(_gf2_span(reps + subspace)) == 2 ** len(reps) * len(sub)
+
+
+@given(gf2_rows, gf2_rows)
+def test_gf2_span_intersection_against_brute_force(a_rows, b_rows):
+    basis = gf2.span_intersection(a_rows, b_rows)
+    assert gf2.rank(basis) == len(basis)
+    assert _gf2_span(basis) == _gf2_span(a_rows) & _gf2_span(b_rows)
+
+
+RHO_MODES = ("free", "zero", "square_zero")
+
+
+class FrozensetKMTau:
+    """Reference k^M[tau]: frozensets of (rho_exp, tau_exp) pairs, multiplied pairwise."""
+
+    def __init__(self, rho_mode):
+        self.rho_mode = rho_mode
+
+    def admissible(self, a):
+        return a == 0 or self.rho_mode == "free" or (self.rho_mode == "square_zero" and a <= 1)
+
+    def monomial(self, r, t):
+        return frozenset({(r, t)}) if self.admissible(r) else frozenset()
+
+    def mul(self, a, b):
+        acc = set()
+        for r1, t1 in a:
+            for r2, t2 in b:
+                if self.admissible(r1 + r2):
+                    acc ^= {(r1 + r2, t1 + t2)}
+        return frozenset(acc)
+
+    def degrees(self, a):
+        return {t for _, t in a} or {0}
+
+    def describe(self, a):
+        def term(r, t):
+            bits = []
+            if r:
+                bits.append("rho" + (f"^{r}" if r > 1 else ""))
+            if t:
+                bits.append("tau" + (f"^{t}" if t > 1 else ""))
+            return "*".join(bits) if bits else "1"
+        return " + ".join(term(r, t) for r, t in sorted(a)) or "0"
+
+
+km_pairs = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)), max_size=5)
+
+
+@given(st.sampled_from(RHO_MODES), km_pairs, km_pairs, km_pairs)
+def test_packed_kmtau_matches_frozenset_reference(mode, xs, ys, zs):
+    km, ref = KMTau(mode), FrozensetKMTau(mode)
+    fa, fb, fc = (functools.reduce(lambda acc, p: acc ^ ref.monomial(*p), ps, frozenset())
+                  for ps in (xs, ys, zs))
+    a, b, c = packed(km, fa), packed(km, fb), packed(km, fc)
+    assert list(km.terms(a)) == sorted(fa)
+    assert km.is_zero(a) == (not fa)
+    assert km.mul(a, b) == packed(km, ref.mul(fa, fb))
+    assert km.mul(a, b) == km.mul(b, a)
+    assert km.mul(km.mul(a, b), c) == km.mul(a, km.mul(b, c))
+    assert km.mul(a, km.add(b, c)) == km.add(km.mul(a, b), km.mul(a, c))
+    assert km.mul(km.one, a) == a == km.mul(a, km.one)
+    assert km.add(a, km.zero) == a and km.is_zero(km.add(a, a))
+    assert km.mul(a, km.zero) == km.zero
+    assert km.describe(a) == ref.describe(fa)
+    assert km.degrees(a) == ref.degrees(fa)
+
+
+@pytest.mark.parametrize("mode", RHO_MODES)
+def test_kmtau_tau_exponent_past_the_stride_raises(mode):
+    km = KMTau(mode)
+    top = KMTau.STRIDE - 1
+    with pytest.raises(AlgebraError):
+        km.monomial(0, KMTau.STRIDE)
+    with pytest.raises(AlgebraError):
+        km.monomial(-1, 0)
+    with pytest.raises(AlgebraError):
+        km.mul(km.monomial(0, top), km.monomial(0, 1))
+    with pytest.raises(AlgebraError):
+        km.mul(km.monomial(0, 40) ^ km.one, km.monomial(0, 30) ^ km.one)
+    # the largest tau exponent that fits stays in its row
+    assert list(km.terms(km.mul(km.monomial(0, top - 1), km.monomial(0, 1)))) == [(0, top)]
+    if mode != "zero":
+        rho = km.monomial(1, 0)
+        assert list(km.terms(km.mul(km.monomial(0, top), rho))) == [(1, top)]
+        with pytest.raises(AlgebraError):
+            km.mul(km.monomial(1, 40), km.monomial(0, 30))

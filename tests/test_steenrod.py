@@ -8,7 +8,13 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from etasphere import steenrod
-from etasphere.graded import BoundsExceeded, TruncationExceeded, check_confluence_random
+from etasphere.graded import (
+    BoundsExceeded,
+    KMTau,
+    TruncationExceeded,
+    check_confluence_random,
+    terms_equal,
+)
 from etasphere.steenrod import (
     SteenrodAlgebra,
     SteenrodElement,
@@ -21,6 +27,7 @@ from etasphere.steenrod import (
     check_antipode_axiom,
     check_coassociativity,
     check_counit,
+    combine_slots,
     conjugate_basis_triangularity,
     coproduct,
     coproduct_left,
@@ -477,3 +484,48 @@ def test_coproduct_is_multiplicative(base, a, b):
 @given(BASES, st.integers(0, 2**32))
 def test_steenrod_rewriting_is_confluent(base, seed):
     assert check_confluence_random(SteenrodAlgebra(base, weight=16).spec, 30, random.Random(seed)) > 0
+
+
+class GenericTermsKMTau(KMTau):
+    """The same ring, with term dicts compared by the generic `terms_equal` loop."""
+
+    xor_terms = False
+
+
+COEFF_PAIRS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=3)
+SUMMANDS = st.lists(st.tuples(SMALL_KEYS, COEFF_PAIRS), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(BASES, SUMMANDS, SUMMANDS, COEFF_PAIRS)
+def test_term_dicts_never_store_a_zero_coefficient(base, xs, ys, cs):
+    alg = SteenrodAlgebra(base, weight=16)
+    km = alg.km
+    generic = GenericTermsKMTau(km.rho_mode)
+
+    def coefficient(pairs):
+        out = km.zero
+        for r, t in pairs:
+            out = km.add(out, km.monomial(r, t))
+        return out
+
+    def element(summands):
+        out = alg.zero()
+        for key, pairs in summands:
+            out = out + SteenrodElement(alg, {key: km.one}).scale(coefficient(pairs))
+        return out
+
+    def check():
+        x, y, c = element(xs), element(ys), coefficient(cs)
+        outputs = [
+            (x * y).terms, (y * x).terms, x.scale(c).terms, antipode(x).terms,
+            coproduct(x).terms, combine_slots(alg, [x, y]).terms,
+            combine_slots(alg, [y, x]).terms,
+        ]
+        for terms in outputs:
+            assert all(isinstance(v, int) and v != 0 for v in terms.values())
+        for a, b in itertools.product(outputs, repeat=2):
+            assert terms_equal(km, a, b) == terms_equal(generic, a, b)
+        assert terms_equal(km, outputs[0], outputs[1])
+
+    _unless_truncated(check)
