@@ -11,7 +11,9 @@ lemma reduce to exact lattice arithmetic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from math import gcd, prod
 
 from .abelian import (
     FinAbGroup,
@@ -22,6 +24,7 @@ from .abelian import (
     preimage,
     quotient_structure,
 )
+from .witt import fundamental_ideal_power
 
 
 class HypothesisViolated(ValueError):
@@ -275,7 +278,6 @@ class FiniteRing:
         return cols
 
     def elements(self):
-        import itertools
         for tup in itertools.product(*[range(d) for d in self.orders]):
             yield tup
 
@@ -295,13 +297,11 @@ class FiniteRing:
         return self.reduce(out)
 
     def order(self) -> int:
-        from math import prod
         return prod(self.orders)
 
     @classmethod
     def from_witt_mod2k(cls, presentation, modulus_bits: int):
         """W/2^K as a finite ring, with generators in presentation order."""
-        from math import gcd
         g = presentation.additive
         m = 1 << modulus_bits
         orders = [m] * g.free_rank + [gcd(d, m) for d in g.invariant_factors]
@@ -346,7 +346,6 @@ class FilteredRing:
 
     @classmethod
     def from_witt_mod2k(cls, presentation, modulus_bits: int):
-        from .witt import fundamental_ideal_power
         ring = FiniteRing.from_witt_mod2k(presentation, modulus_bits)
         chains = []
         s = 1
@@ -416,7 +415,6 @@ class FilteredRModule:
         return chain[min(s, len(chain) - 1)]
 
     def component_order(self, degree) -> int:
-        from math import prod
         return prod(self.components[degree]["orders"])
 
 

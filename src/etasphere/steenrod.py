@@ -7,11 +7,14 @@ tau^eps xi^E; the square of tau_i rewrites to (tau + rho tau_0) xi_{i+1}
 monomial keys are its monomials: tau_i is generator 2i and xi_j generator
 2j - 1, so keys do not depend on the weight bound of the algebra.  The
 coproduct lives in the tensor square over the base, where the two units
-differ by eta_R(tau) = tau + rho tau_0: coefficients are normalized to the
-far left, migrating across tensor signs through eta_R.  The coefficient
-ring is always a `KMTau`, whose elements are ints added by XOR, so the
-tensor loops (`tensor_mul`, `coproduct_left`, `coproduct_right`)
-accumulate their terms with `^` inline.  Dual operations are
+differ by eta_R(tau) = tau + rho tau_0.  A tensor is a plain term dict
+{word: c}: a word is a tuple with one monomial key per slot, and its
+coefficient c in k^M[tau] sits at the far left.  There is one crossing
+rule: a coefficient p left of a slot crosses a monomial m of that slot as
+the cached normal form of m eta_R(p) (`SteenrodAlgebra.mono_times_eta`).
+Every tensor loop accumulates through `graded.add_term`, so only
+`add_term` and `terms_equal` know that k^M[tau] coefficients are ints
+added by XOR.  Dual operations are
 obtained by contracting the coproduct against dual basis monomials; the
 antipode is computed recursively and self-checked against the algebroid
 axiom.  The eta-Bockstein pages for the ko- and kgl-models are assembled
@@ -28,6 +31,7 @@ from . import gf2
 from .graded import (
     POLYNOMIAL,
     SQUARE,
+    AlgebraError,
     AlgebraSpec,
     BoundsExceeded,
     Derivation,
@@ -351,97 +355,45 @@ class SteenrodElement:
 
 
 # ---------------------------------------------------------------------------
-# tensors over the base, coefficients normalized to the far left
+# tensors over the base: term dicts {word: c}, c at the far left
 # ---------------------------------------------------------------------------
 
-class TensorElement:
-    """Sum of c . (m_1 (x) ... (x) m_r): c in k^M[tau] at the far left."""
+def combine_slots(alg: SteenrodAlgebra, slots) -> dict:
+    """Far-left normal form of el_1 (x) ... (x) el_r, each slot a term dict.
 
-    __slots__ = ("algebra", "slots", "terms")
-
-    def __init__(self, algebra: SteenrodAlgebra, slots: int, terms=None):
-        self.algebra = algebra
-        self.slots = slots
-        self.terms = dict(terms or {})
-
-    def __add__(self, other):
-        out = TensorElement(self.algebra, self.slots, self.terms)
-        for mons, coeff in other.terms.items():
-            add_term(self.algebra.km, out.terms, mons, coeff)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement) or self.slots != other.slots:
-            return NotImplemented
-        return terms_equal(self.algebra.km, self.terms, other.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        km = self.algebra.km
-        bits = []
-        for mons in sorted(self.terms):
-            c = km.describe(self.terms[mons])
-            word = " (x) ".join(describe_mon(k) for k in mons)
-            bits.append(word if c == "1" else f"({c})*[{word}]")
-        return " + ".join(bits)
-
-
-def combine_slots(alg: SteenrodAlgebra, slot_elements) -> TensorElement:
-    """Far-left normal form of el_1 (x) ... (x) el_r.
-
-    Each slot element carries its own left coefficients; folding right to
-    left, a coefficient crosses a tensor sign as eta_R of itself multiplied
-    into the next slot.
+    Each slot carries its own left coefficients; folding right to left, the
+    coefficient p waiting left of a slot crosses each of its monomials m as
+    m eta_R(p).  The slots are read, never modified.
     """
+    km = alg.km
+    mul = km.mul
     # state: suffix word -> coefficient waiting to cross into the next slot
-    state: dict[tuple, int] = {(): 1}
-    for r in range(len(slot_elements) - 1, -1, -1):
-        el = slot_elements[r]
-        nxt: dict[tuple, int] = {}
-        for suffix, pending in state.items():
-            # multiply this slot by eta_R(pending); the unit crosses freely
-            if pending == 1:
-                slot_el = el
-            else:
-                slot_el = el * alg.eta_r_of_coeff(pending)
-            # each (key, suffix) is a new word: nothing to accumulate
-            for key, c in slot_el.terms.items():
-                nxt[(key,) + suffix] = c
-        if r == 0:
-            return TensorElement(alg, len(slot_elements), nxt)
-        # each word's coefficient is the pending one of the next slot
+    state: dict = {(): km.one}
+    for el in reversed(slots):
+        nxt: dict = {}
+        for suffix, p in state.items():
+            for m, c in el.items():
+                # the unit crosses m unchanged
+                crossed = ((m, 1),) if p == 1 else alg.mono_times_eta(m, p).items()
+                for key, s in crossed:
+                    add_term(km, nxt, (key,) + suffix, c if s == 1 else mul(c, s))
         state = nxt
-    # zero slots: empty tensor product is the unit
-    return TensorElement(alg, 0, {(): 1})
+    return state
 
 
-def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
-    alg = x.algebra
-    mul = alg.km.mul
-    if x.slots != y.slots:
-        raise BoundsExceeded("tensor slot mismatch")
-    out = TensorElement(alg, x.slots)
-    terms = out.terms
-    for mons1, c1 in x.terms.items():
-        for mons2, c2 in y.terms.items():
+def tensor_mul(alg: SteenrodAlgebra, x: dict, y: dict) -> dict:
+    """Product of two tensors with the same number of slots."""
+    km = alg.km
+    mul = km.mul
+    out: dict = {}
+    for word1, c1 in x.items():
+        for word2, c2 in y.items():
             base = mul(c1, c2)
             if not base:
                 continue
-            slot_elements = [
-                SteenrodElement(alg, alg.mono_product(mons1[r], mons2[r]))
-                for r in range(x.slots)
-            ]
-            combined = combine_slots(alg, slot_elements)
-            for word, c in combined.terms.items():
-                acc = terms.get(word, 0) ^ (c if base == 1 else mul(base, c))
-                if acc:
-                    terms[word] = acc
-                else:
-                    terms.pop(word, None)
+            slots = [alg.mono_product(k1, k2) for k1, k2 in zip(word1, word2, strict=True)]
+            for word, c in combine_slots(alg, slots).items():
+                add_term(km, out, word, c if base == 1 else mul(base, c))
     return out
 
 
@@ -457,17 +409,13 @@ def _xi_key(j: int):
     return ((2 * j - 1, 1),) if j else UNIT_MON
 
 
-def _gen_coproduct(alg: SteenrodAlgebra, kind: str, i: int) -> TensorElement:
-    """Coproduct of tau_i or xi_i."""
-    km = alg.km
-    out = TensorElement(alg, 2)
-    if kind == "tau":
-        add_term(km, out.terms, (_tau_key(i), UNIT_MON), km.one)
-        for j in range(0, i + 1):
-            add_term(km, out.terms, (_power_key(alg, i - j, 2**j), _tau_key(j)), km.one)
-    else:
-        for j in range(0, i + 1):
-            add_term(km, out.terms, (_power_key(alg, i - j, 2**j), _xi_key(j)), km.one)
+def _gen_coproduct(alg: SteenrodAlgebra, kind: str, i: int) -> dict:
+    """Terms of the coproduct of tau_i or xi_i."""
+    one = alg.km.one
+    out = {(_tau_key(i), UNIT_MON): one} if kind == "tau" else {}
+    lower = _tau_key if kind == "tau" else _xi_key
+    for j in range(0, i + 1):
+        out[(_power_key(alg, i - j, 2**j), lower(j))] = one
     return out
 
 
@@ -505,29 +453,25 @@ def _mono_coproduct(alg: SteenrodAlgebra, key) -> dict:
             cached = {(UNIT_MON, UNIT_MON): alg.km.one}
         else:
             rest, n = _split_last(key)
-            prefix = TensorElement(alg, 2, _mono_coproduct(alg, rest))
-            cached = tensor_mul(prefix, _gen_coproduct(alg, *_generator(n))).terms
+            cached = tensor_mul(alg, _mono_coproduct(alg, rest), _gen_coproduct(alg, *_generator(n)))
         alg._coproduct_cache[key] = cached
     return cached
 
 
-def coproduct(x: SteenrodElement) -> TensorElement:
+def coproduct(x: SteenrodElement) -> dict:
     """Delta in the left normal form (coefficients migrated to the far left).
 
     This presentation is the free left-module normal form on the monomial
     pairs; tensor equality checks (coassociativity, counit, the antipode
-    axiom) use it.
+    axiom) use it.  The caller owns the returned term dict.
     """
     alg = x.algebra
     km = alg.km
-    if len(x.terms) == 1:
-        (key, coeff), = x.terms.items()
-        if coeff == km.one:
-            return TensorElement(alg, 2, _mono_coproduct(alg, key))
-    out = TensorElement(alg, 2)
+    mul = km.mul
+    out: dict = {}
     for key, coeff in x.terms.items():
         for word, c in _mono_coproduct(alg, key).items():
-            add_term(km, out.terms, word, km.mul(coeff, c))
+            add_term(km, out, word, c if coeff == 1 else mul(coeff, c))
     return out
 
 
@@ -537,46 +481,34 @@ def counit(x: SteenrodElement):
     return x.terms.get(UNIT_MON, km.zero)
 
 
-def coproduct_left(t: TensorElement) -> TensorElement:
+def coproduct_left(alg: SteenrodAlgebra, t: dict) -> dict:
     """(Delta (x) id) on a 2-tensor, giving a 3-tensor."""
-    alg = t.algebra
-    mul = alg.km.mul
-    out = TensorElement(alg, 3)
-    terms = out.terms
-    for (m1, m2), c in t.terms.items():
+    km = alg.km
+    mul = km.mul
+    out: dict = {}
+    for (m1, m2), c in t.items():
         for (a, b), cc in _mono_coproduct(alg, m1).items():
             # append m2 on the right: no coefficient crosses to the right
-            word = (a, b, m2)
-            acc = terms.get(word, 0) ^ (c if cc == 1 else mul(c, cc))
-            if acc:
-                terms[word] = acc
-            else:
-                terms.pop(word, None)
+            add_term(km, out, (a, b, m2), c if cc == 1 else mul(c, cc))
     return out
 
 
-def coproduct_right(t: TensorElement) -> TensorElement:
+def coproduct_right(alg: SteenrodAlgebra, t: dict) -> dict:
     """(id (x) Delta) on a 2-tensor, giving a 3-tensor.
 
     A coefficient cc of Delta(m2) sits left of slot 2 and crosses m1 as
-    eta_R(cc); the normal form is left-linear, so c . (m1 eta_R(cc)) is the
-    cached unit product scaled by c.
+    m1 eta_R(cc); the normal form is left-linear, so c . (m1 eta_R(cc)) is
+    the cached unit product scaled by c.
     """
-    alg = t.algebra
-    mul = alg.km.mul
-    out = TensorElement(alg, 3)
-    terms = out.terms
-    for (m1, m2), c in t.terms.items():
+    km = alg.km
+    mul = km.mul
+    out: dict = {}
+    for (m1, m2), c in t.items():
         for (a, b), cc in _mono_coproduct(alg, m2).items():
             # the unit crosses m1 unchanged
             crossed = ((m1, 1),) if cc == 1 else alg.mono_times_eta(m1, cc).items()
             for key1, c1 in crossed:
-                word = (key1, a, b)
-                acc = terms.get(word, 0) ^ (c if c1 == 1 else mul(c, c1))
-                if acc:
-                    terms[word] = acc
-                else:
-                    terms.pop(word, None)
+                add_term(km, out, (key1, a, b), c if c1 == 1 else mul(c, c1))
     return out
 
 
@@ -584,28 +516,24 @@ def check_coassociativity(alg: SteenrodAlgebra, max_weight: int) -> int:
     """(Delta x id)Delta = (id x Delta)Delta on all basis monomials."""
     count = 0
     for key in alg.basis_monomials(max_weight):
-        x = SteenrodElement(alg, {key: alg.km.one})
-        d = coproduct(x)
-        if coproduct_left(d) != coproduct_right(d):
+        d = _mono_coproduct(alg, key)
+        if not terms_equal(alg.km, coproduct_left(alg, d), coproduct_right(alg, d)):
             raise BoundsExceeded(f"coassociativity fails on {describe_mon(key)}")
         count += 1
     return count
 
 
 def check_counit(alg: SteenrodAlgebra, max_weight: int) -> int:
+    """(eps x id)Delta = id = (id x eps)Delta on all basis monomials."""
     km = alg.km
     count = 0
     for key in alg.basis_monomials(max_weight):
-        x = SteenrodElement(alg, {key: km.one})
-        d = coproduct(x)
-        left = alg.zero()   # (eps x id)
-        right = alg.zero()  # (id x eps)
-        for (m1, m2), c in d.terms.items():
-            if m1 == UNIT_MON:
-                left = left + SteenrodElement(alg, {m2: c})
-            if m2 == UNIT_MON:
-                right = right + SteenrodElement(alg, {m1: c})
-        if left != x or right != x:
+        d = _mono_coproduct(alg, key)
+        # eps keeps the words whose other slot is the unit, each once
+        left = {m2: c for (m1, m2), c in d.items() if m1 == UNIT_MON}
+        right = {m1: c for (m1, m2), c in d.items() if m2 == UNIT_MON}
+        x = {key: km.one}
+        if not (terms_equal(km, left, x) and terms_equal(km, right, x)):
             raise BoundsExceeded(f"counit axiom fails on {describe_mon(key)}")
         count += 1
     return count
@@ -638,7 +566,7 @@ def dual_action(op_id: str, side: str, x: SteenrodElement) -> SteenrodElement:
     alg = x.algebra
     km = alg.km
     out = alg.zero()
-    for (m1, m2), c in coproduct(x).terms.items():
+    for (m1, m2), c in coproduct(x).items():
         if side == "L":
             chi = alg.eta_r_of_coeff(c) * _mono_antipode(alg, m1)
             coeff = chi.terms.get(target, km.zero)
@@ -706,7 +634,7 @@ def check_antipode_axiom(alg: SteenrodAlgebra, max_weight: int) -> int:
     for key in alg.basis_monomials(max_weight):
         x = SteenrodElement(alg, {key: km.one})
         acc = alg.zero()
-        for (m1, m2), c in coproduct(x).terms.items():
+        for (m1, m2), c in coproduct(x).items():
             acc = acc + SteenrodElement(alg, {m1: c}) * _mono_antipode(alg, m2)
         expected = alg.scalar(counit(x))
         if acc != expected:
@@ -810,7 +738,10 @@ class HomologyModel:
             mask = 0
             for mon2, coeff in image.items():
                 for a2, t2 in km.terms(coeff):
-                    assert t2 == 0, "tau coefficient cannot appear in a k^M model"
+                    if t2:
+                        raise AlgebraError(
+                            f"delta of {mon} has a tau coefficient, impossible in a k^M model"
+                        )
                     key = (a + a2, mon2)
                     if key in tindex:
                         mask ^= 1 << tindex[key]

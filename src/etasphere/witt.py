@@ -20,10 +20,12 @@ from math import gcd
 from .abelian import (
     FinAbGroup,
     _unit_vectors,
+    counting_function,
     lattice,
     preimage,
     quotient_structure,
 )
+from .graded import AlgebraError
 
 
 class UnknownField(KeyError):
@@ -318,7 +320,8 @@ def solve_2local_inverse(a: WittElement):
     if sol is None:
         return None
     x = ring.element(sol[:n])
-    assert a * x == c * ring.one()
+    if a * x != c * ring.one():
+        raise AlgebraError(f"{a!r} * {x!r} is not {c} * 1")
     return x, c
 
 
@@ -568,7 +571,7 @@ def brute_force_witt_ring(q: int, bound: int = 4) -> WittPresentation:
     for tup in itertools.product(*[range(d) for d in factors]):
         c = ring.zero_class
         for a, g in zip(tup, gens):
-            c = ring.add(c, _class_power_additive(ring, g, a))
+            c = ring.add(c, _class_power(ring, g, a))
         coords_of[c] = tup
     if len(coords_of) != size:
         raise InvalidPresentation("generator tuple does not decompose the group")
@@ -597,10 +600,6 @@ def _class_power(ring, c, m):
     return acc
 
 
-def _class_power_additive(ring, c, m):
-    return _class_power(ring, c, m)
-
-
 def _find_decomposition(ring, classes, size, counts):
     """Invariant factors and matching generators, by exhaustive search."""
     # candidate invariant factor chains whose product is the group order and
@@ -617,10 +616,7 @@ def _find_decomposition(ring, classes, size, counts):
             chain = sorted(factors)
             if any(b % a for a, b in zip(chain, chain[1:])):
                 continue
-            predicted = {
-                m: _counting(chain, m) for m in counts
-            }
-            if predicted != counts:
+            if counting_function(FinAbGroup(0, chain), counts) != counts:
                 continue
             for gens in itertools.permutations(classes, k):
                 if any(ring.order_of(g) != d for g, d in zip(gens, chain)):
@@ -630,7 +626,7 @@ def _find_decomposition(ring, classes, size, counts):
                 for tup in itertools.product(*[range(d) for d in chain]):
                     c = ring.zero_class
                     for a, g in zip(tup, gens):
-                        c = ring.add(c, _class_power_additive(ring, g, a))
+                        c = ring.add(c, _class_power(ring, g, a))
                     if c in seen:
                         ok = False
                         break
@@ -638,13 +634,6 @@ def _find_decomposition(ring, classes, size, counts):
                 if ok:
                     return list(gens), list(chain)
     raise InvalidPresentation("no decomposition found")
-
-
-def _counting(chain, m):
-    c = 1
-    for d in chain:
-        c *= gcd(m, d)
-    return c
 
 
 def find_ring_isomorphism(a: WittPresentation, b: WittPresentation):

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from etasphere import cli, kwcalc
 from etasphere.abelian import FinAbGroup
 from etasphere.witt import catalog_lookup
 from etasphere.kwcalc import (
@@ -228,6 +229,14 @@ def test_msp_phi_gr_surjective_with_polynomial_kernel():
     degrees = abstract["kernel_generator_degrees"]
     assert degrees == list(range(2, 15))
     assert report["abstract_model_rational"]["surjective"]
+
+
+def test_a_failed_phi_spot_check_fails_its_certificate_with_a_message(monkeypatch):
+    # a raise, not a bare assert: it survives `python -O` and names the failure
+    monkeypatch.setattr(kwcalc, "apply_derivation", lambda derivation, el: el.algebra.zero())
+    cert, checked = cli.run_check(cli.msp_phi_surjective)
+    assert cert == {"pass": False, "counterexample": "phi(e2) = 0, expected 1"}
+    assert checked is None
 
 
 def test_phi_iterates():

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
@@ -18,7 +23,6 @@ from etasphere.graded import (
 from etasphere.steenrod import (
     SteenrodAlgebra,
     SteenrodElement,
-    TensorElement,
     UNIT_MON,
     UnknownOperator,
     _gen_coproduct,
@@ -88,14 +92,14 @@ def test_coproduct_small():
     alg = SteenrodAlgebra("real_closed", weight=12)
     km = alg.km
     d = coproduct(alg.tau(0))
-    assert d.terms == {
+    assert d == {
         (mon_key((1,), ()), UNIT_MON): km.one,
         (UNIT_MON, mon_key((1,), ())): km.one,
     }
     d1 = coproduct(alg.one())
-    assert d1.terms == {(UNIT_MON, UNIT_MON): km.one}
+    assert d1 == {(UNIT_MON, UNIT_MON): km.one}
     dx = coproduct(alg.xi(1))
-    assert dx.terms == {
+    assert dx == {
         (mon_key((), (1,)), UNIT_MON): km.one,
         (UNIT_MON, mon_key((), (1,))): km.one,
     }
@@ -105,7 +109,7 @@ def test_coproduct_xi2():
     alg = SteenrodAlgebra("real_closed", weight=12)
     km = alg.km
     dx = coproduct(alg.xi(2))
-    assert dx.terms == {
+    assert dx == {
         (mon_key((), (0, 1)), UNIT_MON): km.one,
         (mon_key((), (2,)), mon_key((), (1,))): km.one,  # xi_1^2 (x) xi_1
         (UNIT_MON, mon_key((), (0, 1))): km.one,
@@ -383,13 +387,13 @@ def test_memoized_coproducts_match_generator_products(base):
     km = alg.km
     etas = set()
     for key in alg.basis_monomials(9):
-        want = TensorElement(ref, 2, {(UNIT_MON, UNIT_MON): km.one})
+        want = {(UNIT_MON, UNIT_MON): km.one}
         for kind, i in _generators(key):
-            want = tensor_mul(want, _gen_coproduct(ref, kind, i))
+            want = tensor_mul(ref, want, _gen_coproduct(ref, kind, i))
         got = coproduct(SteenrodElement(alg, {key: km.one}))
         assert got == want, key
-        for (m1, m2), _ in got.terms.items():
-            etas.update((m1, cc) for cc in coproduct(ref.element({m2: km.one})).terms.values())
+        for (m1, m2), _ in got.items():
+            etas.update((m1, cc) for cc in coproduct(ref.element({m2: km.one})).values())
     assert any(cc != km.one for _, cc in etas)
     for m1, cc in etas:
         want = SteenrodElement(ref, {m1: km.one}) * ref.eta_r_of_coeff(cc)
@@ -418,17 +422,17 @@ def test_memoized_antipode_matches_a_fresh_algebra(base):
 def test_memoized_results_are_not_aliased():
     alg = SteenrodAlgebra("real_closed", weight=16)
     x = alg.tau(1) * alg.xi(1)
-    for fn in (coproduct, antipode):
-        first = fn(x)
-        assert not first.is_zero()
-        want = dict(first.terms)
-        first.terms.clear()
-        assert fn(x).terms == want, fn.__name__
+    for fn, terms in ((coproduct, lambda d: d), (antipode, lambda el: el.terms)):
+        first = terms(fn(x))
+        assert first
+        want = dict(first)
+        first.clear()
+        assert terms(fn(x)) == want, fn.__name__
     d = coproduct(x)
-    left, right = coproduct_left(d), coproduct_right(d)
+    left, right = coproduct_left(alg, d), coproduct_right(alg, d)
     for t in (left, right):
-        t.terms.clear()
-    assert coproduct_left(d) == coproduct_right(d) and not coproduct_left(d).is_zero()
+        t.clear()
+    assert coproduct_left(alg, d) == coproduct_right(alg, d) and coproduct_left(alg, d)
 
 
 def test_delta_matrix_memo_is_independent_of_cell_order():
@@ -475,7 +479,7 @@ def test_coproduct_is_multiplicative(base, a, b):
     x, y = (SteenrodElement(alg, {key: alg.km.one}) for key in (a, b))
 
     def check():
-        assert coproduct(x * y) == tensor_mul(coproduct(x), coproduct(y))
+        assert coproduct(x * y) == tensor_mul(alg, coproduct(x), coproduct(y))
 
     _unless_truncated(check)
 
@@ -496,6 +500,22 @@ COEFF_PAIRS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size
 SUMMANDS = st.lists(st.tuples(SMALL_KEYS, COEFF_PAIRS), min_size=1, max_size=3)
 
 
+def _coefficient(km, pairs):
+    """The sum of rho^r tau^t over the pairs (r, t)."""
+    out = km.zero
+    for r, t in pairs:
+        out = km.add(out, km.monomial(r, t))
+    return out
+
+
+def _element(alg, summands):
+    """The sum of c . key over the summands (key, pairs of c)."""
+    out = alg.zero()
+    for key, pairs in summands:
+        out = out + SteenrodElement(alg, {key: alg.km.one}).scale(_coefficient(alg.km, pairs))
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(BASES, SUMMANDS, SUMMANDS, COEFF_PAIRS)
 def test_term_dicts_never_store_a_zero_coefficient(base, xs, ys, cs):
@@ -503,24 +523,12 @@ def test_term_dicts_never_store_a_zero_coefficient(base, xs, ys, cs):
     km = alg.km
     generic = GenericTermsKMTau(km.rho_mode)
 
-    def coefficient(pairs):
-        out = km.zero
-        for r, t in pairs:
-            out = km.add(out, km.monomial(r, t))
-        return out
-
-    def element(summands):
-        out = alg.zero()
-        for key, pairs in summands:
-            out = out + SteenrodElement(alg, {key: km.one}).scale(coefficient(pairs))
-        return out
-
     def check():
-        x, y, c = element(xs), element(ys), coefficient(cs)
+        x, y, c = _element(alg, xs), _element(alg, ys), _coefficient(km, cs)
         outputs = [
             (x * y).terms, (y * x).terms, x.scale(c).terms, antipode(x).terms,
-            coproduct(x).terms, combine_slots(alg, [x, y]).terms,
-            combine_slots(alg, [y, x]).terms,
+            coproduct(x), combine_slots(alg, [x.terms, y.terms]),
+            combine_slots(alg, [y.terms, x.terms]),
         ]
         for terms in outputs:
             assert all(isinstance(v, int) and v != 0 for v in terms.values())
@@ -529,3 +537,83 @@ def test_term_dicts_never_store_a_zero_coefficient(base, xs, ys, cs):
         assert terms_equal(km, outputs[0], outputs[1])
 
     _unless_truncated(check)
+
+
+# -- the crossing rule against the slot-product fold ---------------------------
+
+def _reference_combine_slots(alg, slots):
+    """Far-left normal form of slots[0] (x) ... (x) slots[-1], slot elements given.
+
+    Folding right to left, the whole slot element is multiplied by eta_R of
+    the coefficient waiting to its right, and each of the product's words is
+    new.
+    """
+    state = {(): alg.km.one}
+    for el in reversed(slots):
+        nxt = {}
+        for suffix, pending in state.items():
+            for key, c in (el * alg.eta_r_of_coeff(pending)).terms.items():
+                nxt[(key,) + suffix] = c
+        state = nxt
+    return state
+
+
+@settings(max_examples=80, deadline=None)
+@given(BASES, st.lists(SUMMANDS, min_size=2, max_size=3))
+def test_combine_slots_crosses_like_the_slot_product_fold(base, slot_summands):
+    ref = SteenrodAlgebra(base, weight=16)
+    try:
+        slots = [_element(ref, summands) for summands in slot_summands]
+        want = _reference_combine_slots(ref, slots)
+    except TruncationExceeded:
+        reject()
+    # a fresh algebra, so that no memo is shared with the reference
+    alg = SteenrodAlgebra(base, weight=16)
+    assert combine_slots(alg, [el.terms for el in slots]) == want
+
+
+def test_combine_slots_crosses_non_unit_coefficients():
+    # tau0^2 = tau xi1 + ...: its coefficient tau crosses every slot to its left
+    alg = SteenrodAlgebra("real_closed", weight=16)
+    sq = (alg.tau(0) * alg.tau(0)).terms
+    assert any(c != alg.km.one for c in sq.values())
+    for slots in ([sq, sq], [sq, alg.tau(0).terms, sq]):
+        want = _reference_combine_slots(alg, [SteenrodElement(alg, el) for el in slots])
+        assert combine_slots(alg, slots) == want
+        assert any(len(word) == len(slots) for word in want)
+
+
+def test_tensor_mul_rejects_tensors_of_different_slot_counts():
+    alg = SteenrodAlgebra("real_closed", weight=8)
+    d = coproduct(alg.tau(0))
+    with pytest.raises(ValueError, match="zip"):
+        tensor_mul(alg, d, coproduct_left(alg, d))
+    with pytest.raises(ValueError, match="zip"):
+        tensor_mul(alg, coproduct_right(alg, d), d)
+
+
+# -- the benchmark tracer still wraps the tensor layer --------------------------
+
+TRACE_SCRIPT = """
+import json
+import tracer
+import etasphere.cli
+from etasphere.steenrod import SteenrodAlgebra, check_coassociativity
+
+t = tracer.Tracer()
+tracer.install(t)
+t.on = True
+check_coassociativity(SteenrodAlgebra("real_closed", weight=7), 4)
+print(json.dumps(t.layer_metrics()))
+"""
+
+
+def test_perfbench_tracer_installs_and_counts_the_tensor_layer():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    done = subprocess.run([sys.executable, "-c", TRACE_SCRIPT], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(done.stdout.splitlines()[-1])
+    assert metrics["steenrod.tensor_mul.calls"] > 0
+    assert metrics["steenrod.SteenrodElement.__mul__.calls"] > 0
