@@ -45,6 +45,22 @@ def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
+def bilinear(table, a, b) -> list[int]:
+    """Unreduced sum of a_i b_j table[i][j] over the nonzero coordinates of a and b."""
+    out = [0] * len(table[0][0])
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        row = table[i]
+        for j, y in enumerate(b):
+            if not y:
+                continue
+            xy = x * y
+            for k, c in enumerate(row[j]):
+                out[k] += xy * c
+    return out
+
+
 def det_sign(mat: list[list[int]]) -> int:
     """Determinant of a small integer matrix (used only for +/-1 checks)."""
     n = len(mat)

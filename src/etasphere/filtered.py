@@ -1,12 +1,17 @@
 """Filtered modules at desk scale: gr, the comparison lemma suite, free lifts.
 
-Every filtered object here is finite per degree in the following sense: a
-degree component is Z^g modulo a relation lattice, and its filtration is a
-finite descending chain of lattices that starts at everything and ends at
-the relation lattice (so F^last = 0 in the quotient).  That finite shadow is
-exactly what makes the gr-comparison lemmas checkable by direct computation:
-complete/Hausdorff/exhaustive hold by construction and both sides of each
-lemma reduce to exact lattice arithmetic.
+There is one filtered-lattice type, `FilteredComponent`: a degree component
+is Z^g modulo a relation lattice, and its filtration is a finite descending
+chain of lattices that starts at everything and ends at the relation lattice
+(so F^last = 0 in the quotient).  `level(s)` clamps s to the chain, so F^s
+is everything for s <= 0 and the relations past the end.  A `FilteredRing`
+is a `FiniteRing` with such a chain of ideals, and a `FilteredRModule` one
+`FilteredComponent` per external degree with its action table beside it;
+`FilteredComponent.finite` builds both from additive orders and the
+generators of each level.  That finite shadow is exactly what makes the
+gr-comparison lemmas checkable by direct computation: complete, Hausdorff
+and exhaustive hold by construction and both sides of each lemma reduce to
+exact lattice arithmetic.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from math import gcd, prod
 from .abelian import (
     FinAbGroup,
     _unit_vectors,
+    bilinear,
     lattice,
     lattice_intersection,
     mat_vec,
@@ -47,6 +53,19 @@ class FilteredComponent:
     relations: list[list[int]]
     chain: list[list[list[int]]]  # chain[s] spans F^s (must contain relations)
 
+    @classmethod
+    def finite(cls, orders, chain_generators) -> "FilteredComponent":
+        """Z^n / diag(orders) with F^0 everything and F^s spanned by
+        `chain_generators[s - 1]` and the relations; the last level must be
+        the relations."""
+        n = len(orders)
+        rel = [[d if i == j else 0 for i in range(n)] for j, d in enumerate(orders)]
+        chain = [_unit_vectors(n) + rel]
+        chain += [[list(g) for g in gens] + rel for gens in chain_generators]
+        if lattice(n, chain[-1]) != lattice(n, rel):
+            raise HypothesisViolated("filtration chain does not reach zero")
+        return cls(n, rel, chain)
+
     def validate(self):
         n = self.ngens
         full = _unit_vectors(n) + [list(r) for r in self.relations]
@@ -69,10 +88,6 @@ class FilteredComponent:
     def gr(self, s: int) -> tuple[FinAbGroup, list[list[int]]]:
         return quotient_structure(self.ngens, self.level(s), self.level(s + 1))
 
-    def group(self) -> FinAbGroup:
-        g, _ = quotient_structure(self.ngens, self.chain[0], self.relations)
-        return g
-
 
 @dataclass
 class FilteredModule:
@@ -81,9 +96,6 @@ class FilteredModule:
     def validate(self):
         for comp in self.components.values():
             comp.validate()
-
-    def degrees(self):
-        return sorted(self.components)
 
 
 def gr_of_filtration(module: FilteredModule) -> dict:
@@ -120,26 +132,10 @@ class FilteredMorphism:
                         )
 
 
-def _image_lattice(mat, gens):
-    return [mat_vec(mat, list(g)) for g in gens]
-
-
-def _gr_map_surjective(mat, src: FilteredComponent, tgt: FilteredComponent, s: int) -> bool:
-    img = _image_lattice(mat, src.level(s)) + [list(g) for g in tgt.level(s + 1)]
-    return lattice(tgt.ngens, img) == lattice(tgt.ngens, tgt.level(s))
-
-
-def _preimage_lattice(mat, tgt_lattice, src_dim, tgt_dim):
-    """{x in Z^src : mat x in tgt_lattice} as a lattice."""
-    images = [[mat[i][j] for i in range(tgt_dim)] for j in range(src_dim)]
-    return [p for p in preimage(tgt_dim, images, tgt_lattice) if any(p)]
-
-
-def _gr_map_injective(mat, src: FilteredComponent, tgt: FilteredComponent, s: int) -> bool:
-    pre = _preimage_lattice(mat, tgt.level(s + 1), src.ngens, tgt.ngens)
-    inside = lattice_intersection(src.ngens, pre, src.level(s)) if pre else []
-    level = lattice(src.ngens, src.level(s + 1))
-    return all(v in level for v in inside)
+def _preimage(mat, targets, src_dim):
+    """Nonzero generators of {x in Z^src_dim : mat x in the span of targets}."""
+    columns = [[row[j] for row in mat] for j in range(src_dim)]
+    return [p for p in preimage(len(mat), columns, targets) if any(p)]
 
 
 def filtered_lemma_suite(alpha: FilteredMorphism) -> dict:
@@ -147,7 +143,9 @@ def filtered_lemma_suite(alpha: FilteredMorphism) -> dict:
 
     Returns a report with, per lemma, whether the gr-hypothesis holds and
     whether the corresponding conclusion about alpha itself was verified by
-    direct lattice computation.
+    direct lattice computation.  Each level's image, preimage and kernel
+    intersection is computed once per degree; a conclusion is reported only
+    when its hypothesis holds in every degree.
     """
     alpha.validate()
     report = {
@@ -156,12 +154,36 @@ def filtered_lemma_suite(alpha: FilteredMorphism) -> dict:
         "gr_injective": True,
         "per_degree": {},
     }
+    injective = surjective_each_level = kernel_match = True
     for n, mat in alpha.matrices.items():
         src = alpha.source.components[n]
         tgt = alpha.target.components[n]
+        m = src.ngens
+        ker = _preimage(mat, tgt.relations, m)
+        zero = lattice(m, src.relations)
+        injective &= all(v in zero for v in ker)
+        ker_full = ker + [list(r) for r in src.relations]
+        surj = inj = True
         depth = max(len(src.chain), len(tgt.chain)) - 1
-        surj = all(_gr_map_surjective(mat, src, tgt, s) for s in range(depth))
-        inj = all(_gr_map_injective(mat, src, tgt, s) for s in range(depth))
+        ker_above = lattice_intersection(m, ker_full, src.level(0))
+        for s in range(depth + 1):
+            image = [mat_vec(mat, list(g)) for g in src.level(s)]
+            surjective_each_level &= (
+                lattice(tgt.ngens, image + tgt.relations) == lattice(tgt.ngens, tgt.level(s))
+            )
+            if s == depth:
+                break
+            # gr^s(alpha) is onto: alpha(F^s) + F'^(s+1) = F'^s
+            surj &= lattice(tgt.ngens, image + tgt.level(s + 1)) == lattice(tgt.ngens, tgt.level(s))
+            # ker gr^s(alpha) = {x in F^s : alpha x in F'^(s+1)} / F^(s+1)
+            above = src.level(s + 1)
+            num = lattice_intersection(m, _preimage(mat, tgt.level(s + 1), m), src.level(s))
+            above_lattice = lattice(m, above)
+            inj &= all(v in above_lattice for v in num)
+            ker_here, ker_above = ker_above, lattice_intersection(m, ker_full, above)
+            gr_ker, _ = quotient_structure(m, ker_here + ker_above, ker_above)
+            ker_gr, _ = quotient_structure(m, num + above, above)
+            kernel_match &= gr_ker == ker_gr
         report["per_degree"][n] = {"gr_surjective": surj, "gr_injective": inj}
         report["gr_surjective"] &= surj
         report["gr_injective"] &= inj
@@ -169,65 +191,13 @@ def filtered_lemma_suite(alpha: FilteredMorphism) -> dict:
 
     # conclusions, re-verified on alpha itself
     if report["gr_surjective"]:
-        ok = True
-        for n, mat in alpha.matrices.items():
-            src = alpha.source.components[n]
-            tgt = alpha.target.components[n]
-            depth = max(len(src.chain), len(tgt.chain)) - 1
-            for s in range(depth + 1):
-                img = _image_lattice(mat, src.level(s)) + [list(g) for g in tgt.relations]
-                if lattice(tgt.ngens, img) != lattice(tgt.ngens, tgt.level(s)):
-                    ok = False
-        report["alpha_surjective_each_level"] = ok
-
-        # gr(ker) = ker(gr)
-        kernel_match = True
-        for n, mat in alpha.matrices.items():
-            src = alpha.source.components[n]
-            tgt = alpha.target.components[n]
-            depth = max(len(src.chain), len(tgt.chain)) - 1
-            ker = _preimage_lattice(mat, tgt.relations, src.ngens, tgt.ngens)
-            ker_full = ker + [list(r) for r in src.relations]
-            for s in range(depth):
-                k_s = lattice_intersection(src.ngens, ker_full, src.level(s)) or []
-                k_s1 = lattice_intersection(src.ngens, ker_full, src.level(s + 1)) or []
-                gr_ker, _ = quotient_structure(src.ngens, k_s + k_s1, k_s1)
-                pre = _preimage_lattice(mat, tgt.level(s + 1), src.ngens, tgt.ngens)
-                num = lattice_intersection(src.ngens, pre, src.level(s)) if pre else []
-                ker_gr, _ = quotient_structure(
-                    src.ngens,
-                    (num or []) + src.level(s + 1),
-                    src.level(s + 1),
-                )
-                if gr_ker != ker_gr:
-                    kernel_match = False
-        report["kernel_gr_matches"] = kernel_match
-
+        report["alpha_surjective_each_level"] = surjective_each_level
+        report["kernel_gr_matches"] = kernel_match  # gr(ker) = ker(gr)
     if report["gr_injective"]:
-        ok = True
-        for n, mat in alpha.matrices.items():
-            src = alpha.source.components[n]
-            tgt = alpha.target.components[n]
-            ker = _preimage_lattice(mat, tgt.relations, src.ngens, tgt.ngens)
-            rel = lattice(src.ngens, src.relations)
-            if any(v not in rel for v in ker):
-                ok = False
-        report["alpha_injective"] = ok
-
+        report["alpha_injective"] = injective
     if report["gr_iso"]:
-        ok = report.get("alpha_injective", False) and report.get(
-            "alpha_surjective_each_level", False
-        )
-        # filtered iso also needs alpha(F^s) = F'^s on the nose
-        for n, mat in alpha.matrices.items():
-            src = alpha.source.components[n]
-            tgt = alpha.target.components[n]
-            depth = max(len(src.chain), len(tgt.chain))
-            for s in range(depth):
-                img = _image_lattice(mat, src.level(s)) + [list(g) for g in tgt.relations]
-                if lattice(tgt.ngens, img) != lattice(tgt.ngens, tgt.level(s)):
-                    ok = False
-        report["alpha_filtered_iso"] = ok
+        # a filtered iso is injective with alpha(F^s) = F'^s on the nose
+        report["alpha_filtered_iso"] = injective and surjective_each_level
     return report
 
 
@@ -269,14 +239,6 @@ class FiniteRing:
     def describe(self, a):
         return str(list(a))
 
-    def relations(self):
-        cols = []
-        for i, d in enumerate(self.orders):
-            col = [0] * self.n
-            col[i] = d
-            cols.append(col)
-        return cols
-
     def elements(self):
         for tup in itertools.product(*[range(d) for d in self.orders]):
             yield tup
@@ -285,16 +247,7 @@ class FiniteRing:
         return self.reduce([x + y for x, y in zip(a, b)])
 
     def mul(self, a, b):
-        out = [0] * self.n
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                for k, c in enumerate(self.mult_table[i][j]):
-                    out[k] += x * y * c
-        return self.reduce(out)
+        return self.reduce(bilinear(self.mult_table, a, b))
 
     def order(self) -> int:
         return prod(self.orders)
@@ -317,45 +270,23 @@ class FilteredRing:
     """Finite ring with a descending ideal chain ending at zero."""
 
     def __init__(self, ring: FiniteRing, chain_generators):
-        # chain_generators[s] = coordinate list generating the s-th ideal
+        # chain_generators[s - 1] = coordinate list generating the s-th ideal
         self.ring = ring
-        rel = ring.relations()
-        chain = [_unit_vectors(ring.n) + rel]
-        for gens in chain_generators:
-            chain.append([list(g) for g in gens] + rel)
-        # force termination at zero
-        if lattice(ring.n, chain[-1]) != lattice(ring.n, rel):
-            raise HypothesisViolated("ideal chain does not reach zero")
-        self.chain = chain
-
-    @property
-    def depth(self) -> int:
-        return len(self.chain)
-
-    def level(self, s: int):
-        if s < 0:
-            s = 0
-        return self.chain[min(s, len(self.chain) - 1)]
+        self.filtration = FilteredComponent.finite(ring.orders, chain_generators)
 
     def gr_order(self, s: int) -> int:
-        group, _ = quotient_structure(self.ring.n, self.level(s), self.level(s + 1))
-        order = group.order()
-        if order is None:
-            raise HypothesisViolated("infinite gr piece in a finite ring")
-        return order
+        return self.filtration.gr(s)[0].order()
 
     @classmethod
     def from_witt_mod2k(cls, presentation, modulus_bits: int):
         ring = FiniteRing.from_witt_mod2k(presentation, modulus_bits)
         chains = []
         s = 1
-        rel = ring.relations()
         while True:
             power = fundamental_ideal_power(presentation, s)
             gens = [list(v) for v in power.generator_coords]
             chains.append(gens)
-            span = [list(g) for g in gens] + rel
-            if lattice(ring.n, span) == lattice(ring.n, rel):
+            if all(ring.is_zero(g) for g in gens):
                 break
             s += 1
             if s > 8 * max(1, modulus_bits):
@@ -368,135 +299,75 @@ class FilteredRModule:
 
     def __init__(self, ring: FilteredRing):
         self.ring = ring
-        self.components: dict[int, dict] = {}
+        self.components: dict[int, FilteredComponent] = {}
+        self.actions: dict[int, list] = {}
 
     def add_component(self, degree: int, orders, action_table, chain_generators):
         """action_table[i][j]: coordinates of (ring gen i) . (module gen j)."""
-        n = len(orders)
-        rel = []
-        for i, d in enumerate(orders):
-            col = [0] * n
-            col[i] = d
-            rel.append(col)
-        chain = [_unit_vectors(n) + rel]
-        for gens in chain_generators:
-            chain.append([list(g) for g in gens] + rel)
-        if lattice(n, chain[-1]) != lattice(n, rel):
-            raise HypothesisViolated("module chain does not reach zero")
-        self.components[degree] = {
-            "orders": list(orders),
-            "ngens": n,
-            "relations": rel,
-            "action": action_table,
-            "chain": chain,
-        }
-
-    def reduce(self, degree, coords):
-        orders = self.components[degree]["orders"]
-        return tuple(c % d for c, d in zip(coords, orders))
+        self.components[degree] = FilteredComponent.finite(orders, chain_generators)
+        self.actions[degree] = action_table
 
     def act(self, degree, ring_coords, mod_coords):
-        comp = self.components[degree]
-        out = [0] * comp["ngens"]
-        for i, r in enumerate(ring_coords):
-            if not r:
-                continue
-            for j, m in enumerate(mod_coords):
-                if not m:
-                    continue
-                for k, c in enumerate(comp["action"][i][j]):
-                    out[k] += r * m * c
-        return self.reduce(degree, out)
-
-    def level(self, degree, s):
-        chain = self.components[degree]["chain"]
-        if s < 0:
-            s = 0
-        return chain[min(s, len(chain) - 1)]
-
-    def component_order(self, degree) -> int:
-        return prod(self.components[degree]["orders"])
+        """(ring element) . (module element), reduced modulo diag(orders)."""
+        out = bilinear(self.actions[degree], ring_coords, mod_coords)
+        relations = self.components[degree].relations
+        return tuple(c % rel[k] for k, (c, rel) in enumerate(zip(out, relations)))
 
 
-@dataclass
-class LiftCertificate:
-    lifts: list            # (degree, filtration, coords)
-    gr_free: bool
-    filtered_iso: bool
-    details: dict
-
-    @property
-    def ok(self) -> bool:
-        return self.gr_free and self.filtered_iso
-
-
-def lift_free_basis(module: FilteredRModule, gr_basis) -> LiftCertificate:
+def lift_free_basis(module: FilteredRModule, gr_basis) -> bool:
     """Check gr-freeness on the stated basis and certify the lifted basis.
 
     `gr_basis` is a list of (degree, filtration s, coords) whose classes are
     claimed to form a gr(R)-basis of gr(M).  The coords themselves are taken
     as the lifts (any representative of the gr class is one).  Raises
-    NotFree when the freeness hypothesis fails; the certificate records the
-    degreewise filtered-isomorphism check for the induced map from the free
-    filtered module on the lifts.
+    NotFree when the freeness hypothesis fails; returns whether the induced
+    map from the free filtered module on the lifts is a filtered
+    isomorphism in every degree.
     """
     ring = module.ring
     by_degree: dict[int, list] = {}
     for (t, s, coords) in gr_basis:
         by_degree.setdefault(t, []).append((s, list(coords)))
 
-    details: dict = {}
     # freeness of gr(M) over gr(R) on the claimed classes
+    orders = {}
     for t, comp in module.components.items():
         basis_here = by_degree.get(t, [])
-        depth = len(comp["chain"]) - 1
-        for sigma in range(depth):
+        orders[t] = 1
+        for sigma in range(len(comp.chain) - 1):
             # expected order of gr^sigma(M_t)
             expected = 1
-            spans = [list(g) for g in module.level(t, sigma + 1)]
+            spans = [list(g) for g in comp.level(sigma + 1)]
             for (s_i, x_i) in basis_here:
                 if s_i > sigma:
                     continue
                 expected *= ring.gr_order(sigma - s_i)
-                for rgen in ring.level(sigma - s_i):
+                for rgen in ring.filtration.level(sigma - s_i):
                     spans.append(list(module.act(t, rgen, x_i)))
-            group, _ = quotient_structure(
-                comp["ngens"], module.level(t, sigma), module.level(t, sigma + 1)
-            )
-            actual = group.order()
-            level = lattice(comp["ngens"], module.level(t, sigma))
-            span_ok = lattice(comp["ngens"], spans) == level
+            actual = comp.gr(sigma)[0].order()
+            span_ok = lattice(comp.ngens, spans) == lattice(comp.ngens, comp.level(sigma))
             if actual != expected or not span_ok:
                 raise NotFree(
                     f"gr(M) is not free on the stated basis at degree {t}, "
                     f"filtration {sigma}: order {actual} vs {expected}, "
                     f"span {'ok' if span_ok else 'proper'}"
                 )
-        details[t] = {"levels_checked": depth}
+            orders[t] *= actual
 
     # certificate: induced map from the free module is a filtered iso
     filtered_iso = True
     for t, comp in module.components.items():
         basis_here = by_degree.get(t, [])
-        # orders match
-        free_order = 1
-        for (s_i, _) in basis_here:
-            free_order *= ring.ring.order()
-        if free_order != module.component_order(t):
+        if ring.ring.order() ** len(basis_here) != orders[t]:
             filtered_iso = False
-        depth = len(comp["chain"])
-        for sigma in range(depth):
-            img = [list(g) for g in comp["relations"]]
+        for sigma in range(len(comp.chain)):
+            img = [list(g) for g in comp.relations]
             for (s_i, x_i) in basis_here:
-                for rgen in ring.level(max(0, sigma - s_i)):
+                for rgen in ring.filtration.level(sigma - s_i):
                     img.append(list(module.act(t, rgen, x_i)))
-            if lattice(comp["ngens"], img) != lattice(comp["ngens"], module.level(t, sigma)):
+            if lattice(comp.ngens, img) != lattice(comp.ngens, comp.level(sigma)):
                 filtered_iso = False
-        details[t]["order"] = module.component_order(t)
-
-    return LiftCertificate(
-        lifts=list(gr_basis), gr_free=True, filtered_iso=filtered_iso, details=details
-    )
+    return filtered_iso
 
 
 def solve_module_coefficients(module: FilteredRModule, degree: int, basis, target):
@@ -507,7 +378,6 @@ def solve_module_coefficients(module: FilteredRModule, degree: int, basis, targe
     """
     ring = module.ring.ring
     comp = module.components[degree]
-    n = comp["ngens"]
     cols = []
     col_owner = []
     for b_idx, x in enumerate(basis):
@@ -516,8 +386,8 @@ def solve_module_coefficients(module: FilteredRModule, degree: int, basis, targe
             e[i] = 1
             cols.append(list(module.act(degree, e, x)))
             col_owner.append((b_idx, i))
-    cols += [list(c) for c in comp["relations"]]
-    sol = lattice(n, cols).solve(target)
+    cols += [list(c) for c in comp.relations]
+    sol = lattice(comp.ngens, cols).solve(target)
     if sol is None:
         return None
     out = [[0] * ring.n for _ in basis]

@@ -789,23 +789,20 @@ def nu2_fraction(f: Fraction) -> int:
 # the kw smash HW generator certificate
 # ---------------------------------------------------------------------------
 
-def kw_hw_algebra(presentation: WittPresentation, imax: int, modulus_bits: int,
-                  ideal_square_sample: bool = True):
+def kw_hw_algebra(presentation: WittPresentation, imax: int, modulus_bits: int):
     """The W/2^K-algebra of the kw smash HW model, with its sample r in I^2.
 
     Generators t_0..t_imax have degree 4 . 2^i and t_i^2 = (2 + r) t_{i+1};
-    r is the first normal-form generator of I(k)^2 (zero when I^2 = 0 or
-    without the sample) and t_imax has no square rule.  Returns the algebra
-    and the coordinates of r.
+    r is the first normal-form generator of I(k)^2 (zero when I^2 = 0) and
+    t_imax has no square rule.  Returns the algebra and the coordinates of r.
     """
     if modulus_bits < 1:
         raise BoundsExceeded(f"modulus bits {modulus_bits} must be at least 1: W/2^0 is zero")
     finite = FiniteRing.from_witt_mod2k(presentation, modulus_bits)
     r_coords = [0] * finite.n
-    if ideal_square_sample:
-        power = fundamental_ideal_power(presentation, 2)
-        if power.normal_form_gen_coords:
-            r_coords = list(power.normal_form_gen_coords[0])
+    power = fundamental_ideal_power(presentation, 2)
+    if power.normal_form_gen_coords:
+        r_coords = list(power.normal_form_gen_coords[0])
     two_plus_r = finite.add(finite.add(finite.one, finite.one), r_coords)
     gens = [
         GeneratorSpec(f"t{i}", 4 * 2**i, SQUARE, {f"t{i + 1}": two_plus_r} if i < imax else None)
@@ -818,7 +815,6 @@ def kw_hw_generators_check(
     field,
     imax: int = 3,
     modulus_bits: int = 8,
-    ideal_square_sample: bool = True,
     unit_twists: tuple = (),
 ) -> dict:
     """Instantiate the W_I^-complete module model and verify the theorem's
@@ -836,7 +832,7 @@ def kw_hw_generators_check(
     presentation = resolve_field(field)
     if presentation.vcd2 is None:
         raise BoundsExceeded("catalog field must have finite vcd2")
-    alg, r_coords = kw_hw_algebra(presentation, imax, modulus_bits, ideal_square_sample)
+    alg, r_coords = kw_hw_algebra(presentation, imax, modulus_bits)
     ring = FilteredRing.from_witt_mod2k(presentation, modulus_bits)
     finite = alg.coefficients
     n = finite.n
@@ -872,6 +868,8 @@ def kw_hw_generators_check(
         acc = alg.one()
         for b in bits:
             acc = acc * t(b)
+        if k == 0:
+            x0_is_one = acc.terms == {(): finite.one}
         expected_mon = tuple((b, 1) for b in bits)
         if set(acc.terms) != {expected_mon}:
             products_ok = False
@@ -884,13 +882,12 @@ def kw_hw_generators_check(
 
     # filtered freeness certificate on the module of degrees 4k, k <= 2^imax
     module = FilteredRModule(ring)
-    rel_chain = [lvl for lvl in (ring.chain[s] for s in range(1, len(ring.chain)))]
+    rel_chain = ring.filtration.chain[1:]
     action = [[list(presentation.mult_table[i][j]) for j in range(n)] for i in range(n)]
     gr_basis = []
     for k in range(0, 2**imax + 1):
         module.add_component(4 * k, finite.orders, action, rel_chain)
         gr_basis.append((4 * k, 0, list(presentation.unit)))
-    cert = lift_free_basis(module, gr_basis)
 
     return {
         "field": presentation.name,
@@ -899,9 +896,9 @@ def kw_hw_generators_check(
         "r_in_I_squared": r_in_i2,
         "squares_in_2_plus_I2": squares_ok and r_in_i2,
         "binary_products_generate": products_ok,
-        "x0_is_one": True,
+        "x0_is_one": x0_is_one,
         "unit_coefficients": units_found,
-        "lift_certificate_ok": cert.ok,
+        "lift_certificate_ok": lift_free_basis(module, gr_basis),
     }
 
 

@@ -20,6 +20,7 @@ from math import gcd
 from .abelian import (
     FinAbGroup,
     _unit_vectors,
+    bilinear,
     counting_function,
     lattice,
     preimage,
@@ -227,18 +228,7 @@ class WittElement:
         if isinstance(other, int):
             return self.__rmul__(other)
         self._check(other)
-        n = self.ring.additive.ngens
-        out = [0] * n
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b == 0:
-                    continue
-                prod = self.ring.mult_table[i][j]
-                for k in range(n):
-                    out[k] += a * b * prod[k]
-        return self.ring.element(out)
+        return self.ring.element(bilinear(self.ring.mult_table, self.coords, other.coords))
 
     def __eq__(self, other):
         return (
@@ -291,10 +281,6 @@ class GWElement:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def witt_mul(a: WittElement, b: WittElement) -> WittElement:
-    return a * b
-
 
 def is_unit_2local(a: WittElement) -> bool:
     return a.rank_mod2() == 1

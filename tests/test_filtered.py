@@ -3,10 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from etasphere.abelian import FinAbGroup
+from etasphere.abelian import FinAbGroup, counting_function
 from etasphere.filtered import (
     FilteredComponent,
     FilteredModule,
@@ -87,6 +87,8 @@ def test_validation_catches_bad_chains():
         FilteredComponent(1, [[8]], [[[1]], [[2]], [[1]]]).validate()  # not descending
     with pytest.raises(HypothesisViolated):
         FilteredComponent(1, [[8]], [[[1]], [[4]]]).validate()  # not Hausdorff
+    with pytest.raises(HypothesisViolated):
+        FilteredComponent.finite([8], [[[2]]])  # F^last = 2Z/8 is not zero
 
 
 def test_lemma_suite_identity():
@@ -147,9 +149,7 @@ def test_lift_free_basis_trivial():
     ring = z_mod_2k_ring(5)
     module = FilteredRModule(ring)
     module.add_component(0, [2**5], [[[1]]], [[[2**s]] for s in range(1, 6)])
-    cert = lift_free_basis(module, [(0, 0, [1])])
-    assert cert.ok
-    assert cert.lifts == [(0, 0, [1])]
+    assert lift_free_basis(module, [(0, 0, [1])])
 
 
 def test_lift_free_basis_rejects_non_basis():
@@ -168,7 +168,7 @@ def test_two_lifts_differ_by_unit_triangular_transition():
     lift_b = [1 + 2]  # same gr^0 class modulo F^1? 1+2 = 3: 3 = 1 mod 2
     cert_a = lift_free_basis(module, [(4, 0, lift_a)])
     cert_b = lift_free_basis(module, [(4, 0, lift_b)])
-    assert cert_a.ok and cert_b.ok
+    assert cert_a and cert_b
     coeffs = solve_module_coefficients(module, 4, [lift_a], lift_b)
     assert coeffs is not None
     c = coeffs[0][0]
@@ -186,11 +186,14 @@ def test_lift_free_basis_witt_mod_2k():
         0,
         ring.ring.orders,
         action,
-        [lvl[: len(lvl)] for lvl in (ring.chain[s] for s in range(1, len(ring.chain)))],
+        [
+            lvl[: len(lvl)]
+            for lvl in (ring.filtration.chain[s] for s in range(1, len(ring.filtration.chain)))
+        ],
     )
     unit = list(pres.unit)
     cert = lift_free_basis(module, [(0, 0, unit)])
-    assert cert.ok
+    assert cert
 
 
 def test_gr_tensor_of_filtered_f2_modules():
@@ -269,3 +272,109 @@ def test_witt_mod_2k_ring_axioms(name, data):
     assert mul(ring.zero, x) == ring.zero
     assert ring.is_zero(add(x, ring.neg(x)))
     assert ring.is_zero(ring.zero) and not ring.is_zero(ring.one)
+
+
+# -- brute-force oracle for the lemma suite ------------------------------------
+
+_DIVISORS = (1, 2, 4, 8)
+_SMALL_GROUPS = [FinAbGroup(0, f) for f in
+                 ([], [2], [4], [8], [2, 2], [2, 4], [2, 8], [4, 4], [4, 8], [8, 8])]
+
+
+@st.composite
+def _small_component(draw):
+    """Z^g / diag(orders), g <= 2, orders in {2, 4, 8}, with a random
+    descending chain: each level is spanned by combinations of the last."""
+    g = draw(st.integers(1, 2))
+    orders = draw(st.lists(st.sampled_from([2, 4, 8]), min_size=g, max_size=g))
+    rel = [[d if i == j else 0 for i in range(g)] for j, d in enumerate(orders)]
+    last = [[1 if i == j else 0 for i in range(g)] for j in range(g)]
+    chain = [last + rel]
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.lists(st.integers(0, 3), min_size=len(last), max_size=len(last)),
+                               min_size=1, max_size=2))
+        last = [[sum(c * v[i] for c, v in zip(row, last)) for i in range(g)] for row in coeffs]
+        chain.append(last + rel)
+    chain.append(rel)
+    return FilteredComponent(g, rel, chain), orders
+
+
+def _subgroup(gens, orders) -> frozenset:
+    """The subgroup of Z^g / diag(orders) generated by gens, by breadth-first search."""
+    zero = tuple(0 for _ in orders)
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        new = []
+        for x in frontier:
+            for v in gens:
+                y = tuple((a + b) % d for a, b, d in zip(x, v, orders))
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(seen)
+
+
+def _quotient_group(big, small, orders) -> FinAbGroup:
+    """The group big / small, identified by counting elements killed by each m."""
+    counts = {
+        m: sum(1 for x in big if tuple(m * a % d for a, d in zip(x, orders)) in small) // len(small)
+        for m in _DIVISORS
+    }
+    found = [g for g in _SMALL_GROUPS if counting_function(g, _DIVISORS) == counts]
+    assert len(found) == 1, counts
+    return found[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_component(), _small_component(), st.data())
+def test_lemma_suite_matches_element_enumeration(source, target, data):
+    (src, src_orders), (tgt, tgt_orders) = source, target
+    mat = data.draw(st.lists(
+        st.lists(st.integers(0, 7), min_size=src.ngens, max_size=src.ngens),
+        min_size=tgt.ngens, max_size=tgt.ngens,
+    ))
+    alpha = FilteredMorphism(FilteredModule({0: src}), FilteredModule({0: tgt}), {0: mat})
+    try:
+        alpha.validate()
+    except HypothesisViolated:
+        reject()
+    report = filtered_lemma_suite(alpha)
+
+    def apply(x):
+        return tuple(sum(r * c for r, c in zip(row, x)) % d for row, d in zip(mat, tgt_orders))
+
+    depth = max(len(src.chain), len(tgt.chain)) - 1
+    F = [_subgroup(src.level(s), src_orders) for s in range(depth + 2)]
+    G = [_subgroup(tgt.level(s), tgt_orders) for s in range(depth + 2)]
+    zero = tuple(0 for _ in tgt_orders)
+    kernel = frozenset(x for x in F[0] if apply(x) == zero)
+    # {x in F^s : alpha x in F'^(s+1)}, the kernel of gr^s(alpha) lifted to F^s
+    lifted = [frozenset(x for x in F[s] if apply(x) in G[s + 1]) for s in range(depth)]
+    surj = all(
+        {tuple((a + b) % d for a, b, d in zip(apply(x), y, tgt_orders)) for x in F[s] for y in G[s + 1]}
+        == G[s]
+        for s in range(depth)
+    )
+    inj = all(lifted[s] <= F[s + 1] for s in range(depth))
+    injective = kernel == {tuple(0 for _ in src_orders)}
+    each_level = all({apply(x) for x in F[s]} == G[s] for s in range(depth + 1))
+    kernel_match = all(
+        _quotient_group(kernel & F[s], kernel & F[s + 1], src_orders)
+        == _quotient_group(lifted[s], F[s + 1], src_orders)
+        for s in range(depth)
+    )
+    expected = {
+        "gr_iso": surj and inj,
+        "gr_surjective": surj,
+        "gr_injective": inj,
+        "per_degree": {0: {"gr_surjective": surj, "gr_injective": inj}},
+    }
+    if surj:
+        expected["alpha_surjective_each_level"] = each_level
+        expected["kernel_gr_matches"] = kernel_match
+    if inj:
+        expected["alpha_injective"] = injective
+    if surj and inj:
+        expected["alpha_filtered_iso"] = injective and each_level
+    assert report == expected

@@ -8,7 +8,8 @@ import pytest
 
 from etasphere import cli, kwcalc
 from etasphere.abelian import FinAbGroup
-from etasphere.witt import catalog_lookup
+from etasphere.filtered import FiniteRing
+from etasphere.witt import catalog_lookup, catalog_names
 from etasphere.kwcalc import (
     BoundsExceeded,
     DegreeOutOfRange,
@@ -337,6 +338,27 @@ def test_kw_hw_algebra_uses_the_ideal_square_sample():
     t0 = alg.gen("t0")
     assert (t0 * t0).terms == {((1, 1),): finite.add(two, r)}
     assert t0 * t0 != alg.gen("t1").scale(two)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_kw_hw_generators_x0_is_the_unit(name):
+    # the empty product x_0 is exactly the unit of W/2^K, not just some unit
+    out = kw_hw_generators_check(name, imax=2, modulus_bits=6)
+    finite = FiniteRing.from_witt_mod2k(catalog_lookup(name), 6)
+    assert out["x0_is_one"] is True
+    assert out["unit_coefficients"][0] == list(finite.one)
+
+
+def test_kw_hw_generators_x0_is_computed(monkeypatch):
+    # an algebra whose empty product is 3, a unit but not 1, must report it
+    def three(self):
+        add, one = self.coefficients.add, self.coefficients.one
+        return self.element({(): add(one, add(one, one))})
+
+    monkeypatch.setattr(kwcalc.AlgebraSpec, "one", three)
+    out = kw_hw_generators_check("F3", imax=1, modulus_bits=4)
+    assert out["x0_is_one"] is False
+    assert out["unit_coefficients"][0] == [3]
 
 
 def test_kw_hw_generators_with_unit_twists():

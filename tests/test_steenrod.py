@@ -592,18 +592,20 @@ def test_tensor_mul_rejects_tensors_of_different_slot_counts():
         tensor_mul(alg, coproduct_right(alg, d), d)
 
 
-# -- the benchmark tracer still wraps the tensor layer --------------------------
+# -- the benchmark tracer still wraps the tensor and filtered layers -------------
 
 TRACE_SCRIPT = """
 import json
 import tracer
 import etasphere.cli
+from etasphere import kwcalc
 from etasphere.steenrod import SteenrodAlgebra, check_coassociativity
 
 t = tracer.Tracer()
 tracer.install(t)
 t.on = True
 check_coassociativity(SteenrodAlgebra("real_closed", weight=7), 4)
+kwcalc.kw_hw_generators_check("F3", 3)
 print(json.dumps(t.layer_metrics()))
 """
 
@@ -617,3 +619,5 @@ def test_perfbench_tracer_installs_and_counts_the_tensor_layer():
     metrics = json.loads(done.stdout.splitlines()[-1])
     assert metrics["steenrod.tensor_mul.calls"] > 0
     assert metrics["steenrod.SteenrodElement.__mul__.calls"] > 0
+    assert metrics["filtered.lift_free_basis.calls"] > 0
+    assert metrics["filtered.FilteredRing.from_witt_mod2k.calls"] > 0
