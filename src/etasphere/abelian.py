@@ -524,12 +524,6 @@ class GroupHom:
     def __call__(self, coords) -> tuple[int, ...]:
         return self.target.reduce(mat_vec(self.matrix, list(coords)))
 
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise InvariantError("composition mismatch")
-        return GroupHom(other.source, self.target, mat_mul(self.matrix, other.matrix))
-
     def cokernel(self) -> FinAbGroup:
         n = self.target.ngens
         cols = [mat_vec(self.matrix, e) for e in _unit_vectors(self.source.ngens)]
@@ -564,65 +558,6 @@ def ker_coker_of_mul(group: FinAbGroup, n: int) -> tuple[FinAbGroup, FinAbGroup]
     h = mul_hom(group, n)
     ker, _ = h.kernel()
     return ker, h.cokernel()
-
-
-@dataclass(frozen=True)
-class CompletedGroup:
-    """Z_p^rank + p-primary torsion; the Z_p factors stay symbolic.
-
-    `lim1` and `pi1` are both zero for finitely generated input: the
-    p-torsion has bounded order, so the tower of p^n-torsion subgroups is
-    pro-zero and the derived completion collapses onto the classical one.
-    """
-
-    p: int
-    padic_free_rank: int
-    torsion: tuple[int, ...]
-    lim1: int = 0
-    pi1: int = 0
-
-    def describe(self) -> str:
-        parts = [f"Z_{self.p}^{self.padic_free_rank}"] if self.padic_free_rank else []
-        parts += [f"Z/{d}" for d in self.torsion]
-        return " + ".join(parts) if parts else "0"
-
-
-def derived_p_completion(group: FinAbGroup, p: int) -> CompletedGroup:
-    if p < 2 or any(p % d == 0 for d in range(2, min(p, 1000)) if d * d <= p):
-        raise InvariantError(f"{p} is not prime")
-    torsion = group.primary_part(p).invariant_factors
-    return CompletedGroup(p, group.free_rank, torsion)
-
-
-def completion_of_hom(h: GroupHom, p: int) -> list[list[int]]:
-    """Matrix of the completed map in completed-generator coordinates.
-
-    Completed coordinates are: the free generators of source/target followed
-    by the torsion generators whose order has a p-part, with entries read
-    modulo that p-part.  Torsion generators with order prime to p die.
-    """
-    def kept(group: FinAbGroup) -> list[tuple[int, int]]:
-        out = [(i, 0) for i in range(group.free_rank)]
-        for j, d in enumerate(group.invariant_factors):
-            e = 1
-            while d % p == 0:
-                d //= p
-                e *= p
-            if e > 1:
-                out.append((group.free_rank + j, e))
-        return out
-
-    src, tgt = kept(h.source), kept(h.target)
-    out = []
-    for (ti, te) in tgt:
-        row = []
-        for (sj, _) in src:
-            entry = h.matrix[ti][sj]
-            if te:
-                entry %= te
-            row.append(entry)
-        out.append(row)
-    return out
 
 
 def brute_force_ker_coker(group: FinAbGroup, n: int) -> tuple[dict[int, int], dict[int, int]]:

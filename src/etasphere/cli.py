@@ -335,6 +335,8 @@ def verify_checks(rng) -> dict:
             "hopf_constants_mod8": lambda: binomials_mod8(hopf_constants(32, 32)),
             "eta_stems_valuations": eta_stems_valuations,
             "msp_phi_surjective": msp_phi_surjective,
+            "msl_phi_iterates_reach_unit": lambda: first_failure(
+                range(4), lambda i: kwcalc.phi_iterates_on_msl(i)["reaches_unit"]),
             "divided_power_two_unit_choices": divided_power_two_unit_choices,
             "legendre_kummer_cross_check": legendre_kummer_cross_check,
         },

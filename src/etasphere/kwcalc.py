@@ -3,8 +3,12 @@ tables, cobordism ranks, Hopf algebroid constants and divided powers.
 
 Everything here is exact: valuations come from bigint arithmetic, operator
 coefficients are integers or odd-denominator fractions, completed rings are
-Z/2^K truncations with configurable K, and stems tables are assembled from
-kernels/cokernels of multiplication maps on presented Witt rings.
+Z/2^K truncations with configurable K.  The stems tables are read off the
+map phi: kw_(2) -> Sigma^4 kw_(2) of the main fiber sequence: the
+coefficient of phi beta^n comes from the operator ring, is cross-checked
+against psi^3 - 1 from `adams_on_bott`, and its kernel/cokernel on the
+2-local Witt ring gives the stems.  `phi_iterates_on_msl` is the gr-level
+witness for eta-periodic MSL that `verify` carries.
 """
 
 from __future__ import annotations
@@ -74,42 +78,6 @@ def digit_sum_base2(n: int) -> int:
 def nu2_factorial(n: int) -> int:
     """Legendre: nu2(n!) = n - s_2(n)."""
     return n - digit_sum_base2(n)
-
-
-def nu2_binomial(a: int, b: int) -> int:
-    """Kummer: the number of carries when adding b and a-b in base 2."""
-    if b < 0 or b > a:
-        raise ValueError("binomial out of range")
-    x, y = b, a - b
-    carries = 0
-    carry = 0
-    while x or y or carry:
-        s = (x & 1) + (y & 1) + carry
-        carry = 1 if s >= 2 else 0
-        carries += carry
-        x >>= 1
-        y >>= 1
-    return carries
-
-
-def check_9n_identity(n: int) -> dict:
-    """nu2(9^n - 1) = nu2(8n), by direct bigint computation."""
-    value = 9**n - 1
-    left = nu2(value)
-    right = nu2(8 * n)
-    return {"n": n, "nu2_9n_minus_1": left, "nu2_8n": right, "agree": left == right}
-
-
-def nu2_suite(n: int) -> dict:
-    if n < 1:
-        raise ValueError("n must be positive")
-    return {
-        "nu2": nu2(n),
-        "nu2_factorial": nu2_factorial(n),
-        "legendre_sum": sum(n // 2**k for k in range(1, n.bit_length() + 1)),
-        "nu2_central_binomial": nu2_binomial(2 * n, n),
-        "check_9n": check_9n_identity(n),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +203,13 @@ def normal_order(word) -> OperatorPolynomial:
 
 
 def phi_on_beta_power(n: int) -> dict:
-    """phi(beta^n) = (9^n - 1) beta^{n-1}, with the valuation cross-check."""
+    """phi(beta^n) = (9^n - 1) beta^{n-1}: the beta^{n-1} coefficient of
+    phi beta^n in the operator ring, with the valuation cross-check."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return {"n": 0, "coefficient": 0, "nu2": None}
-    coeff = 9**n - 1
+    coeff = int((OperatorPolynomial.phi() * OperatorPolynomial({(n, 0): 1})).terms[(n - 1, 0)])
     return {"n": n, "coefficient": coeff, "nu2": nu2(coeff), "nu2_8n": nu2(8 * n)}
 
 
@@ -249,10 +218,10 @@ def adams_on_bott(n: int, field="real_closed"):
 
     `field` is a `WittPresentation` or the name of a bundled catalog field.
     """
-    if n % 2 == 0:
-        raise EvenNotSupported("the image of n_eps^2 in W(k) vanishes for even n")
     if n < 1:
         raise ValueError("n must be a positive odd integer")
+    if n % 2 == 0:
+        raise EvenNotSupported("the image of n_eps^2 in W(k) vanishes for even n")
     ring = resolve_field(field)
     eps = n_epsilon(ring, n)
     eps_sq = eps * eps
@@ -362,16 +331,32 @@ class StemsTable:
         }
 
 
-def _two_local_ker_coker(ring: WittPresentation, multiplier: int):
-    """ker/coker of multiplication by `multiplier` on W(k)_(2).
+def phi_ker_coker(ring: WittPresentation, n_max: int) -> list:
+    """ker/coker of phi: pi_{4n} kw_(2) -> pi_{4n-4} kw_(2) for n = 1..n_max.
 
-    Odd factors act invertibly after 2-localization, so the map is replaced
-    by its 2-part acting on the 2-local shadow (free part + 2-primary
-    torsion); the answer is a 2-primary group either way.
+    pi_{4n} kw_(2) = W(k)_(2) beta^n, and phi multiplies it by the
+    beta^{n-1} coefficient c = 9^n - 1 of phi beta^n in the operator ring.
+    c is cross-checked against psi^3 - 1 on beta^n, with psi^3(beta) = w beta
+    read off `adams_on_bott`: w^n - 1 must be c . 1 in W(k).  Odd factors of
+    c act invertibly after 2-localization, so the map is multiplication by
+    2^nu2(c) on the 2-local shadow (free part + 2-primary torsion).  Entry
+    n - 1 of the list is the pair (ker, coker) for n.
     """
     shadow = ring.additive.two_local_shadow()
-    two_part = 1 << nu2(multiplier) if multiplier else 0
-    return ker_coker_of_mul(shadow, two_part)
+    psi3 = adams_on_bott(3, ring).witt_part
+    one = ring.one()
+    power = one
+    out = []
+    for n in range(1, n_max + 1):
+        c = phi_on_beta_power(n)["coefficient"]
+        power = power * psi3
+        if power - one != c * one:
+            raise AlgebraError(
+                f"over {ring.name}, psi^3 - 1 on beta^{n} is {power - one!r}, "
+                f"but phi beta^{n} has coefficient {c}"
+            )
+        out.append(ker_coker_of_mul(shadow, 1 << nu2(c)))
+    return out
 
 
 def eta_stems(
@@ -379,8 +364,11 @@ def eta_stems(
     max_degree: int,
     stems_data: StableStemsData | None = None,
 ) -> StemsTable:
-    """Homotopy of the eta-periodic sphere: W at 0, ker/coker(8n) in 4n/4n-1,
-    plus the odd part of the classical stems spread over the signatures.
+    """Homotopy of the eta-periodic sphere, read off the fiber sequence
+    1[eta^-1]_(2) -> kw_(2) -> Sigma^4 kw_(2) of phi: W at 0, ker(phi) in 4n
+    and coker(phi) in 4n-1, plus the odd part of the classical stems spread
+    over the signatures.  The summand labels `ker(8n)`/`coker(8n)` are kept
+    for output compatibility: nu2(9^n - 1) = nu2(8n).
 
     `field` is a `WittPresentation` or the name of a bundled catalog field.
     """
@@ -395,6 +383,7 @@ def eta_stems(
         raise DegreeOutOfRange(
             f"degree {max_degree} beyond the stems table (max {data.max_degree})"
         )
+    ker_coker = phi_ker_coker(ring, (max_degree + 1) // 4)
     entries = {}
     for degree in range(0, max_degree + 1):
         summands = []
@@ -404,12 +393,12 @@ def eta_stems(
             continue
         if degree % 4 == 3:
             n = (degree + 1) // 4
-            _, coker = _two_local_ker_coker(ring, 8 * n)
+            _, coker = ker_coker[n - 1]
             if not coker.is_trivial():
                 summands.append((f"coker(8n) n={n}", coker))
         elif degree % 4 == 0:
             n = degree // 4
-            ker, _ = _two_local_ker_coker(ring, 8 * n)
+            ker, _ = ker_coker[n - 1]
             if not ker.is_trivial():
                 summands.append((f"ker(8n) n={n}", ker))
         if signature_rank > 0:
@@ -446,7 +435,10 @@ def cobordism_stems(theory: str, field_id: str, max_degree: int) -> StemsTable:
 
 
 def hw_hw_stems(field, max_n: int) -> StemsTable:
-    """HW smash HW: degree 4n holds coker(8n), 4n+1 the kernel summand.
+    """HW smash HW: degree 4n holds coker(phi), 4n+1 the kernel summand.
+
+    Both come from `phi_ker_coker`; the labels keep the names `coker(8n)` and
+    `ker(8n)` for output compatibility.
 
     `field` is a `WittPresentation` or the name of a bundled catalog field.
     """
@@ -454,8 +446,7 @@ def hw_hw_stems(field, max_n: int) -> StemsTable:
     field_id = ring.name
     entries = {}
     entries[0] = StemEntry(0, [(f"W({field_id})_(2)", None)])
-    for n in range(1, max_n + 1):
-        ker, coker = _two_local_ker_coker(ring, 8 * n)
+    for n, (ker, coker) in enumerate(phi_ker_coker(ring, max_n), 1):
         entries[4 * n] = StemEntry(
             4 * n, [(f"coker(8n) n={n}", coker)] if not coker.is_trivial() else []
         )

@@ -679,52 +679,3 @@ def find_ring_isomorphism(a: WittPresentation, b: WittPresentation):
             continue
         return [im.coords for im in images]
     return None
-
-
-# ---------------------------------------------------------------------------
-# 2-localized elements
-# ---------------------------------------------------------------------------
-
-class Loc2Witt:
-    """Element of W(k)_(2) as a pair (numerator, odd denominator)."""
-
-    __slots__ = ("numer", "denom")
-
-    def __init__(self, numer: WittElement, denom: int = 1):
-        if denom % 2 == 0 or denom == 0:
-            raise InvalidPresentation("denominator must be odd")
-        if denom < 0:
-            numer, denom = -numer, -denom
-        self.numer = numer
-        self.denom = denom
-
-    @property
-    def ring(self):
-        return self.numer.ring
-
-    def __add__(self, other):
-        return Loc2Witt(
-            other.denom * self.numer + self.denom * other.numer,
-            self.denom * other.denom,
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Loc2Witt(other * self.numer, self.denom)
-        return Loc2Witt(self.numer * other.numer, self.denom * other.denom)
-
-    def __neg__(self):
-        return Loc2Witt(-self.numer, self.denom)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, Loc2Witt):
-            return NotImplemented
-        diff = other.denom * self.numer - self.denom * other.numer
-        order = diff.additive_order()
-        return order is not None and order % 2 == 1
-
-    def __repr__(self):
-        return f"({self.numer!r})/{self.denom}"

@@ -121,6 +121,14 @@ def test_cobordism_subcommand(capsys):
     assert "^2" in out  # degree 8 rank two
 
 
+def test_cobordism_verify_carries_the_msl_witness(capsys):
+    code, out, _ = run_capture(
+        capsys, ["--format", "json", "cobordism", "--theory", "MSL", "--verify"]
+    )
+    assert code == 0
+    assert json.loads(out)["certificates"]["kwcalc.msl_phi_iterates_reach_unit"] == {"pass": True}
+
+
 def test_witt_brute_force_subcommand(capsys):
     code, out, _ = run_capture(
         capsys, ["--format", "json", "witt", "--field", "F5", "--brute-force", "5"]
@@ -358,7 +366,8 @@ VERIFY_CERTIFICATES = {
     "graded.rewrite_confluence_random", "graded.delta_squared_zero",
     "kwcalc.normal_order_phi_beta_n", "kwcalc.operator_associativity",
     "kwcalc.hopf_constants_mod8", "kwcalc.eta_stems_valuations",
-    "kwcalc.msp_phi_surjective", "kwcalc.divided_power_two_unit_choices",
+    "kwcalc.msp_phi_surjective", "kwcalc.msl_phi_iterates_reach_unit",
+    "kwcalc.divided_power_two_unit_choices",
     "kwcalc.legendre_kummer_cross_check",
     "steenrod.coassoc_counit_real_closed", "steenrod.coassoc_counit_quadratically_closed",
     "steenrod.coassoc_counit_finite_field_3mod4", "steenrod.action_table_real_closed",
@@ -373,7 +382,7 @@ def test_verify_certificate_names_are_pinned():
     # building the table runs no check
     table = verify_checks(None)
     names = {f"{module}.{name}" for module, checks in table.items() for name in checks}
-    assert len(VERIFY_CERTIFICATES) == 23
+    assert len(VERIFY_CERTIFICATES) == 24
     assert names == VERIFY_CERTIFICATES
 
 

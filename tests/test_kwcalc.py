@@ -7,10 +7,11 @@ from math import comb
 import pytest
 
 from etasphere import cli, kwcalc
-from etasphere.abelian import FinAbGroup
+from etasphere.abelian import FinAbGroup, ker_coker_of_mul
 from etasphere.filtered import FiniteRing
-from etasphere.witt import catalog_lookup, catalog_names
+from etasphere.witt import GWElement, catalog_lookup, catalog_names
 from etasphere.kwcalc import (
+    AlgebraError,
     BoundsExceeded,
     DegreeOutOfRange,
     DividedPowerModel,
@@ -18,7 +19,6 @@ from etasphere.kwcalc import (
     ParseError,
     UnitInversionFailed,
     adams_on_bott,
-    check_9n_identity,
     cobordism_stems,
     divided_power_construct,
     eta_stems,
@@ -30,10 +30,9 @@ from etasphere.kwcalc import (
     msp_phi_gr,
     normal_order,
     nu2,
-    nu2_binomial,
     nu2_factorial,
-    nu2_suite,
     phi_iterates_on_msl,
+    phi_ker_coker,
     phi_on_beta_power,
 )
 
@@ -44,27 +43,12 @@ def test_nu2_basics():
     assert nu2(8) == 3
     assert nu2(9**1 - 1) == 3  # the n = 1 instance of the lemma
     assert nu2_factorial(4) == 3  # 4 - s_2(4)
-    assert nu2_binomial(2, 1) == 1
-    for i in range(1, 7):
-        assert nu2_binomial(2 ** (i + 1), 2**i) == 1
 
 
 def test_legendre_kummer_cross_check():
     rng = random.Random(9)
     for n in [1, 2, 3, 7, 64, 100, 2**10, 2**16] + [rng.randint(1, 2**16) for _ in range(50)]:
         assert nu2_factorial(n) == sum(n // 2**k for k in range(1, n.bit_length() + 1))
-
-
-def test_check_9n_small():
-    for n in range(1, 200):
-        assert check_9n_identity(n)["agree"]
-
-
-def test_nu2_suite_shape():
-    out = nu2_suite(12)
-    assert out["nu2"] == 2
-    assert out["nu2_factorial"] == out["legendre_sum"]
-    assert out["check_9n"]["agree"]
 
 
 # -- operator ring -----------------------------------------------------------
@@ -129,6 +113,24 @@ def test_adams_on_bott():
     assert gq.witt_part.coords == (1,)  # 9 = 1 in W = F2
     with pytest.raises(EvenNotSupported):
         adams_on_bott(2, "real_closed")
+    for n in (0, -1, -2):
+        with pytest.raises(ValueError, match="positive odd"):
+            adams_on_bott(n, "real_closed")
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_phi_ker_coker_matches_the_closed_form(name):
+    # nu2(9^n - 1) = nu2(8n) = 3 + nu2(n) is the oracle, not the implementation
+    ring = catalog_lookup(name)
+    shadow = ring.additive.two_local_shadow()
+    expected = [ker_coker_of_mul(shadow, 2 ** (3 + nu2(n))) for n in range(1, 65)]
+    assert phi_ker_coker(ring, 64) == expected
+
+
+def test_a_psi3_that_disagrees_with_phi_raises_naming_the_field(monkeypatch):
+    monkeypatch.setattr(kwcalc, "adams_on_bott", lambda n, ring: GWElement(3 * ring.one(), 3))
+    with pytest.raises(AlgebraError, match="real_closed"):
+        eta_stems("real_closed", 8)
 
 
 # -- stems data --------------------------------------------------------------
@@ -245,6 +247,12 @@ def test_phi_iterates():
         out = phi_iterates_on_msl(i)
         assert out["reaches_unit"], i
     assert phi_iterates_on_msl(0)["reaches_unit"]
+
+
+def test_a_failed_msl_iterate_fails_its_certificate_with_the_index(monkeypatch):
+    monkeypatch.setattr(kwcalc, "apply_derivation", lambda derivation, el: el.algebra.zero())
+    check = cli.verify_checks(None)["kwcalc"]["msl_phi_iterates_reach_unit"]
+    assert cli.run_check(check) == ({"pass": False, "counterexample": 1}, 2)
 
 
 # -- hopf constants -----------------------------------------------------------

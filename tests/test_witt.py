@@ -8,7 +8,6 @@ from etasphere.abelian import FinAbGroup
 from etasphere.witt import (
     BruteWittRing,
     GWElement,
-    Loc2Witt,
     RingMismatch,
     UnknownField,
     UnsupportedCharacteristic,
@@ -179,15 +178,6 @@ def test_vcd2_containment_on_catalog():
         two_w = lattice(ring.additive.ngens, ring.two_torsion_free_lattice())
         for coords in power.generator_coords:
             assert list(coords) in two_w
-
-
-def test_loc2_equality_cross_multiplication():
-    rc = catalog_lookup("real_closed")
-    a = Loc2Witt(rc.element([3]), 3)
-    b = Loc2Witt(rc.element([1]), 1)
-    assert a == b
-    c = Loc2Witt(rc.element([1]), 3)
-    assert not (a == c)
 
 
 def test_json_round_trip_presentation():
