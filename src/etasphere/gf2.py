@@ -83,8 +83,11 @@ def nullspace(columns: int, rows: list[int]) -> list[int]:
     return kernel
 
 
-def solve(columns: list[int], target: int) -> int | None:
-    """Bitmask S with xor of columns[j] over j in S equal to target, or None."""
+def solve(columns: list[int], targets: list[int]) -> list[int | None]:
+    """Per target, a bitmask S with xor of columns[j] over j in S equal to it, or None.
+
+    The columns are eliminated once and every target is reduced against them.
+    """
     basis: list[tuple[int, int]] = []  # (reduced column, combination mask)
     for j, col in enumerate(columns):
         comb = 1 << j
@@ -95,13 +98,16 @@ def solve(columns: list[int], target: int) -> int | None:
                 comb ^= bc
         if col:
             basis.append((col, comb))
-    comb = 0
-    for b, bc in basis:
-        low = b & -b
-        if target & low:
-            target ^= b
-            comb ^= bc
-    return comb if target == 0 else None
+    out: list[int | None] = []
+    for target in targets:
+        comb = 0
+        for b, bc in basis:
+            low = b & -b
+            if target & low:
+                target ^= b
+                comb ^= bc
+        out.append(comb if target == 0 else None)
+    return out
 
 
 def span_intersection(a_rows: list[int], b_rows: list[int]) -> list[int]:

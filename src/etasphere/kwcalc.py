@@ -346,6 +346,7 @@ def phi_ker_coker(ring: WittPresentation, n_max: int) -> list:
     psi3 = adams_on_bott(3, ring).witt_part
     one = ring.one()
     power = one
+    by_two_part: dict = {}  # 2^nu2(c) -> (ker, coker); few distinct values
     out = []
     for n in range(1, n_max + 1):
         c = phi_on_beta_power(n)["coefficient"]
@@ -355,7 +356,10 @@ def phi_ker_coker(ring: WittPresentation, n_max: int) -> list:
                 f"over {ring.name}, psi^3 - 1 on beta^{n} is {power - one!r}, "
                 f"but phi beta^{n} has coefficient {c}"
             )
-        out.append(ker_coker_of_mul(shadow, 1 << nu2(c)))
+        two_part = 1 << nu2(c)
+        if two_part not in by_two_part:
+            by_two_part[two_part] = ker_coker_of_mul(shadow, two_part)
+        out.append(by_two_part[two_part])
     return out
 
 

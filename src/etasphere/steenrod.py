@@ -627,17 +627,18 @@ def check_antipode_axiom(alg: SteenrodAlgebra, max_weight: int) -> int:
 
     The composite is well defined on the balanced tensor (chi carries
     eta_L to eta_R), so it may be evaluated termwise on the left normal
-    form by plain algebra products.
+    form by plain algebra products; their raw sum is normalized once.
     """
     km = alg.km
+    mul = km.mul
     count = 0
     for key in alg.basis_monomials(max_weight):
-        x = SteenrodElement(alg, {key: km.one})
-        acc = alg.zero()
-        for (m1, m2), c in coproduct(x).items():
-            acc = acc + SteenrodElement(alg, {m1: c}) * _mono_antipode(alg, m2)
-        expected = alg.scalar(counit(x))
-        if acc != expected:
+        raw: dict = {}
+        for (m1, m2), c in _mono_coproduct(alg, key).items():
+            for k2, c2 in _mono_antipode(alg, m2).terms.items():
+                add_term(km, raw, mon_mul(m1, k2), mul(c, c2))
+        expected = {UNIT_MON: km.one} if key == UNIT_MON else {}
+        if not terms_equal(km, alg.normal_form(raw), expected):
             raise BoundsExceeded(f"antipode axiom fails on {describe_mon(key)}")
         count += 1
     return count
@@ -1009,7 +1010,9 @@ def conjugate_basis_triangularity(alg: SteenrodAlgebra, max_weight: int = 8,
     Verifies that the change-of-basis matrix is triangular with unit
     diagonal: the diagonal coefficient is exactly 1, and every other
     contribution involves a strictly larger (q, m') in the monomial order.
-    Returns the number of pairs (p, m) checked.
+    The candidate columns of each target bidegree are eliminated once for
+    all pairs of that bidegree, and must be independent, so that the
+    expansion is unique.  Returns the number of pairs (p, m) checked.
 
     The expansion is triangular in both orders of tau_i and xi_i on the
     three bases for weights <= 8 and tau powers <= 2; the chain read from
@@ -1036,7 +1039,9 @@ def conjugate_basis_triangularity(alg: SteenrodAlgebra, max_weight: int = 8,
             flat_cache[item] = len(flat_cache)
         return flat_cache[item]
 
-    checked = 0
+    # rows (p, m, x = conj(m) eta_R(tau)^p), grouped by the bidegree of x
+    rows = []
+    by_bidegree: dict = {}
     eta = alg.eta_r_tau()
     for p in range(0, max_tau_power + 1):
         for m in mons:
@@ -1044,51 +1049,60 @@ def conjugate_basis_triangularity(alg: SteenrodAlgebra, max_weight: int = 8,
             for _ in range(p):
                 x = x * eta
             target_bidegree = _element_bidegree(x)
-            if target_bidegree is None:
+            if target_bidegree is not None:
+                by_bidegree.setdefault(target_bidegree, []).append(len(rows))
+                rows.append((p, m, x))
+
+    # one set of candidate columns rho^a tau^q conj(m') per bidegree
+    pool_bidegrees = [(mon_bidegree(mp), mp) for mp in pool]
+    expansions = [None] * len(rows)
+    for (tp, tq), members in by_bidegree.items():
+        columns = []
+        index = []
+        for (base_p, base_q), mp in pool_bidegrees:
+            # rho^a tau^q: (-a, -a-q): solve for a, q
+            a = base_p - tp
+            q = (base_q - tq) - a
+            if a < 0 or q < 0 or not km.admissible(a):
                 continue
-            # candidate conjugate basis elements rho^a tau^q conj(m')
-            columns = []
-            index = []
-            for mp in pool:
-                base_p, base_q = mon_bidegree(mp)
-                # rho^a tau^q: (-a, -a-q): solve for a, q
-                a = base_p - target_bidegree[0]
-                q = (base_q - target_bidegree[1]) - a
-                if a < 0 or q < 0 or not km.admissible(a):
-                    continue
-                el = _mono_antipode(alg, mp).scale(km.monomial(a, q))
-                if el.is_zero():
-                    continue
-                columns.append(flatten(el))
-                index.append((a, q, mp))
-            sol = gf2.solve(columns, flatten(x))
-            if sol is None:
-                raise BoundsExceeded(
-                    f"conjugate expansion failed for p={p}, m={describe_mon(m)}"
-                )
-            support = [index[j] for j in range(len(index)) if (sol >> j) & 1]
-            own = _monomial_order_vector(alg, p, m)
-            diagonal_seen = False
-            for (a, q, mp) in support:
-                if (q, mp) == (p, m):
-                    if a != 0:
-                        raise BoundsExceeded(
-                            f"diagonal entry not a unit at p={p}, m={describe_mon(m)}"
-                        )
-                    diagonal_seen = True
-                    continue
-                other = _monomial_order_vector(alg, q, mp)
-                if not other > own:
+            el = _mono_antipode(alg, mp).scale(km.monomial(a, q))
+            if el.is_zero():
+                continue
+            columns.append(flatten(el))
+            index.append((a, q, mp))
+        if gf2.rank(columns) != len(columns):
+            raise BoundsExceeded(f"conjugate basis columns dependent at bidegree {(tp, tq)}")
+        sols = gf2.solve(columns, [flatten(rows[i][2]) for i in members])
+        for i, sol in zip(members, sols):
+            if sol is not None:
+                expansions[i] = [index[j] for j in range(len(index)) if (sol >> j) & 1]
+
+    for (p, m, _), support in zip(rows, expansions):
+        if support is None:
+            raise BoundsExceeded(
+                f"conjugate expansion failed for p={p}, m={describe_mon(m)}"
+            )
+        own = _monomial_order_vector(alg, p, m)
+        diagonal_seen = False
+        for (a, q, mp) in support:
+            if (q, mp) == (p, m):
+                if a != 0:
                     raise BoundsExceeded(
-                        f"triangularity violated: tau^{q}*{describe_mon(mp)} "
-                        f"is not above tau^{p}*{describe_mon(m)}"
+                        f"diagonal entry not a unit at p={p}, m={describe_mon(m)}"
                     )
-            if not diagonal_seen:
+                diagonal_seen = True
+                continue
+            other = _monomial_order_vector(alg, q, mp)
+            if not other > own:
                 raise BoundsExceeded(
-                    f"diagonal entry missing at p={p}, m={describe_mon(m)}"
+                    f"triangularity violated: tau^{q}*{describe_mon(mp)} "
+                    f"is not above tau^{p}*{describe_mon(m)}"
                 )
-            checked += 1
-    return checked
+        if not diagonal_seen:
+            raise BoundsExceeded(
+                f"diagonal entry missing at p={p}, m={describe_mon(m)}"
+            )
+    return len(rows)
 
 
 def _element_bidegree(el: SteenrodElement):

@@ -324,17 +324,30 @@ def test_gf2_nullspace_against_brute_force(case):
     assert len(_gf2_span(basis)) == len(kernel)
 
 
-@given(gf2_rows, st.integers(0, 31))
-def test_gf2_solve_against_brute_force(columns, target):
-    sol = gf2.solve(columns, target)
-    reachable = target in _gf2_span(columns)
-    assert (sol is not None) == reachable
-    if sol is not None:
-        acc = 0
-        for j, col in enumerate(columns):
-            if (sol >> j) & 1:
-                acc ^= col
-        assert acc == target
+@given(gf2_rows, st.lists(st.integers(0, 31), max_size=4))
+def test_gf2_solve_against_brute_force(columns, targets):
+    sols = gf2.solve(columns, targets)
+    assert len(sols) == len(targets)
+    span = _gf2_span(columns)
+    for target, sol in zip(targets, sols):
+        reachable = target in span
+        assert (sol is not None) == reachable
+        if sol is not None:
+            acc = 0
+            for j, col in enumerate(columns):
+                if (sol >> j) & 1:
+                    acc ^= col
+            assert acc == target
+
+
+def test_gf2_solve_shares_one_elimination_across_targets():
+    # several targets against one column set (the even-weight vectors of
+    # F2^4), each answered on its own
+    columns = [0b0011, 0b0110, 0b1100]
+    targets = [0b0101, 0b1111, 0b0001, 0, 0b1001, 0b1000, 0b0101]
+    assert gf2.solve(columns, targets) == [0b011, 0b101, None, 0, 0b111, None, 0b011]
+    assert gf2.solve(columns, []) == []
+    assert gf2.solve([], [0, 1]) == [0, None]
 
 
 def test_monomial_bases_are_not_aliased():

@@ -127,6 +127,19 @@ def test_phi_ker_coker_matches_the_closed_form(name):
     assert phi_ker_coker(ring, 64) == expected
 
 
+def test_phi_ker_coker_takes_one_ker_coker_per_two_part(monkeypatch):
+    # for n <= 64, nu2(9^n - 1) = 3 + nu2(n) takes 7 values
+    calls = []
+
+    def counted(group, n):
+        calls.append(n)
+        return ker_coker_of_mul(group, n)
+
+    monkeypatch.setattr(kwcalc, "ker_coker_of_mul", counted)
+    phi_ker_coker(catalog_lookup("real_closed"), 64)
+    assert sorted(calls) == [2**k for k in range(3, 10)]
+
+
 def test_a_psi3_that_disagrees_with_phi_raises_naming_the_field(monkeypatch):
     monkeypatch.setattr(kwcalc, "adams_on_bott", lambda n, ring: GWElement(3 * ring.one(), 3))
     with pytest.raises(AlgebraError, match="real_closed"):

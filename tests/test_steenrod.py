@@ -246,6 +246,42 @@ def test_conjugate_basis_triangularity_weight8():
     assert checked > 0
 
 
+@pytest.mark.parametrize("base", FULL_TABLE_BASES)
+def test_certificate_counts_are_pinned(base):
+    # a grouping that skipped rows would lower these counts
+    assert conjugate_basis_triangularity(SteenrodAlgebra(base, 16), 5, 2) == 126
+    assert conjugate_basis_triangularity(SteenrodAlgebra(base, 16), 8, 2) == 330
+    assert check_antipode_axiom(SteenrodAlgebra(base, 16), 7) == 82
+
+
+def test_conjugate_basis_triangularity_rejects_dependent_columns(monkeypatch):
+    # with chi = 1, pool monomials of equal bidegree give equal columns
+    # (tau1 and tau0 xi1 both reach eta_R(tau)^2 through rho^3), so the
+    # expansion would not be unique
+    monkeypatch.setattr(steenrod, "_mono_antipode", lambda alg, key: alg.one())
+    with pytest.raises(BoundsExceeded, match=r"dependent at bidegree \(0, -2\)"):
+        conjugate_basis_triangularity(SteenrodAlgebra("real_closed", 16), 0, 2)
+
+
+def test_antipode_axiom_fails_on_a_wrong_conjugate(monkeypatch):
+    # chi(tau_1) = tau_1 + xi_1 tau_0 loses its second term
+    alg = SteenrodAlgebra("real_closed", 16)
+    (tau1,) = alg.tau(1).terms
+    (xi1_tau0,) = (alg.xi(1) * alg.tau(0)).terms
+    assert xi1_tau0 in steenrod._mono_antipode(SteenrodAlgebra("real_closed", 16), tau1).terms
+    chi = steenrod._mono_antipode
+
+    def broken(alg, key):
+        out = chi(alg, key)
+        if key != tau1:
+            return out
+        return SteenrodElement(alg, {k: c for k, c in out.terms.items() if k != xi1_tau0})
+
+    monkeypatch.setattr(steenrod, "_mono_antipode", broken)
+    with pytest.raises(BoundsExceeded, match="antipode axiom fails"):
+        check_antipode_axiom(alg, 7)
+
+
 def test_ko_model_delta():
     model = ko_homology_model("real_closed", truncation=16)
     a = model.algebra
