@@ -11,14 +11,17 @@ is a `FiniteRing` with such a chain of ideals, and a `FilteredRModule` one
 generators of each level.  That finite shadow is exactly what makes the
 gr-comparison lemmas checkable by direct computation: complete, Hausdorff
 and exhaustive hold by construction and both sides of each lemma reduce to
-exact lattice arithmetic.
+exact lattice arithmetic.  `lift_free_basis` checks that gr(M) is free on
+stated classes and lets the lemma suite certify their lifts (the map from
+the free filtered module on them is a filtered isomorphism), once per
+distinct degree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd, prod
+from math import gcd
 
 from .abelian import (
     FinAbGroup,
@@ -96,16 +99,6 @@ class FilteredModule:
     def validate(self):
         for comp in self.components.values():
             comp.validate()
-
-
-def gr_of_filtration(module: FilteredModule) -> dict:
-    """Associated graded pieces: (degree, s) -> (FinAbGroup, generator coords)."""
-    module.validate()
-    out = {}
-    for n, comp in module.components.items():
-        for s in range(len(comp.chain) - 1):
-            out[(n, s)] = comp.gr(s)
-    return out
 
 
 @dataclass
@@ -249,9 +242,6 @@ class FiniteRing:
     def mul(self, a, b):
         return self.reduce(bilinear(self.mult_table, a, b))
 
-    def order(self) -> int:
-        return prod(self.orders)
-
     @classmethod
     def from_witt_mod2k(cls, presentation, modulus_bits: int):
         """W/2^K as a finite ring, with generators in presentation order."""
@@ -320,20 +310,22 @@ def lift_free_basis(module: FilteredRModule, gr_basis) -> bool:
     `gr_basis` is a list of (degree, filtration s, coords) whose classes are
     claimed to form a gr(R)-basis of gr(M).  The coords themselves are taken
     as the lifts (any representative of the gr class is one).  Raises
-    NotFree when the freeness hypothesis fails; returns whether the induced
-    map from the free filtered module on the lifts is a filtered
-    isomorphism in every degree.
+    NotFree when the freeness hypothesis fails.  Otherwise the lemma suite
+    certifies the lifts: returns whether the map from the free filtered
+    module on them is a filtered isomorphism in every degree.  Degrees with
+    the same component, action table and lifts are checked once.
     """
     ring = module.ring
     by_degree: dict[int, list] = {}
     for (t, s, coords) in gr_basis:
         by_degree.setdefault(t, []).append((s, list(coords)))
-
-    # freeness of gr(M) over gr(R) on the claimed classes
-    orders = {}
+    distinct = {}
     for t, comp in module.components.items():
         basis_here = by_degree.get(t, [])
-        orders[t] = 1
+        distinct.setdefault(repr((comp, module.actions[t], basis_here)), (t, comp, basis_here))
+
+    # freeness of gr(M) over gr(R) on the claimed classes
+    for t, comp, basis_here in distinct.values():
         for sigma in range(len(comp.chain) - 1):
             # expected order of gr^sigma(M_t)
             expected = 1
@@ -352,45 +344,20 @@ def lift_free_basis(module: FilteredRModule, gr_basis) -> bool:
                     f"filtration {sigma}: order {actual} vs {expected}, "
                     f"span {'ok' if span_ok else 'proper'}"
                 )
-            orders[t] *= actual
 
-    # certificate: induced map from the free module is a filtered iso
-    filtered_iso = True
-    for t, comp in module.components.items():
-        basis_here = by_degree.get(t, [])
-        if ring.ring.order() ** len(basis_here) != orders[t]:
-            filtered_iso = False
-        for sigma in range(len(comp.chain)):
-            img = [list(g) for g in comp.relations]
-            for (s_i, x_i) in basis_here:
-                for rgen in ring.filtration.level(sigma - s_i):
-                    img.append(list(module.act(t, rgen, x_i)))
-            if lattice(comp.ngens, img) != lattice(comp.ngens, comp.level(sigma)):
-                filtered_iso = False
-    return filtered_iso
-
-
-def solve_module_coefficients(module: FilteredRModule, degree: int, basis, target):
-    """Write `target` as sum r_i . x_i over the ring: returns ring coords list.
-
-    `basis` is a list of module coordinate vectors.  Solves the Z-linear
-    system through the ring coordinates; returns None if no solution.
-    """
-    ring = module.ring.ring
-    comp = module.components[degree]
-    cols = []
-    col_owner = []
-    for b_idx, x in enumerate(basis):
-        for i in range(ring.n):
-            e = [0] * ring.n
-            e[i] = 1
-            cols.append(list(module.act(degree, e, x)))
-            col_owner.append((b_idx, i))
-    cols += [list(c) for c in comp.relations]
-    sol = lattice(comp.ngens, cols).solve(target)
-    if sol is None:
-        return None
-    out = [[0] * ring.n for _ in basis]
-    for coeff, (b_idx, i) in zip(sol, col_owner):
-        out[b_idx][i] += coeff
-    return [ring.reduce(v) for v in out]
+    # certificate: R^k with R's chain shifted by each s_i, e_(i,j) -> (ring gen j) . x_i
+    n, last = ring.ring.n, len(ring.filtration.chain) - 1
+    certified = []
+    for t, comp, basis_here in distinct.values():
+        k = len(basis_here)
+        free = FilteredComponent.finite(ring.ring.orders * k, [
+            [[0] * (n * i) + list(g) + [0] * (n * (k - 1 - i))
+             for i, (s_i, _) in enumerate(basis_here)
+             for g in ring.filtration.level(s - s_i)]
+            for s in range(1, last + max((s_i for s_i, _ in basis_here), default=0) + 1)
+        ])
+        columns = [module.act(t, e, x_i) for _, x_i in basis_here for e in _unit_vectors(n)]
+        mat = [[col[r] for col in columns] for r in range(comp.ngens)]
+        alpha = FilteredMorphism(FilteredModule({t: free}), FilteredModule({t: comp}), {t: mat})
+        certified.append(filtered_lemma_suite(alpha).get("alpha_filtered_iso", False))
+    return all(certified)

@@ -3,15 +3,18 @@ from __future__ import annotations
 import argparse
 import builtins
 import contextlib
+import importlib
 import io
 import json
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etasphere import witt
+from etasphere import cli, witt
 from etasphere.cli import (
     VERIFY_MODULE,
     build_parser,
@@ -437,3 +440,21 @@ def test_malformed_data_files_exit_2(tmp_path, capsys):
         code, out, err = run_capture(capsys, [flag, str(path), "witt"])
         assert code == 2, name
         assert err.startswith("usage error: ") and not out, name
+
+
+def test_kwhw_outcomes_match_the_recorded_benchmark_outcomes(monkeypatch):
+    # every kwhw request of the table_requests benchmark workload, replayed
+    # through the benchmark client against its recorded outcome, so a change
+    # in kwhw output shows here without running the benchmark
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(bench))
+    client = importlib.import_module("client")
+    workloads = importlib.import_module("workloads")
+    expected = json.loads((bench / "expected.json").read_text())
+    requests = [req for req in workloads.parameter_space("table_requests")
+                if req["kind"] == "cli" and "kwhw" in req["argv"]]
+    assert len(requests) == 12
+    for req in requests:
+        _, outcome, _ = client.run_cli(cli, req)
+        assert client.outcome_text(outcome) == expected[workloads.request_key(req)], req["argv"]

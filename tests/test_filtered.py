@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from etasphere import filtered
 from etasphere.abelian import FinAbGroup, counting_function
 from etasphere.filtered import (
     FilteredComponent,
@@ -17,10 +18,9 @@ from etasphere.filtered import (
     HypothesisViolated,
     NotFree,
     filtered_lemma_suite,
-    gr_of_filtration,
     lift_free_basis,
-    solve_module_coefficients,
 )
+from etasphere.kwcalc import kw_hw_generators_check
 from etasphere.witt import catalog_lookup, catalog_names
 
 
@@ -34,10 +34,9 @@ def test_gr_of_two_adic_filtration():
     # W(real closed) = Z with the I-adic = 2-adic filtration: gr^s = Z/2,
     # modelled on the finite shadow Z/2^6
     comp = two_adic_component(6)
-    module = FilteredModule({0: comp})
-    pieces = gr_of_filtration(module)
+    comp.validate()
     for s in range(6):
-        group, gens = pieces[(0, s)]
+        group, gens = comp.gr(s)
         assert group == FinAbGroup(0, [2]), s
         assert gens[0] == [2**s]
 
@@ -46,8 +45,8 @@ def test_gr_trivial_filtration():
     # F^0 = M, F^1 = 0: gr^0 = M
     comp = FilteredComponent(2, [[3, 0], [0, 9]],
                              [[[1, 0], [0, 1]], [[3, 0], [0, 9]]])
-    pieces = gr_of_filtration(FilteredModule({0: comp}))
-    group, _ = pieces[(0, 0)]
+    comp.validate()
+    group, _ = comp.gr(0)
     assert group == FinAbGroup(0, [3, 9])
 
 
@@ -55,9 +54,9 @@ def test_gr_augmentation_filtration_polynomial():
     # degree-1 part of Z[x] with the augmentation-ideal filtration:
     # F^0 = F^1 = Z{x}, F^2 = 0; gr^1 is free of rank 1 on x
     comp = FilteredComponent(1, [], [[[1]], [[1]], [[0]]])
-    pieces = gr_of_filtration(FilteredModule({1: comp}))
-    assert pieces[(1, 0)][0].is_trivial()
-    assert pieces[(1, 1)][0] == FinAbGroup(1, [])
+    comp.validate()
+    assert comp.gr(0)[0].is_trivial()
+    assert comp.gr(1)[0] == FinAbGroup(1, [])
 
 
 def test_gr_symmetric_powers_of_indecomposables():
@@ -70,9 +69,9 @@ def test_gr_symmetric_powers_of_indecomposables():
         full = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
         chain = [full] * (d + 1) + [[[0] * n]]
         comp = FilteredComponent(n, [], chain)
-        pieces = gr_of_filtration(FilteredModule({d: comp}))
+        comp.validate()
         for s in range(d + 1):
-            group, _ = pieces[(d, s)]
+            group, _ = comp.gr(s)
             if s == d:
                 assert group == FinAbGroup(n, [])
                 assert n == d + 1
@@ -169,31 +168,48 @@ def test_two_lifts_differ_by_unit_triangular_transition():
     cert_a = lift_free_basis(module, [(4, 0, lift_a)])
     cert_b = lift_free_basis(module, [(4, 0, lift_b)])
     assert cert_a and cert_b
-    coeffs = solve_module_coefficients(module, 4, [lift_a], lift_b)
-    assert coeffs is not None
-    c = coeffs[0][0]
-    assert c % 2 == 1  # unit diagonal: the transition is 1 + (filtration >= 1)
+    coeffs = [c for c in ring.ring.elements() if module.act(4, c, lift_a) == tuple(lift_b)]
+    assert coeffs == [(3,)]  # unit diagonal: the transition 3 is 1 + (filtration >= 1)
 
 
-def test_lift_free_basis_witt_mod_2k():
-    # the same machinery over W(Z[1/2])/2^K with the I-adic chain
-    pres = catalog_lookup("Z_half")
+def test_lift_free_basis_returns_false_when_lifts_are_not_a_basis():
+    # gr(Z/4) with the chain (2), (4) is free on the class of 1 over gr of the
+    # 2-adically filtered Z/16, but Z/16 -> Z/4 is no filtered isomorphism
+    ring = z_mod_2k_ring(4)
+    module = FilteredRModule(ring)
+    module.add_component(0, [4], [[[1]]], [[[2]], [[4]]])
+    assert lift_free_basis(module, [(0, 0, [1])]) is False
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_lift_free_basis_witt_mod_2k(name):
+    # the same machinery over W(F)/2^K with the I-adic chain, as kwcalc builds it
+    pres = catalog_lookup(name)
     ring = FilteredRing.from_witt_mod2k(pres, 5)
     module = FilteredRModule(ring)
     n = ring.ring.n
     action = [[list(pres.mult_table[i][j]) for j in range(n)] for i in range(n)]
-    module.add_component(
-        0,
-        ring.ring.orders,
-        action,
-        [
-            lvl[: len(lvl)]
-            for lvl in (ring.filtration.chain[s] for s in range(1, len(ring.filtration.chain)))
-        ],
-    )
+    module.add_component(0, ring.ring.orders, action, ring.filtration.chain[1:])
     unit = list(pres.unit)
     cert = lift_free_basis(module, [(0, 0, unit)])
     assert cert
+
+
+@pytest.mark.parametrize("imax", [3, 5])
+def test_kwhw_certificate_runs_the_lemma_suite_once(monkeypatch, imax):
+    # the 2^imax + 1 components kwhw adds are identical, so one suite call
+    # certifies all of them, whatever imax is
+    calls = []
+    suite = filtered.filtered_lemma_suite
+
+    def counted(alpha):
+        calls.append(alpha)
+        return suite(alpha)
+
+    monkeypatch.setattr(filtered, "filtered_lemma_suite", counted)
+    out = kw_hw_generators_check("Z_half", imax, 8)
+    assert out["lift_certificate_ok"] is True
+    assert len(calls) == 1
 
 
 def test_gr_tensor_of_filtered_f2_modules():

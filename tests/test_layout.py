@@ -11,9 +11,6 @@ NO_LIBRARY_CALLER = {
     "homology_at_degree": "a perfbench tracer layer",
     "tau_monomial_homology_dims": "the perfbench oracle for the pages E2 cells",
     "cell_homology_dim": "acceptance criterion 5 calls it",
-    "filtered_lemma_suite": "ROADMAP item 4 puts it on the kwhw path",
-    "gr_of_filtration": "ROADMAP item 4 puts it on the kwhw path",
-    "solve_module_coefficients": "ROADMAP item 4; a test of lift_free_basis uses it",
 }
 
 
