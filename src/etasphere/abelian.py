@@ -8,6 +8,8 @@ the span of the generators Smith-factored once (and built once per
 generator tuple), which answers membership, `solve`, `basis`, span equality
 and `kernel`, the relations among its generators, through which `preimage`
 takes every kernel; `quotient_structure` reads L/L' off the factored L.
+Kernel and cokernel of multiplication by n are read off a group's
+invariant factors, with no matrix.
 """
 
 from __future__ import annotations
@@ -503,44 +505,6 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass
-class GroupHom:
-    """Homomorphism between presented groups, as a matrix on generators."""
-
-    source: FinAbGroup
-    target: FinAbGroup
-    matrix: list[list[int]]  # target.ngens x source.ngens
-
-    def __post_init__(self):
-        n, m = self.target.ngens, self.source.ngens
-        if len(self.matrix) != n or any(len(r) != m for r in self.matrix):
-            raise InvariantError("hom matrix has wrong shape")
-        rel = self.target.relation_columns()
-        for col in self.source.relation_columns():
-            img = mat_vec(self.matrix, col)
-            if img not in lattice(n, rel):
-                raise InvariantError("matrix does not respect source relations")
-
-    def __call__(self, coords) -> tuple[int, ...]:
-        return self.target.reduce(mat_vec(self.matrix, list(coords)))
-
-    def cokernel(self) -> FinAbGroup:
-        n = self.target.ngens
-        cols = [mat_vec(self.matrix, e) for e in _unit_vectors(self.source.ngens)]
-        gens = cols + self.target.relation_columns()
-        ambient = _unit_vectors(n)
-        group, _ = quotient_structure(n, ambient, gens)
-        return group
-
-    def kernel(self) -> tuple[FinAbGroup, list[list[int]]]:
-        """Kernel with generator coordinates in the source presentation."""
-        n, m = self.target.ngens, self.source.ngens
-        # the preimage {x : Mx in relations}, then modulo the source relations
-        images = [mat_vec(self.matrix, e) for e in _unit_vectors(m)]
-        pre = preimage(n, images, self.target.relation_columns()) + self.source.relation_columns()
-        return quotient_structure(m, pre, self.source.relation_columns())
-
-
 def _unit_vectors(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
 
@@ -549,15 +513,16 @@ def _unit_vectors(n: int) -> list[list[int]]:
 # the three spec operations
 # ---------------------------------------------------------------------------
 
-def mul_hom(group: FinAbGroup, n: int) -> GroupHom:
-    m = group.ngens
-    return GroupHom(group, group, [[n if i == j else 0 for j in range(m)] for i in range(m)])
-
-
 def ker_coker_of_mul(group: FinAbGroup, n: int) -> tuple[FinAbGroup, FinAbGroup]:
-    h = mul_hom(group, n)
-    ker, _ = h.kernel()
-    return ker, h.cokernel()
+    """Kernel and cokernel of multiplication by n, read off the invariant factors.
+
+    On Z/d both are Z/gcd(n, d); on Z, n != 0 has kernel 0 and cokernel Z/|n|.
+    """
+    if n == 0:
+        return group, group
+    cut = [gcd(n, d) for d in group.invariant_factors]
+    return (FinAbGroup.from_divisors(0, cut),
+            FinAbGroup.from_divisors(0, cut + [abs(n)] * group.free_rank))
 
 
 def brute_force_ker_coker(group: FinAbGroup, n: int) -> tuple[dict[int, int], dict[int, int]]:

@@ -1,24 +1,22 @@
 """Sparse weighted-graded commutative algebras with rewrite relations.
 
 An algebra is a list of generators, each with a positive integer degree and
-a kind: `polynomial` (free), `exterior` (square is zero), or `square`
-(the square rewrites to a stated element of twice the degree).  Elements are
-sparse monomial -> coefficient maps; monomials are tuples of
-(generator index, exponent) sorted by index.  Homology is implemented over
-F2 only, with ranks over the rationals (by fraction-free integer
-elimination) available for derivation matrices.
+a kind: `polynomial` (free) or `square` (the square rewrites to a stated
+element of twice the degree).  Elements are sparse monomial -> coefficient
+maps; monomials are tuples of (generator index, exponent) sorted by index.
+Homology is implemented over F2 only, with ranks over the rationals (by
+fraction-free integer elimination) available for derivation matrices.
 
 Coefficients live in a small pluggable ring: any object with the attributes
 `name`, `zero`, `one` and `xor_terms` and the methods `add`, `neg`, `mul`,
 `is_zero`, `degrees` (the set of internal degrees of an element, {0} for an
-ungraded ring) and `describe`; derivations and JSON specs also call
-`from_int`.  `F2`, `IntegerRing`, `RationalRing`, `IntegersMod` and `KMTau`
-live here; `filtered.FiniteRing` is the W/2^K ring of the completed Witt
-models.  Every sparse term dict over such a ring is accumulated with
-`add_term` and compared with `terms_equal`, and never stores a zero
-coefficient.  A ring class whose elements are ints added by XOR (`F2`,
-`KMTau`) sets `xor_terms`, which turns `add_term` into one `^` and
-`terms_equal` into dict equality.
+ungraded ring) and `describe`; derivations and the divided-power model
+also call `from_int`.  `F2`, `RationalRing`, `IntegersMod` and `KMTau` live
+here; `filtered.FiniteRing` is the W/2^K ring of the completed Witt models.
+Every sparse term dict over such a ring is accumulated with `add_term` and
+compared with `terms_equal`, and never stores a zero coefficient.  A ring
+class whose elements are ints added by XOR (`F2`, `KMTau`) sets `xor_terms`,
+which turns `add_term` into one `^` and `terms_equal` into dict equality.
 
 Truncation degree D is mandatory: operations that would need a monomial of
 degree beyond D raise TruncationExceeded instead of silently dropping it.
@@ -51,7 +49,6 @@ class AlgebraError(ValueError):
 
 
 POLYNOMIAL = "polynomial"
-EXTERIOR = "exterior"
 SQUARE = "square"
 
 
@@ -87,11 +84,11 @@ class F2:
         return str(a)
 
 
-class IntegerRing:
-    name = "Z"
+class RationalRing:
+    name = "Q"
     xor_terms = False
-    zero = 0
-    one = 1
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -106,22 +103,13 @@ class IntegerRing:
         return a == 0
 
     def from_int(self, n):
-        return n
+        return Fraction(n)
 
     def degrees(self, a):
         return {0}
 
     def describe(self, a):
         return str(a)
-
-
-class RationalRing(IntegerRing):
-    name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
 
 
 class IntegersMod:
@@ -275,13 +263,6 @@ class KMTau:
         return " + ".join(term(r, t) for r, t in self.terms(a))
 
 
-COEFFICIENT_RINGS = {
-    "F2": F2,
-    "Z": IntegerRing,
-    "Q": RationalRing,
-}
-
-
 # ---------------------------------------------------------------------------
 # algebras and elements
 # ---------------------------------------------------------------------------
@@ -322,18 +303,8 @@ class AlgebraSpec:
                 spec = GeneratorSpec(*g)
             if spec.degree <= 0:
                 raise AlgebraError(f"generator {spec.name} must have positive degree")
-            if spec.kind not in (POLYNOMIAL, EXTERIOR, SQUARE):
+            if spec.kind not in (POLYNOMIAL, SQUARE):
                 raise AlgebraError(f"unknown kind {spec.kind!r}")
-            if (
-                spec.kind == EXTERIOR
-                and spec.degree % 2 == 1
-                and not isinstance(self.coefficients, F2)
-            ):
-                # the signed (Koszul) case is unimplemented: odd exterior
-                # generators are only commutative in characteristic 2
-                raise AlgebraError(
-                    f"odd-degree exterior generator {spec.name} needs F2 coefficients"
-                )
             if spec.name in self.index_of:
                 raise AlgebraError(f"duplicate generator {spec.name}")
             self.index_of[spec.name] = len(self.generators)
@@ -410,7 +381,7 @@ class AlgebraSpec:
             if ring.is_zero(coeff):
                 continue
             target = None
-            indices = [i for i, e in mon if e >= 2 and self.generators[i].kind != POLYNOMIAL]
+            indices = [i for i, e in mon if e >= 2 and self.generators[i].kind == SQUARE]
             if indices:
                 target = min(indices) if strategy == "low" else max(indices)
             if target is None:
@@ -420,8 +391,6 @@ class AlgebraSpec:
             rest = {i: e for i, e in mon}
             rest[target] -= 2
             rest_mon = mon_from_dict(rest)
-            if g.kind == EXTERIOR:
-                continue  # square of an exterior generator vanishes
             image = self.square_images[target]
             if image is None:
                 raise TruncationExceeded(
@@ -462,11 +431,6 @@ class AlgebraSpec:
         idx = self.index_of[name]
         return GradedElement(self, {((idx, 1),): self.coefficients.one})
 
-    def scalar(self, coeff) -> "GradedElement":
-        if self.coefficients.is_zero(coeff):
-            return self.zero()
-        return GradedElement(self, {(): coeff})
-
     # -- monomial bases ---------------------------------------------------------
     def monomials_of_degree(self, n: int):
         """Normalized monomials of generator-degree n (coefficient part 1).
@@ -491,7 +455,7 @@ class AlgebraSpec:
                 return
             g = gens[idx]
             cap = remaining // g.degree
-            if g.kind != POLYNOMIAL:
+            if g.kind == SQUARE:
                 cap = min(cap, 1)
             for e in range(cap + 1):
                 for rest in rec(idx + 1, remaining - e * g.degree):
@@ -507,24 +471,6 @@ class AlgebraSpec:
             name = self.generators[i].name
             bits.append(name if e == 1 else f"{name}^{e}")
         return "*".join(bits)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "AlgebraSpec":
-        coeff_name = obj.get("coefficients", "F2")
-        if coeff_name in COEFFICIENT_RINGS:
-            ring = COEFFICIENT_RINGS[coeff_name]()
-        elif coeff_name.startswith("Z/"):
-            ring = IntegersMod(int(coeff_name[2:]))
-        else:
-            raise AlgebraError(f"unknown coefficient ring {coeff_name!r}")
-        gens = []
-        for g in obj["generators"]:
-            image = g.get("square_image")
-            if image is not None:
-                image = {m: ring.from_int(c) for m, c in image.items()}
-            gens.append(GeneratorSpec(g["name"], int(g["degree"]),
-                                      g.get("kind", POLYNOMIAL), image))
-        return cls(gens, ring, int(obj.get("truncation", 24)))
 
 
 def add_term(ring, terms: dict, key, coeff) -> None:
@@ -788,11 +734,11 @@ def homology_at_degree(d: Derivation, n: int,
 
 
 def rank_and_kernel_dim(d: Derivation, n: int) -> tuple[int, int]:
-    """Rank/kernel of d out of degree n over F2, or over Q for Z and Q coefficients."""
+    """Rank/kernel of d out of degree n over F2 or Q."""
     alg = d.algebra
     ring = alg.coefficients
-    if not isinstance(ring, (F2, IntegerRing)):
-        raise AlgebraError(f"rank is implemented over F2, Z and Q only, not {ring.name}")
+    if not isinstance(ring, (F2, RationalRing)):
+        raise AlgebraError(f"rank is implemented over F2 and Q only, not {ring.name}")
     source, target, cols = derivation_matrix(d, n)
     if isinstance(ring, F2):
         r = gf2.rank(f2_masks(cols, target))

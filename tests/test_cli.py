@@ -442,19 +442,24 @@ def test_malformed_data_files_exit_2(tmp_path, capsys):
         assert err.startswith("usage error: ") and not out, name
 
 
-def test_kwhw_outcomes_match_the_recorded_benchmark_outcomes(monkeypatch):
-    # every kwhw request of the table_requests benchmark workload, replayed
-    # through the benchmark client against its recorded outcome, so a change
-    # in kwhw output shows here without running the benchmark
+def test_every_benchmark_request_replays_its_recorded_outcome(monkeypatch):
+    # every request the three benchmark workloads can send, replayed through
+    # the benchmark client and judged by its own rule (oracles, then the
+    # recorded outcome or the README contract), so a change in any output
+    # shows here without running the benchmark
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(bench))
     client = importlib.import_module("client")
     workloads = importlib.import_module("workloads")
     expected = json.loads((bench / "expected.json").read_text())
-    requests = [req for req in workloads.parameter_space("table_requests")
-                if req["kind"] == "cli" and "kwhw" in req["argv"]]
-    assert len(requests) == 12
+    requests = [req for w in workloads.WORKLOADS for req in workloads.parameter_space(w)]
+    assert len([req for req in requests if "kwhw" in req.get("argv", ())]) == 12
+    problems = []
     for req in requests:
-        _, outcome, _ = client.run_cli(cli, req)
-        assert client.outcome_text(outcome) == expected[workloads.request_key(req)], req["argv"]
+        run_request = client.run_cli if req["kind"] == "cli" else client.run_call
+        _, outcome, result = run_request(cli, req)
+        regression, defect = client.verdict(req, outcome, result, expected)
+        if regression or defect:
+            problems.append((workloads.request_key(req), regression or defect))
+    assert problems == []
