@@ -538,9 +538,6 @@ def brute_force_ker_coker(group: FinAbGroup, n: int) -> tuple[dict[int, int], di
     factors = group.invariant_factors
     exponent = factors[-1] if factors else 1
 
-    def add(x, y):
-        return tuple((a + b) % d for a, b, d in zip(x, y, factors))
-
     def smul(m, x):
         return tuple((m * a) % d for a, d in zip(x, factors))
 

@@ -212,7 +212,7 @@ def isomorphic_to_catalog(found: dict) -> tuple:
 
 def brute_force_matches_catalog() -> tuple:
     return isomorphic_to_catalog({
-        name: find_ring_isomorphism(catalog_lookup(name), brute_force_witt_ring(q, 4))
+        name: find_ring_isomorphism(catalog_lookup(name), brute_force_witt_ring(q))
         for q, name in ((3, "F3"), (5, "F5"), (7, "F7"))
     })
 
@@ -530,7 +530,7 @@ def run(argv) -> int:
                 # load_config validated every presentation it returned
                 certificates["presentation_validates"] = certificate(True, 1)
             if args.brute_force:
-                brute = brute_force_witt_ring(args.brute_force, 4)
+                brute = brute_force_witt_ring(args.brute_force)
                 out["brute_force"] = brute.to_json()
                 if args.field:
                     iso = find_ring_isomorphism(fields[args.field], brute)

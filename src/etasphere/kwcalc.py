@@ -5,10 +5,12 @@ Everything here is exact: valuations come from bigint arithmetic, operator
 coefficients are integers or odd-denominator fractions, completed rings are
 Z/2^K truncations with configurable K.  The stems tables are read off the
 map phi: kw_(2) -> Sigma^4 kw_(2) of the main fiber sequence: the
-coefficient of phi beta^n comes from the operator ring, is cross-checked
-against psi^3 - 1 from `adams_on_bott`, and its kernel/cokernel on the
-2-local Witt ring gives the stems.  `phi_iterates_on_msl` is the gr-level
-witness for eta-periodic MSL that `verify` carries.
+beta^(n-1) coefficient c_n of phi beta^n is derived in the operator ring,
+whose one rule phi beta = 9 beta phi + 8 rewrites phi beta^(n-1) times beta
+once per n; c_n is cross-checked against psi^3 - 1 from `adams_on_bott`, and
+its kernel/cokernel on the 2-local Witt ring gives the stems.
+`phi_iterates_on_msl` is the gr-level witness for eta-periodic MSL that
+`verify` carries.
 """
 
 from __future__ import annotations
@@ -104,43 +106,32 @@ class OperatorPolynomial:
         for key, c in (terms or {}).items():
             add_term(_QQ, self.terms, key, _as_coeff(c))
 
-    @classmethod
-    def scalar(cls, c):
-        return cls({(0, 0): c})
-
-    @classmethod
-    def beta(cls):
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def phi(cls):
-        return cls({(0, 1): 1})
-
-    def __add__(self, other):
-        out = OperatorPolynomial(self.terms)
-        for key, c in other.terms.items():
-            add_term(_QQ, out.terms, key, c)
-        return out
-
-    def __sub__(self, other):
-        out = OperatorPolynomial(self.terms)
-        for key, c in other.terms.items():
-            add_term(_QQ, out.terms, key, -c)
+    def times(self, letter) -> "OperatorPolynomial":
+        """Right multiplication by one letter: 'beta', 'phi' or a coefficient."""
+        out = OperatorPolynomial()
+        if letter == "beta":
+            # phi^j beta = 9^j beta phi^j + (9^j - 1) phi^(j-1): the relation j times
+            for (i, j), c in self.terms.items():
+                add_term(_QQ, out.terms, (i + 1, j), 9**j * c)
+                if j:
+                    add_term(_QQ, out.terms, (i, j - 1), (9**j - 1) * c)
+        elif letter == "phi":
+            out.terms = {(i, j + 1): c for (i, j), c in self.terms.items()}
+        else:
+            scale = _as_coeff(letter)
+            for key, c in self.terms.items():
+                add_term(_QQ, out.terms, key, scale * c)
         return out
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return OperatorPolynomial(
-                {k: c * _as_coeff(other) for k, c in self.terms.items()}
-            )
         out = OperatorPolynomial()
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                for (i, j), c in _phi_pow_beta_pow(j1, i2).terms.items():
-                    add_term(_QQ, out.terms, (i1 + i, j + j2), c1 * c2 * c)
+        for (i, j), c in other.terms.items():
+            part = self
+            for letter in [c] + ["beta"] * i + ["phi"] * j:
+                part = part.times(letter)
+            for key, d in part.terms.items():
+                add_term(_QQ, out.terms, key, d)
         return out
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return isinstance(other, OperatorPolynomial) and self.terms == other.terms
@@ -164,53 +155,12 @@ class OperatorPolynomial:
         return " + ".join(bits)
 
 
-_PHI_BETA_CACHE: dict[tuple[int, int], OperatorPolynomial] = {}
-
-
-def _phi_pow_beta_pow(j: int, i: int) -> OperatorPolynomial:
-    """Normal order of phi^j beta^i via phi beta = 9 beta phi + 8."""
-    if (j, i) in _PHI_BETA_CACHE:
-        return _PHI_BETA_CACHE[(j, i)]
-    if j == 0 or i == 0:
-        out = OperatorPolynomial({(i, j): 1})
-    elif j == 1:
-        # phi beta^i = 9^i beta^i phi + (9^i - 1) beta^{i-1}
-        out = OperatorPolynomial({(i, 1): 9**i, (i - 1, 0): 9**i - 1})
-    else:
-        head = _phi_pow_beta_pow(1, i)
-        rest = OperatorPolynomial()
-        for (a, b), c in head.terms.items():
-            # multiply phi^{j-1} onto the left: phi^{j-1} . beta^a phi^b
-            inner = _phi_pow_beta_pow(j - 1, a)
-            for (x, y), d in inner.terms.items():
-                add_term(_QQ, rest.terms, (x, y + b), c * d)
-        out = rest
-    _PHI_BETA_CACHE[(j, i)] = out
-    return out
-
-
 def normal_order(word) -> OperatorPolynomial:
     """Normal-order a word: items are 'beta', 'phi', or coefficients."""
-    out = OperatorPolynomial.scalar(1)
+    out = OperatorPolynomial({(0, 0): 1})
     for item in word:
-        if item == "beta":
-            out = out * OperatorPolynomial.beta()
-        elif item == "phi":
-            out = out * OperatorPolynomial.phi()
-        else:
-            out = out * OperatorPolynomial.scalar(item)
+        out = out.times(item)
     return out
-
-
-def phi_on_beta_power(n: int) -> dict:
-    """phi(beta^n) = (9^n - 1) beta^{n-1}: the beta^{n-1} coefficient of
-    phi beta^n in the operator ring, with the valuation cross-check."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return {"n": 0, "coefficient": 0, "nu2": None}
-    coeff = int((OperatorPolynomial.phi() * OperatorPolynomial({(n, 0): 1})).terms[(n - 1, 0)])
-    return {"n": n, "coefficient": coeff, "nu2": nu2(coeff), "nu2_8n": nu2(8 * n)}
 
 
 def adams_on_bott(n: int, field="real_closed"):
@@ -335,21 +285,25 @@ def phi_ker_coker(ring: WittPresentation, n_max: int) -> list:
     """ker/coker of phi: pi_{4n} kw_(2) -> pi_{4n-4} kw_(2) for n = 1..n_max.
 
     pi_{4n} kw_(2) = W(k)_(2) beta^n, and phi multiplies it by the
-    beta^{n-1} coefficient c = 9^n - 1 of phi beta^n in the operator ring.
-    c is cross-checked against psi^3 - 1 on beta^n, with psi^3(beta) = w beta
-    read off `adams_on_bott`: w^n - 1 must be c . 1 in W(k).  Odd factors of
-    c act invertibly after 2-localization, so the map is multiplication by
-    2^nu2(c) on the 2-local shadow (free part + 2-primary torsion).  Entry
-    n - 1 of the list is the pair (ker, coker) for n.
+    beta^{n-1} coefficient c of phi beta^n (c = 9^n - 1).  A running normal
+    form of phi beta^n is multiplied by beta once per n in the operator
+    ring, and c is read off it.  c is cross-checked against psi^3 - 1 on
+    beta^n, with psi^3(beta) = w beta read off `adams_on_bott`: w^n - 1 must
+    be c . 1 in W(k).  Odd factors of c act invertibly after
+    2-localization, so the map is multiplication by 2^nu2(c) on the 2-local
+    shadow (free part + 2-primary torsion).  Entry n - 1 of the list is the
+    pair (ker, coker) for n.
     """
     shadow = ring.additive.two_local_shadow()
     psi3 = adams_on_bott(3, ring).witt_part
     one = ring.one()
     power = one
+    phi_beta_n = normal_order(["phi"])  # the normal form of phi beta^n
     by_two_part: dict = {}  # 2^nu2(c) -> (ker, coker); few distinct values
     out = []
     for n in range(1, n_max + 1):
-        c = phi_on_beta_power(n)["coefficient"]
+        phi_beta_n = phi_beta_n.times("beta")
+        c = int(phi_beta_n.terms[(n - 1, 0)])
         power = power * psi3
         if power - one != c * one:
             raise AlgebraError(

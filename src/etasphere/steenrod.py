@@ -95,6 +95,13 @@ def _generator(n: int) -> tuple[str, int]:
     return ("xi", (n + 1) // 2) if n % 2 else ("tau", n // 2)
 
 
+def top_index(weight: int) -> int:
+    """The largest k with 2^k - 1 <= weight: the top tau_k (and xi_k for k >= 1)."""
+    if weight < 0:
+        raise ValueError(f"weight {weight} is negative")
+    return (weight + 1).bit_length() - 1
+
+
 def steenrod_generators(km, weight: int) -> list[GeneratorSpec]:
     """tau_0, xi_1, tau_1, ..., xi_k, tau_k with 2^k - 1 <= weight, by index.
 
@@ -103,7 +110,7 @@ def steenrod_generators(km, weight: int) -> list[GeneratorSpec]:
     needs tau_{k+1}, which is past the bound: its image is left unset, and
     normalizing it raises TruncationExceeded.
     """
-    top = max(i for i in range(64) if 2**i - 1 <= weight)
+    top = top_index(weight)
     tau, rho = km.monomial(0, 1), km.monomial(1, 0)
     gens = []
     for n in range(2 * top + 1):
@@ -127,16 +134,7 @@ def steenrod_spec(rho_mode: str, weight: int) -> AlgebraSpec:
     so its stem is at most weight + max_tau + 1: that is the truncation.
     """
     km = KMTau(rho_mode)
-    max_tau = max(i for i in range(64) if 2**i - 1 <= weight)
-    return AlgebraSpec(steenrod_generators(km, weight), km, weight + max_tau + 1)
-
-
-def mon_key(eps=(), E=()):
-    """The key of tau^eps xi^E (eps indexed from tau_0, E from xi_1)."""
-    return tuple(sorted(
-        [(2 * i, e) for i, e in enumerate(eps) if e]
-        + [(2 * j + 1, e) for j, e in enumerate(E) if e]
-    ))
+    return AlgebraSpec(steenrod_generators(km, weight), km, weight + top_index(weight) + 1)
 
 
 UNIT_MON = ()
@@ -178,8 +176,7 @@ class SteenrodAlgebra:
             base = motivic_base(base)
         self.base = base
         self.weight = weight
-        self.max_tau = max(i for i in range(0, 64) if 2**i - 1 <= weight)
-        self.max_xi = max(j for j in range(1, 64) if 2**j - 1 <= weight)
+        self.max_tau = self.max_xi = top_index(weight)  # no xi_0: max_xi is 0 at weight 0
         self.spec = steenrod_spec(base.rho_mode, weight)
         self.km = self.spec.coefficients
         # memos keyed by basis monomials: Delta(m) terms, chi(m), m*m', m*eta_R(c)
@@ -218,9 +215,6 @@ class SteenrodAlgebra:
         return self._eta_product_cache[memo]
 
     # -- element constructors ---------------------------------------------
-    def element(self, terms: dict) -> "SteenrodElement":
-        return SteenrodElement(self, self.normal_form(terms))
-
     def zero(self):
         return SteenrodElement(self, {})
 
@@ -236,9 +230,6 @@ class SteenrodAlgebra:
         if j > self.max_xi:
             raise TruncationExceeded(f"xi_{j} exceeds the weight bound {self.weight}")
         return SteenrodElement(self, {_xi_key(j): self.km.one})
-
-    def monomial(self, eps=(), E=()) -> "SteenrodElement":
-        return self.element({mon_key(eps, E): self.km.one})
 
     def scalar(self, coeff) -> "SteenrodElement":
         if self.km.is_zero(coeff):
@@ -473,12 +464,6 @@ def coproduct(x: SteenrodElement) -> dict:
         for word, c in _mono_coproduct(alg, key).items():
             add_term(km, out, word, c if coeff == 1 else mul(coeff, c))
     return out
-
-
-def counit(x: SteenrodElement):
-    """k^M[tau]-valued counit: kills every tau_i, xi_j."""
-    km = x.algebra.km
-    return x.terms.get(UNIT_MON, km.zero)
 
 
 def coproduct_left(alg: SteenrodAlgebra, t: dict) -> dict:
@@ -767,9 +752,6 @@ class HomologyModel:
         boundaries = gf2.row_reduce([c for c in incoming if c])
         return source, gf2.quotient_basis(cycles, boundaries)
 
-    def cell_homology_dim(self, s: int, w: int) -> int:
-        return len(self.cell_homology(s, w)[1])
-
     def check_delta_squared(self, smax: int) -> int:
         km = self.algebra.coefficients
         count = 0
@@ -862,9 +844,6 @@ class BocksteinPage:
     page_number: int
     entries: dict  # (s, f, w) -> list of basis labels
     note: str = ""
-
-    def dim(self, s: int, f: int, w: int) -> int:
-        return len(self.entries.get((s, f, w), ()))
 
 
 def _cell_labels(model: HomologyModel, items, f: int):

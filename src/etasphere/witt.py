@@ -409,24 +409,24 @@ class BruteWittRing:
     Forms are multisets of square classes, written (n0, n1): n0 entries from
     the squares, n1 from the non-square class.  Isometry is detected by
     representation counts; Witt classes are the components of the graph whose
-    edges are isometries and hyperbolic-pair insertions.
+    edges are isometries and hyperbolic-pair insertions.  Forms have
+    dimension at most `bound`.
     """
 
-    def __init__(self, q: int, bound: int = 4):
+    bound = 4
+
+    def __init__(self, q: int):
         # Z/q arithmetic is F_q arithmetic only for a prime q
         if not 3 <= q <= 49 or any(q % p == 0 for p in range(2, q)):
             raise UnsupportedCharacteristic("q must be an odd prime with 3 <= q <= 49 (desk scale)")
-        if bound < 4:
-            raise InvalidPresentation("dimension bound must be at least 4")
         self.q = q
-        self.bound = bound
         squares = {(x * x) % q for x in range(1, q)}
         self.squares = squares
         self.nonsquare = next(a for a in range(2, q) if a not in squares)
         self.class_of_minus1 = 0 if (q - 1) in squares else 1
         self.forms = [
             (n0, n1)
-            for dim in range(bound + 1)
+            for dim in range(self.bound + 1)
             for n0 in range(dim + 1)
             for n1 in [dim - n0]
         ]
@@ -531,8 +531,8 @@ class BruteWittRing:
         return k
 
 
-def brute_force_witt_ring(q: int, bound: int = 4) -> WittPresentation:
-    ring = BruteWittRing(q, bound)
+def brute_force_witt_ring(q: int) -> WittPresentation:
+    ring = BruteWittRing(q)
     classes = ring.classes
     size = len(classes)
 

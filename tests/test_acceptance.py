@@ -121,7 +121,7 @@ def test_criterion_5_ko_model_delta_homology():
         expected = tau_monomial_homology_dims(model, smax=16, wmin=-16, wmax=4)
         for s in range(0, 17):
             for w in range(-16, 5):
-                ok &= model.cell_homology_dim(s, w) == expected.get((s, w), 0)
+                ok &= len(model.cell_homology(s, w)[1]) == expected.get((s, w), 0)
     # positive-degree homology of the pure-xi complex vanishes
     from etasphere.graded import (
         AlgebraSpec,
@@ -206,7 +206,7 @@ def test_criterion_10_witt_oracle_and_bockstein_collapse():
     started = time.perf_counter()
     ok = True
     for q, name in ((3, "F3"), (5, "F5"), (7, "F7")):
-        brute = brute_force_witt_ring(q, 4)
+        brute = brute_force_witt_ring(q)
         ok &= find_ring_isomorphism(catalog_lookup(name), brute) is not None
     model = ko_homology_model("real_closed", truncation=18)
     _, e2, collapse = bockstein_pages(model, smax=16, fmax=3, wmin=-18, wmax=2)

@@ -33,7 +33,6 @@ from etasphere.kwcalc import (
     nu2_factorial,
     phi_iterates_on_msl,
     phi_ker_coker,
-    phi_on_beta_power,
 )
 
 
@@ -90,17 +89,48 @@ def test_operator_associativity_random_words():
         assert left == right
 
 
+def rewrite_phi_beta(word) -> dict:
+    """Normal form of a word by rewriting letter strings with phi beta -> 9 beta phi + 8.
+
+    The coefficients of the word multiply out first; each string is rewritten
+    at its first "pb" until none is left, so every letter b stands left of
+    every p, and the string b^i p^j collects its coefficient under (i, j).
+    """
+    scale = Fraction(1)
+    letters = ""
+    for item in word:
+        if item in ("beta", "phi"):
+            letters += item[0]
+        else:
+            scale *= Fraction(item)
+    pending, done = {letters: scale}, {}
+    while pending:
+        string, c = pending.popitem()
+        k = string.find("pb")
+        if k < 0:
+            key = (string.count("b"), string.count("p"))
+            done[key] = done.get(key, 0) + c
+            continue
+        for middle, factor in (("bp", 9), ("", 8)):
+            rewritten = string[:k] + middle + string[k + 2:]
+            pending[rewritten] = pending.get(rewritten, 0) + factor * c
+    return {key: c for key, c in done.items() if c}
+
+
+def test_normal_order_matches_the_word_rewriter():
+    rng = random.Random(23)
+    letters = ["beta", "phi", "beta", "phi", 0, 3, -2, Fraction(1, 3), Fraction(-5, 7)]
+    several_phi = 0
+    for _ in range(400):
+        word = [rng.choice(letters) for _ in range(rng.randint(0, 8))]
+        several_phi += word.count("phi") >= 2
+        assert normal_order(word).terms == rewrite_phi_beta(word), word
+    assert several_phi >= 50
+
+
 def test_operator_rejects_even_denominator():
     with pytest.raises(ValueError):
         normal_order([Fraction(1, 2)])
-
-
-def test_phi_on_beta():
-    assert phi_on_beta_power(1)["coefficient"] == 8
-    assert phi_on_beta_power(2)["coefficient"] == 80
-    assert phi_on_beta_power(0)["coefficient"] == 0
-    out = phi_on_beta_power(6)
-    assert out["nu2"] == out["nu2_8n"]
 
 
 def test_adams_on_bott():

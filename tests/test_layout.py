@@ -11,7 +11,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "etasphere"
 NO_LIBRARY_CALLER = {
     "homology_at_degree": "a perfbench tracer layer",
     "tau_monomial_homology_dims": "the perfbench oracle for the pages E2 cells",
-    "cell_homology_dim": "acceptance criterion 5 calls it",
 }
 
 

@@ -137,16 +137,16 @@ def test_gw_pullback_invariant():
 
 
 def test_brute_force_oracle_small_fields():
-    r3 = brute_force_witt_ring(3, 4)
+    r3 = brute_force_witt_ring(3)
     assert r3.additive == FinAbGroup(0, [4])
-    r5 = brute_force_witt_ring(5, 4)
+    r5 = brute_force_witt_ring(5)
     assert r5.additive == FinAbGroup(0, [2, 2])
-    r7 = brute_force_witt_ring(7, 4)
+    r7 = brute_force_witt_ring(7)
     assert r7.additive == FinAbGroup(0, [4])
 
 
 def test_brute_force_f5_square_zero_pattern():
-    ring = brute_force_witt_ring(5, 4)
+    ring = brute_force_witt_ring(5)
     # t = <u> - <1> squares to zero: F2[t]/(t^2) pattern
     elems = [ring.element(list(c)) for c in ring.additive.elements()]
     nonunits = [e for e in elems if e.rank_mod2() == 0 and not e.is_zero()]
@@ -157,14 +157,14 @@ def test_brute_force_f5_square_zero_pattern():
 
 def test_brute_force_matches_catalog():
     for q, name in [(3, "F3"), (5, "F5"), (7, "F7")]:
-        brute = brute_force_witt_ring(q, 4)
+        brute = brute_force_witt_ring(q)
         catalog = catalog_lookup(name)
         assert find_ring_isomorphism(catalog, brute) is not None, name
 
 
 def test_brute_force_rejects_even_characteristic():
     with pytest.raises(UnsupportedCharacteristic):
-        BruteWittRing(4, 4)
+        BruteWittRing(4)
 
 
 def test_vcd2_containment_on_catalog():
