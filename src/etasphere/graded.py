@@ -446,12 +446,14 @@ class AlgebraSpec:
 
     def _enumerate_monomials(self, n: int):
         gens = self.generators
+        # floor[idx]: the smallest degree in gens[idx:]; no smaller remainder can be filled
+        floor = [*itertools.accumulate((g.degree for g in reversed(gens)), min)][::-1] + [n + 1]
 
         def rec(idx: int, remaining: int):
             if remaining == 0:
                 yield ()
                 return
-            if idx == len(gens):
+            if remaining < floor[idx]:
                 return
             g = gens[idx]
             cap = remaining // g.degree
@@ -461,7 +463,7 @@ class AlgebraSpec:
                 for rest in rec(idx + 1, remaining - e * g.degree):
                     yield ((idx, e),) + rest if e else rest
 
-        return (mon_from_dict({i: e for i, e in m}) for m in rec(0, n))
+        return rec(0, n)
 
     def describe_monomial(self, mon: Monomial) -> str:
         if not mon:
@@ -613,24 +615,26 @@ class Derivation:
 
 
 def apply_derivation(d: Derivation, a: GradedElement) -> GradedElement:
+    """d(a) by the Leibniz rule: every term gathered raw, then one normal form.
+
+    Each image has degree deg g + shift, so the check up front covers every product."""
     alg = d.algebra
     if a.terms and a.max_degree() + d.degree_shift > alg.truncation:
         raise TruncationExceeded("derivation image exceeds truncation")
     ring = alg.coefficients
-    total = alg.zero()
+    raw: dict[Monomial, object] = {}
     for mon, coeff in a.terms.items():
         for pos, (i, e) in enumerate(mon):
-            img = d.images[i]
-            if img.is_zero():
+            img = d.images[i].terms
+            if not img:
                 continue
-            rest = {j: f for j, f in mon}
-            rest[i] -= 1
-            factor_scalar = ring.mul(coeff, ring.from_int(e))
-            if ring.is_zero(factor_scalar):
+            scalar = ring.mul(coeff, ring.from_int(e))
+            if ring.is_zero(scalar):
                 continue
-            partial = GradedElement(alg, alg.normalize({mon_from_dict(rest): factor_scalar}))
-            total = total + normalize_product(partial, img)
-    return total
+            rest = mon[:pos] + (((i, e - 1),) if e > 1 else ()) + mon[pos + 1:]
+            for m2, c2 in img.items():
+                add_term(ring, raw, mon_mul(rest, m2), ring.mul(scalar, c2))
+    return GradedElement(alg, alg.normalize(raw))
 
 
 def derivation_matrix(d: Derivation, n: int):

@@ -663,15 +663,21 @@ def action_table_ok(alg: SteenrodAlgebra) -> bool:
 # homology models for ko and kgl, and the eta-Bockstein pages
 # ---------------------------------------------------------------------------
 
+# a per-model cache: a dict field left out of __init__, repr and ==
+_memo = functools.partial(field, default_factory=dict, init=False, repr=False, compare=False)
+
+
 @dataclass
 class HomologyModel:
     """A graded model for pi_**(E smash k^M) with its Bockstein derivation.
 
     The algebra is graded by the stem s; each generator also carries its
     motivic weight w, and coefficients are k^M (powers of rho, with w = +1
-    each).  delta lowers s by 1 and raises w by 1.  Cell bases and delta
-    columns are computed once per (s, w) cell and kept with the model, and
-    so is delta of each monomial, which every rho-multiple of it shares.
+    each).  delta lowers s by 1 and raises w by 1.  Cell bases, delta
+    columns, cycles and homology representatives are computed once per
+    (s, w) cell and kept with the model as tuples; so is delta of each
+    monomial, which every rho-multiple of it shares, and the label of each
+    basis element (rho-power, monomial).
     """
 
     name: str
@@ -679,9 +685,12 @@ class HomologyModel:
     algebra: AlgebraSpec
     delta: Derivation
     gen_weights: list  # w per generator index
-    _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _deltas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cells: dict = _memo()
+    _deltas: dict = _memo()
+    _images: dict = _memo()
+    _cycles: dict = _memo()
+    _homology: dict = _memo()
+    _labels: dict = _memo()
 
     def monomial_weight(self, mon) -> int:
         return sum(self.gen_weights[i] * e for i, e in mon)
@@ -740,17 +749,23 @@ class HomologyModel:
         return cached
 
     def cell_cycles(self, s: int, w: int):
-        source, target, cols = self.delta_matrix(s, w)
-        if not source:
-            return source, []
-        return source, gf2.nullspace(len(source), gf2.transpose(cols, len(target)))
+        """Source basis of the cell and bitmasks spanning its delta-cycles."""
+        cached = self._cycles.get((s, w))
+        if cached is None:
+            source, target, cols = self.delta_matrix(s, w)
+            cycles = gf2.nullspace(len(source), gf2.transpose(cols, len(target))) if source else ()
+            cached = self._cycles[(s, w)] = (source, tuple(cycles))
+        return cached
 
     def cell_homology(self, s: int, w: int):
         """Source basis of the cell and bitmask representatives of its delta-homology."""
-        source, cycles = self.cell_cycles(s, w)
-        _, _, incoming = self.delta_matrix(s + 1, w - 1)
-        boundaries = gf2.row_reduce([c for c in incoming if c])
-        return source, gf2.quotient_basis(cycles, boundaries)
+        cached = self._homology.get((s, w))
+        if cached is None:
+            source, cycles = self.cell_cycles(s, w)
+            _, _, incoming = self.delta_matrix(s + 1, w - 1)
+            reps = tuple(gf2.quotient_basis(cycles, incoming))
+            cached = self._homology[(s, w)] = (source, reps)
+        return cached
 
     def check_delta_squared(self, smax: int) -> int:
         km = self.algebra.coefficients
@@ -765,24 +780,24 @@ class HomologyModel:
         return count
 
 
-def _model_generators(base: MotivicBase, truncation: int, xi1_squared: bool):
+def _xi_tau_model(name: str, base: MotivicBase | str, truncation: int) -> HomologyModel:
+    """The ko model (first generator xi1^2) or the kgl model (first generator xi1).
+
+    Then come xi_j of stem 2^j - 1 and tau_i of stem 2^i up to the
+    truncation, of weight 1 - 2^j and 1 - 2^i; delta(xi_j) = xi_(j-1)^2.
+    """
+    if isinstance(base, str):
+        base = motivic_base(base)
     km = base.coefficient_ring()
     rho = km.monomial(1, 0)
-    gens = []
-    weights = []
-    if xi1_squared:
-        gens.append(GeneratorSpec("xi1sq", 2, POLYNOMIAL))
-        weights.append(-2)
-    else:
-        gens.append(GeneratorSpec("xi1", 1, POLYNOMIAL))
-        weights.append(-1)
-    max_xi = 0
-    for j in range(2, 64):
-        if 2**j - 1 <= truncation:
-            gens.append(GeneratorSpec(f"xi{j}", 2**j - 1, POLYNOMIAL))
-            weights.append(1 - 2**j)
-            max_xi = j
-    tau_indices = [i for i in range(2, 64) if 2**i <= truncation]
+    ko = name == "ko"
+    gens = [GeneratorSpec("xi1sq", 2, POLYNOMIAL) if ko else GeneratorSpec("xi1", 1, POLYNOMIAL)]
+    weights = [-gens[0].degree]
+    max_xi = top_index(truncation)
+    for j in range(2, max_xi + 1):
+        gens.append(GeneratorSpec(f"xi{j}", 2**j - 1, POLYNOMIAL))
+        weights.append(1 - 2**j)
+    tau_indices = range(2, truncation.bit_length())  # 2^i <= truncation
     for i in tau_indices:
         if i + 1 in tau_indices:
             image = {f"tau{i + 1}": rho}
@@ -792,39 +807,26 @@ def _model_generators(base: MotivicBase, truncation: int, xi1_squared: bool):
             # and never through normalized monomials (exponents stay <= 1)
         gens.append(GeneratorSpec(f"tau{i}", 2**i, SQUARE, image))
         weights.append(1 - 2**i)
-    return gens, weights, max_xi
+    algebra = AlgebraSpec(gens, km, truncation)
+    # delta(xi1^2) = 0 on ko; delta(xi1) = xi0^2 = 1 on kgl
+    images = {"xi1sq": algebra.zero()} if ko else {"xi1": algebra.one()}
+    for j in range(2, max_xi + 1):
+        if ko and j == 2:
+            images["xi2"] = algebra.gen("xi1sq")
+        else:
+            images[f"xi{j}"] = algebra.gen(f"xi{j - 1}") * algebra.gen(f"xi{j - 1}")
+    delta = Derivation(algebra, -1, images, name="delta")
+    return HomologyModel(name, base, algebra, delta, weights)
 
 
 def ko_homology_model(base: MotivicBase | str, truncation: int = 16) -> HomologyModel:
     """k^M[xi1^2, xi2, ..., tau2, tau3, ...]/(tau_i^2 - rho tau_{i+1}) + delta."""
-    if isinstance(base, str):
-        base = motivic_base(base)
-    km = base.coefficient_ring()
-    gens, weights, max_xi = _model_generators(base, truncation, xi1_squared=True)
-    algebra = AlgebraSpec(gens, km, truncation)
-    images = {"xi1sq": algebra.zero()}
-    if max_xi >= 2:
-        images["xi2"] = algebra.gen("xi1sq")
-    for j in range(3, max_xi + 1):
-        images[f"xi{j}"] = algebra.gen(f"xi{j - 1}") * algebra.gen(f"xi{j - 1}")
-    delta = Derivation(algebra, -1, images, name="delta")
-    return HomologyModel("ko", base, algebra, delta, weights)
+    return _xi_tau_model("ko", base, truncation)
 
 
 def kgl_homology_model(base: MotivicBase | str, truncation: int = 16) -> HomologyModel:
     """Same with xi1 itself a generator: delta(xi1) = xi0^2 = 1."""
-    if isinstance(base, str):
-        base = motivic_base(base)
-    km = base.coefficient_ring()
-    gens, weights, max_xi = _model_generators(base, truncation, xi1_squared=False)
-    algebra = AlgebraSpec(gens, km, truncation)
-    images = {"xi1": algebra.one()}
-    if max_xi >= 2:
-        images["xi2"] = algebra.gen("xi1") * algebra.gen("xi1")
-    for j in range(3, max_xi + 1):
-        images[f"xi{j}"] = algebra.gen(f"xi{j - 1}") * algebra.gen(f"xi{j - 1}")
-    delta = Derivation(algebra, -1, images, name="delta")
-    return HomologyModel("kgl", base, algebra, delta, weights)
+    return _xi_tau_model("kgl", base, truncation)
 
 
 def sphere_model(base: MotivicBase | str, truncation: int = 16) -> HomologyModel:
@@ -847,17 +849,19 @@ class BocksteinPage:
 
 
 def _cell_labels(model: HomologyModel, items, f: int):
+    """Labels rho^a*m of the (a, m) items, each made once per model, times h^f."""
+    h = "h" + (f"^{f}" if f > 1 else "")
     labels = []
-    for (a, mon) in items:
-        bits = []
-        if f:
-            bits.append("h" + (f"^{f}" if f > 1 else ""))
-        if a:
-            bits.append("rho" + (f"^{a}" if a > 1 else ""))
-        body = model.algebra.describe_monomial(mon)
-        if body != "1" or not bits:
-            bits.append(body)
-        labels.append("*".join(bits))
+    for item in items:
+        label = model._labels.get(item)
+        if label is None:
+            a, mon = item
+            bits = ["rho" + (f"^{a}" if a > 1 else "")] if a else []
+            body = model.algebra.describe_monomial(mon)
+            if body != "1" or not bits:
+                bits.append(body)
+            label = model._labels[item] = "*".join(bits)
+        labels.append(label if not f else h if label == "1" else f"{h}*{label}")
     return labels
 
 

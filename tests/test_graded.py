@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from etasphere.graded import (
     Derivation,
     F2,
     GeneratorSpec,
+    GradedElement,
     IntegersMod,
     KMTau,
     NonSquareZero,
@@ -27,11 +29,14 @@ from etasphere.graded import (
     check_confluence_random,
     hilbert_dimension,
     homology_at_degree,
+    mon_from_dict,
     normalize_product,
     rank_and_kernel_dim,
     rational_rank,
     terms_equal,
 )
+from etasphere.kwcalc import msp_gr_model
+from etasphere.steenrod import kgl_homology_model, ko_homology_model, steenrod_spec
 
 
 def poly_f2(names_degrees, truncation=24):
@@ -475,3 +480,136 @@ def test_kmtau_tau_exponent_past_the_stride_raises(mode):
         assert list(km.terms(km.mul(km.monomial(0, top), rho))) == [(1, top)]
         with pytest.raises(AlgebraError):
             km.mul(km.monomial(1, 40), km.monomial(0, 30))
+
+
+# -- apply_derivation and monomial bases against independent references --------
+
+def leibniz_per_term(d, a):
+    """d(a) the per-term way: normalize each partial, multiply, then sum."""
+    alg = d.algebra
+    ring = alg.coefficients
+    total = alg.zero()
+    for mon, coeff in a.terms.items():
+        for i, e in mon:
+            img = d.images[i]
+            if img.is_zero():
+                continue
+            rest = dict(mon)
+            rest[i] -= 1
+            scalar = ring.mul(coeff, ring.from_int(e))
+            if ring.is_zero(scalar):
+                continue
+            partial = GradedElement(alg, alg.normalize({mon_from_dict(rest): scalar}))
+            total = total + normalize_product(partial, img)
+    return total
+
+
+def phi_algebra(max_degree, ring):
+    """phi(x_i) = x_(i-1) on ring[x_1, ..., x_max] (x_0 = 1), as in abstract_phi_report."""
+    a = AlgebraSpec([GeneratorSpec(f"x{i}", i) for i in range(1, max_degree + 1)],
+                    ring, max_degree + 1)
+    images = {"x1": a.one()}
+    for i in range(2, max_degree + 1):
+        images[f"x{i}"] = a.gen(f"x{i - 1}")
+    return a, Derivation(a, -1, images, name="phi")
+
+
+def ko_square_derivation(base):
+    """A degree +1 derivation of the ko model whose Leibniz terms hit tau2^2 = rho tau3."""
+    a = ko_homology_model(base, truncation=16).algebra
+    images = {"xi1sq": a.gen("xi2"), "xi2": a.gen("tau2"),
+              "tau2": a.gen("xi1sq") * a.gen("xi2")}
+    return a, Derivation(a, 1, images, name="d")
+
+
+@functools.cache
+def derivation_cases():
+    cases = {}
+    for base in ("real_closed", "quadratically_closed", "finite_field_3mod4"):
+        cases[f"ko/{base}"] = ko_homology_model(base, truncation=16).delta
+        cases[f"kgl/{base}"] = kgl_homology_model(base, truncation=16).delta
+        cases[f"ko-square/{base}"] = ko_square_derivation(base)[1]
+    cases["phi/F2"] = phi_algebra(9, F2())[1]
+    cases["phi/Q"] = phi_algebra(9, RationalRing())[1]
+    cases["msp"] = msp_gr_model(12)[1]
+    return cases
+
+
+def random_coefficient(ring, rng):
+    if isinstance(ring, KMTau):
+        return packed(ring, [(rng.randrange(4), 0) for _ in range(rng.randrange(1, 4))])
+    if isinstance(ring, RationalRing):
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+    return ring.one
+
+
+@pytest.mark.parametrize("name", sorted(derivation_cases()))
+def test_apply_derivation_matches_the_per_term_leibniz_rule(name):
+    d = derivation_cases()[name]
+    alg, ring = d.algebra, d.algebra.coefficients
+    top = min(alg.truncation, alg.truncation - d.degree_shift)
+    rng = random.Random(name)
+    checked = 0
+    for _ in range(60):
+        terms = {}
+        for _ in range(rng.randrange(1, 6)):
+            basis = alg.monomials_of_degree(rng.randrange(top + 1))
+            if basis:
+                add_term(ring, terms, rng.choice(basis), random_coefficient(ring, rng))
+        el = GradedElement(alg, terms)
+        got = apply_derivation(d, el)
+        assert terms_equal(ring, got.terms, leibniz_per_term(d, el).terms), el
+        checked += bool(got.terms)
+    assert checked >= 20
+    past = ((0, alg.truncation + 5),)
+    with pytest.raises(TruncationExceeded):
+        apply_derivation(d, GradedElement(alg, {past: ring.one}))
+
+
+@pytest.mark.parametrize("ring", [F2(), RationalRing()], ids=["F2", "Q"])
+def test_apply_derivation_cancels_across_leibniz_terms(ring):
+    a, phi = phi_algebra(6, ring)
+    x1, x2, x3 = a.gen("x1"), a.gen("x2"), a.gen("x3")
+    two = ring.from_int(2)
+    # phi(2 x1 x3 - x2^2) = 2 x3 + 2 x1 x2 - 2 x1 x2: the x1 x2 terms cancel
+    el = (x1 * x3).scale(two) - x2 * x2
+    want = x3.scale(two)
+    assert apply_derivation(phi, el) == want == leibniz_per_term(phi, el)
+    # phi(x1 x2 + x3) = x2 + x1^2 + x2: over F2 the x2 terms cancel
+    el = x1 * x2 + x3
+    want = x1 * x1 + (a.zero() if isinstance(ring, F2) else x2.scale(two))
+    assert apply_derivation(phi, el) == want == leibniz_per_term(phi, el)
+
+
+def monomials_by_exponent_vectors(algebra, n):
+    """Every exponent vector of total degree n, squares capped at 1, in product order."""
+    gens = algebra.generators
+    ranges = [range(min(n // g.degree, 1 if g.kind == SQUARE else n) + 1) for g in gens]
+    out = []
+    for exps in itertools.product(*ranges):
+        if sum(e * g.degree for e, g in zip(exps, gens)) == n:
+            out.append(tuple((i, e) for i, e in enumerate(exps) if e))
+    return out
+
+
+@functools.cache
+def monomial_basis_cases():
+    cases = {}
+    for base in ("real_closed", "quadratically_closed"):
+        cases[f"ko/{base}"] = ko_homology_model(base, truncation=16).algebra
+        cases[f"kgl/{base}"] = kgl_homology_model(base, truncation=16).algebra
+    cases["steenrod/free/7"] = steenrod_spec("free", 7)
+    cases["phi/F2"] = phi_algebra(9, F2())[0]
+    cases["phi/Q"] = phi_algebra(9, RationalRing())[0]
+    # degrees out of order, a generator above every small n, squares with no image
+    cases["unsorted"] = AlgebraSpec(
+        [GeneratorSpec("a", 3, SQUARE, None), GeneratorSpec("big", 9),
+         GeneratorSpec("x", 2), GeneratorSpec("s", 1, SQUARE, None)], F2(), 12)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(monomial_basis_cases()))
+def test_monomials_of_degree_match_exponent_vectors_in_order(name):
+    algebra = monomial_basis_cases()[name]
+    for n in range(algebra.truncation + 1):
+        assert algebra.monomials_of_degree(n) == monomials_by_exponent_vectors(algebra, n), n

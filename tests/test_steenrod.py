@@ -404,6 +404,59 @@ def test_model_monomials_match_brute_force(make_model, base):
         assert sorted(got) == sorted(brute_force_monomials(algebra, n)), n
 
 
+@pytest.mark.parametrize("make_model", [ko_homology_model, kgl_homology_model])
+def test_model_generators_follow_the_truncation(make_model):
+    # xi1^2 (ko) or xi1 (kgl), then xi_j of stem 2^j - 1 while that is <= T,
+    # then tau_i of stem 2^i while that is <= T; the weight is 1 - 2^k for
+    # xi_k and tau_k, and -2 for xi1^2
+    first = ("xi1sq", 2, -2) if make_model is ko_homology_model else ("xi1", 1, -1)
+    for truncation in range(41):
+        want = [first]
+        j = 2
+        while 2**j - 1 <= truncation:
+            want.append((f"xi{j}", 2**j - 1, 1 - 2**j))
+            j += 1
+        i = 2
+        while 2**i <= truncation:
+            want.append((f"tau{i}", 2**i, 1 - 2**i))
+            i += 1
+        model = make_model("real_closed", truncation)
+        got = [(g.name, g.degree, w)
+               for g, w in zip(model.algebra.generators, model.gen_weights, strict=True)]
+        assert got == want, truncation
+
+
+def test_pages_solve_each_cell_once(monkeypatch):
+    # one nullspace per distinct (s, w) cell, and none when the pages are asked again
+    seen = set()
+    cycles_of = steenrod.HomologyModel.cell_cycles
+    nullspace = steenrod.gf2.nullspace
+    calls = []
+
+    def spy_cycles(model, s, w):
+        seen.add((s, w))
+        return cycles_of(model, s, w)
+
+    def spy_nullspace(*args):
+        calls.append(args)
+        return nullspace(*args)
+
+    monkeypatch.setattr(steenrod.HomologyModel, "cell_cycles", spy_cycles)
+    monkeypatch.setattr(steenrod.gf2, "nullspace", spy_nullspace)
+    model = ko_homology_model("real_closed", truncation=14)
+    first = bockstein_pages(model, smax=12, fmax=4)
+    assert 0 < len(calls) <= len(seen)
+    made = len(calls)
+    assert bockstein_pages(model, smax=12, fmax=4) == first
+    assert len(calls) == made
+    for s, w in seen:
+        source, cycles = model.cell_cycles(s, w)
+        assert isinstance(source, tuple) and isinstance(cycles, tuple)
+        assert isinstance(model.cell_homology(s, w)[1], tuple)
+        assert model.cell_cycles(s, w) is model.cell_cycles(s, w)
+    assert len(calls) == made
+
+
 def test_cell_basis_is_not_aliased():
     model = ko_homology_model("real_closed", truncation=10)
     first = model.cell_basis(4, -3)
