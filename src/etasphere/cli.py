@@ -41,9 +41,9 @@ from .steenrod import (
     action_table_ok,
     bockstein_pages,
     check_antipode_axiom,
-    check_coassociativity,
-    check_counit,
+    check_coassociativity_counit,
     conjugate_basis_triangularity,
+    hopf_weight,
     kgl_homology_model,
     ko_homology_model,
     sphere_model,
@@ -243,14 +243,13 @@ def rewrite_confluence_random(rng) -> tuple:
 
 
 def coassoc_counit(base: str, weight: int) -> tuple:
-    alg = SteenrodAlgebra(base, weight=max(16, weight + 4))
-    return True, min(check_coassociativity(alg, weight), check_counit(alg, weight)), None
+    alg = SteenrodAlgebra(base, hopf_weight(weight))
+    return True, check_coassociativity_counit(alg, weight), None
 
 
 def action_table(base: str, weight: int) -> tuple:
     """The dual actions of tau0, tau1 and xi1 on every generator."""
-    alg = SteenrodAlgebra(base, weight=max(16, weight + 4))
-    return action_table_ok(alg), alg.max_tau + 1 + alg.max_xi, None
+    return *action_table_ok(SteenrodAlgebra(base, hopf_weight(weight))), None
 
 
 def normal_order_phi_beta_n() -> tuple:
@@ -345,7 +344,7 @@ def verify_checks(rng) -> dict:
             "conjugate_triangularity": lambda: (True, conjugate_basis_triangularity(
                 SteenrodAlgebra("real_closed", weight=16), max_weight=8, max_tau_power=2), None),
             "antipode_axiom": lambda: (
-                True, check_antipode_axiom(SteenrodAlgebra("real_closed", weight=16), 7), None),
+                True, check_antipode_axiom(SteenrodAlgebra("real_closed", hopf_weight(7)), 7), None),
         },
         "witt": {
             # lookup validates each bundled presentation and raises on a bad one

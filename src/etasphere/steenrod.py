@@ -102,6 +102,18 @@ def top_index(weight: int) -> int:
     return (weight + 1).bit_length() - 1
 
 
+def hopf_weight(max_weight: int) -> int:
+    """The algebra weight that the Hopf checks up to `max_weight` need.
+
+    It is the largest stem of a monomial of weight <= max_weight, which has
+    at most top_index + 1 tau factors, each of stem one more than its weight.
+    Products, tau_i^2 rewrites and the crossing rule (m eta_R(p)) keep the
+    bidegree, and a coefficient rho^a tau^t has stem t >= 0, so every monomial
+    that a check meets has stem, hence weight, at most this.
+    """
+    return max_weight + top_index(max_weight) + 1
+
+
 def steenrod_generators(km, weight: int) -> list[GeneratorSpec]:
     """tau_0, xi_1, tau_1, ..., xi_k, tau_k with 2^k - 1 <= weight, by index.
 
@@ -130,11 +142,10 @@ def steenrod_generators(km, weight: int) -> list[GeneratorSpec]:
 def steenrod_spec(rho_mode: str, weight: int) -> AlgebraSpec:
     """The ring of `SteenrodAlgebra(base, weight)`, built once per (rho-mode, weight).
 
-    A normal form of weight <= the bound has at most max_tau + 1 tau factors,
-    so its stem is at most weight + max_tau + 1: that is the truncation.
+    Its truncation is the largest stem of a normal form, `hopf_weight(weight)`.
     """
     km = KMTau(rho_mode)
-    return AlgebraSpec(steenrod_generators(km, weight), km, weight + top_index(weight) + 1)
+    return AlgebraSpec(steenrod_generators(km, weight), km, hopf_weight(weight))
 
 
 UNIT_MON = ()
@@ -179,7 +190,9 @@ class SteenrodAlgebra:
         self.max_tau = self.max_xi = top_index(weight)  # no xi_0: max_xi is 0 at weight 0
         self.spec = steenrod_spec(base.rho_mode, weight)
         self.km = self.spec.coefficients
-        # memos keyed by basis monomials: Delta(m) terms, chi(m), m*m', m*eta_R(c)
+        # memos keyed by basis monomials: Delta(m) terms, chi(m), m*m', m*eta_R(c),
+        # and eta_R(c) by coefficient; they hold term dicts, never elements, so
+        # that no reference cycle keeps an algebra alive after its last element
         self._coproduct_cache: dict = {}
         self._antipode_cache: dict = {}
         self._product_cache: dict = {}
@@ -254,7 +267,7 @@ class SteenrodAlgebra:
         """eta_R on a k^M[tau] coefficient, as an algebra element."""
         cached = self._eta_cache
         if coeff in cached:
-            return cached[coeff]
+            return SteenrodElement(self, cached[coeff])
         km = self.km
         out = self.zero()
         eta = self.eta_r_tau()
@@ -266,13 +279,18 @@ class SteenrodAlgebra:
                     p = p * eta
                 powers[t] = p
             out = out + powers[t].scale(km.monomial(a, 0))
-        cached[coeff] = out
+        cached[coeff] = out.terms
         return out
 
     # -- weight bookkeeping ----------------------------------------------
     def basis_monomials(self, max_weight: int | None = None):
-        """All normal-form keys (tau exponents <= 1) of weight <= the bound."""
-        bound = self.weight if max_weight is None else min(max_weight, self.weight)
+        """All normal-form keys (tau exponents <= 1) of weight <= max_weight, by default
+        the bound; a check on them needs an algebra of weight >= hopf_weight(max_weight)."""
+        if max_weight is None:
+            max_weight = self.weight
+        elif hopf_weight(max_weight) > self.weight:
+            raise TruncationExceeded(f"checks to weight {max_weight} need an algebra of "
+                                     f"weight {hopf_weight(max_weight)}, not {self.weight}")
         gens = self.spec.generators
         out = []
 
@@ -287,7 +305,7 @@ class SteenrodAlgebra:
             for e in range(cap + 1):
                 rec(n + 1, remaining - e * w, key + ((n, e),) if e else key)
 
-        rec(0, bound, ())
+        rec(0, max_weight, ())
         return sorted(out)
 
 
@@ -396,30 +414,19 @@ def _tau_key(i: int):
     return ((2 * i, 1),)
 
 
-def _xi_key(j: int):
-    return ((2 * j - 1, 1),) if j else UNIT_MON
+def _xi_key(j: int, power: int = 1):
+    """Key of xi_j^power (xi_0 = 1)."""
+    return ((2 * j - 1, power),) if j else UNIT_MON
 
 
 def _gen_coproduct(alg: SteenrodAlgebra, kind: str, i: int) -> dict:
-    """Terms of the coproduct of tau_i or xi_i."""
+    """Terms of the coproduct of tau_i or xi_i; xi_(i-j)^(2^j) weighs 2^i - 2^j < 2^i."""
     one = alg.km.one
     out = {(_tau_key(i), UNIT_MON): one} if kind == "tau" else {}
     lower = _tau_key if kind == "tau" else _xi_key
     for j in range(0, i + 1):
-        out[(_power_key(alg, i - j, 2**j), lower(j))] = one
+        out[(_xi_key(i - j, 2**j), lower(j))] = one
     return out
-
-
-def _power_key(alg: SteenrodAlgebra, xi_index: int, power: int):
-    """Key of xi_{xi_index}^power (xi_0 = 1)."""
-    if xi_index == 0:
-        return UNIT_MON
-    key = ((2 * xi_index - 1, power),)
-    if mon_weight(key) > alg.weight:
-        raise TruncationExceeded(
-            f"xi_{xi_index}^{power} exceeds the weight bound {alg.weight}"
-        )
-    return key
 
 
 def _split_last(key):
@@ -497,31 +504,24 @@ def coproduct_right(alg: SteenrodAlgebra, t: dict) -> dict:
     return out
 
 
-def check_coassociativity(alg: SteenrodAlgebra, max_weight: int) -> int:
-    """(Delta x id)Delta = (id x Delta)Delta on all basis monomials."""
-    count = 0
-    for key in alg.basis_monomials(max_weight):
-        d = _mono_coproduct(alg, key)
-        if not terms_equal(alg.km, coproduct_left(alg, d), coproduct_right(alg, d)):
-            raise BoundsExceeded(f"coassociativity fails on {describe_mon(key)}")
-        count += 1
-    return count
+def check_coassociativity_counit(alg: SteenrodAlgebra, max_weight: int) -> int:
+    """Coassociativity, then the counit axiom, on each basis monomial; returns how many.
 
-
-def check_counit(alg: SteenrodAlgebra, max_weight: int) -> int:
-    """(eps x id)Delta = id = (id x eps)Delta on all basis monomials."""
+    (Delta x id)Delta = (id x Delta)Delta and (eps x id)Delta = id = (id x eps)Delta.
+    """
     km = alg.km
-    count = 0
-    for key in alg.basis_monomials(max_weight):
+    keys = alg.basis_monomials(max_weight)
+    for key in keys:
         d = _mono_coproduct(alg, key)
+        if not terms_equal(km, coproduct_left(alg, d), coproduct_right(alg, d)):
+            raise BoundsExceeded(f"coassociativity fails on {describe_mon(key)}")
         # eps keeps the words whose other slot is the unit, each once
         left = {m2: c for (m1, m2), c in d.items() if m1 == UNIT_MON}
         right = {m1: c for (m1, m2), c in d.items() if m2 == UNIT_MON}
         x = {key: km.one}
         if not (terms_equal(km, left, x) and terms_equal(km, right, x)):
             raise BoundsExceeded(f"counit axiom fails on {describe_mon(key)}")
-        count += 1
-    return count
+    return len(keys)
 
 
 _OPERATORS = {
@@ -588,7 +588,7 @@ def _mono_antipode(alg: SteenrodAlgebra, key) -> SteenrodElement:
     """
     cached = alg._antipode_cache.get(key)
     if cached is not None:
-        return cached
+        return SteenrodElement(alg, cached)
     one = alg.km.one
     if key == UNIT_MON:
         out = alg.one()
@@ -600,10 +600,10 @@ def _mono_antipode(alg: SteenrodAlgebra, key) -> SteenrodElement:
             kind, i = _generator(n)
             out = alg.tau(i) if kind == "tau" else alg.zero()
             for j in range(i):
-                power = SteenrodElement(alg, {_power_key(alg, i - j, 2**j): one})
+                power = SteenrodElement(alg, {_xi_key(i - j, 2**j): one})
                 lower = _tau_key(j) if kind == "tau" else _xi_key(j)
                 out = out + power * _mono_antipode(alg, lower)
-    alg._antipode_cache[key] = out
+    alg._antipode_cache[key] = out.terms
     return out
 
 
@@ -616,8 +616,8 @@ def check_antipode_axiom(alg: SteenrodAlgebra, max_weight: int) -> int:
     """
     km = alg.km
     mul = km.mul
-    count = 0
-    for key in alg.basis_monomials(max_weight):
+    keys = alg.basis_monomials(max_weight)
+    for key in keys:
         raw: dict = {}
         for (m1, m2), c in _mono_coproduct(alg, key).items():
             for k2, c2 in _mono_antipode(alg, m2).terms.items():
@@ -625,38 +625,30 @@ def check_antipode_axiom(alg: SteenrodAlgebra, max_weight: int) -> int:
         expected = {UNIT_MON: km.one} if key == UNIT_MON else {}
         if not terms_equal(km, alg.normal_form(raw), expected):
             raise BoundsExceeded(f"antipode axiom fails on {describe_mon(key)}")
-        count += 1
-    return count
+    return len(keys)
 
 
-def action_table_ok(alg: SteenrodAlgebra) -> bool:
+_ACTION_COLUMNS = (("tau0_hat", "L"), ("tau1_hat", "L"), ("xi1_hat", "L"),
+                   ("tau0_hat", "R"), ("xi1_hat", "R"))
+
+
+def action_table_ok(alg: SteenrodAlgebra) -> tuple[bool, int]:
     """The dual actions of tau0, tau1 and xi1 on the generators match the table.
 
     On the left each operation sends its own generator to 1, xi1_hat sends
     tau_1 to tau_0, and all other generators go to 0; on the right tau0_hat
-    sends tau_i to xi_i and xi1_hat sends xi_i to xi_{i-1}^2.
+    sends tau_i to xi_i and xi1_hat sends xi_i to xi_{i-1}^2 (xi_0 = 1).
+    Returns the verdict and the number of actions compared.
     """
-    taus = range(0, alg.max_tau + 1)
-    xis = range(1, alg.max_xi + 1)
-    ok = dual_action("tau0_hat", "L", alg.tau(0)) == alg.one()
-    ok &= all(dual_action("tau0_hat", "L", alg.tau(i)).is_zero() for i in taus if i)
-    ok &= all(dual_action("tau0_hat", "L", alg.xi(i)).is_zero() for i in xis)
-    ok &= dual_action("tau1_hat", "L", alg.tau(1)) == alg.one()
-    ok &= all(dual_action("tau1_hat", "L", alg.tau(i)).is_zero() for i in taus if i != 1)
-    ok &= all(dual_action("tau1_hat", "L", alg.xi(i)).is_zero() for i in xis)
-    ok &= dual_action("xi1_hat", "L", alg.tau(1)) == alg.tau(0)
-    ok &= all(dual_action("xi1_hat", "L", alg.tau(i)).is_zero() for i in taus if i != 1)
-    ok &= dual_action("xi1_hat", "L", alg.xi(1)) == alg.one()
-    ok &= all(dual_action("xi1_hat", "L", alg.xi(i)).is_zero() for i in xis if i != 1)
-    ok &= all(dual_action("tau0_hat", "R", alg.tau(i)) == alg.xi(i) for i in taus)
-    ok &= all(dual_action("tau0_hat", "R", alg.xi(i)).is_zero() for i in xis)
-    ok &= all(dual_action("xi1_hat", "R", alg.tau(i)).is_zero() for i in taus)
-    ok &= all(
-        dual_action("xi1_hat", "R", alg.xi(i))
-        == (alg.xi(i - 1) * alg.xi(i - 1) if i > 1 else alg.one())
-        for i in xis
-    )
-    return bool(ok)
+    one, zero, xi = alg.one(), alg.zero(), alg.xi
+    rows = [(alg.tau(i), (one if i == 0 else zero, one if i == 1 else zero,
+                          alg.tau(0) if i == 1 else zero, xi(i), zero))
+            for i in range(alg.max_tau + 1)]
+    rows += [(xi(j), (zero, zero, one if j == 1 else zero, zero, xi(j - 1) * xi(j - 1)))
+             for j in range(1, alg.max_xi + 1)]
+    cases = [(dual_action(op, side, x), want)
+             for x, wants in rows for (op, side), want in zip(_ACTION_COLUMNS, wants)]
+    return all(got == want for got, want in cases), len(cases)
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +667,9 @@ class HomologyModel:
     motivic weight w, and coefficients are k^M (powers of rho, with w = +1
     each).  delta lowers s by 1 and raises w by 1.  Cell bases, delta
     columns, cycles and homology representatives are computed once per
-    (s, w) cell and kept with the model as tuples; so is delta of each
-    monomial, which every rho-multiple of it shares, and the label of each
-    basis element (rho-power, monomial).
+    (s, w) cell and kept with the model as tuples; so are the weighted
+    monomials of each stem, delta of each monomial, which every rho-multiple
+    of it shares, and the label of each basis element (rho-power, monomial).
     """
 
     name: str
@@ -685,6 +677,7 @@ class HomologyModel:
     algebra: AlgebraSpec
     delta: Derivation
     gen_weights: list  # w per generator index
+    _stems: dict = _memo()
     _cells: dict = _memo()
     _deltas: dict = _memo()
     _images: dict = _memo()
@@ -702,14 +695,14 @@ class HomologyModel:
         """
         cell = self._cells.get((s, w))
         if cell is None:
-            out = []
-            if 0 <= s <= self.algebra.truncation:
-                km = self.algebra.coefficients
-                for mon in self.algebra.monomials_of_degree(s):
-                    a = w - self.monomial_weight(mon)
-                    if a >= 0 and km.admissible(a):
-                        out.append((a, mon))
-            cell = self._cells[(s, w)] = tuple(sorted(out))
+            stem = self._stems.get(s)
+            if stem is None:
+                mons = (self.algebra.monomials_of_degree(s)
+                        if 0 <= s <= self.algebra.truncation else ())
+                stem = self._stems[s] = tuple((self.monomial_weight(mon), mon) for mon in mons)
+            km = self.algebra.coefficients
+            cell = self._cells[(s, w)] = tuple(sorted(
+                (w - q, mon) for q, mon in stem if w >= q and km.admissible(w - q)))
         return list(cell)
 
     def delta_matrix(self, s: int, w: int):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -38,3 +40,14 @@ def test_every_definition_has_a_library_caller():
     orphans = {name for name, path, first, last in definitions()
                if total[name] == sum(words[name] for words in lines[path][first - 1:last])}
     assert orphans == set(NO_LIBRARY_CALLER)
+
+
+def test_every_module_stays_below_8192_tokens():
+    # with bytecode caching off each module is compiled at import, and past 8192
+    # tokens CPython 3.11's parser doubles its token buffer: about 0.5 MiB more
+    # peak memory on every benchmark workload.  Comments and blank lines do not count.
+    sizes = {}
+    for path in sorted(SRC.glob("*.py")):
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        sizes[path.name] = sum(tok.type not in (tokenize.COMMENT, tokenize.NL) for tok in tokens)
+    assert max(sizes.values()) < 8192, sizes

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from etasphere import steenrod
+from etasphere import cli, steenrod
 from etasphere.graded import (
     BoundsExceeded,
     KMTau,
@@ -21,6 +24,7 @@ from etasphere.graded import (
     terms_equal,
 )
 from etasphere.steenrod import (
+    HomologyModel,
     SteenrodAlgebra,
     SteenrodElement,
     UNIT_MON,
@@ -29,14 +33,14 @@ from etasphere.steenrod import (
     antipode,
     bockstein_pages,
     check_antipode_axiom,
-    check_coassociativity,
-    check_counit,
+    check_coassociativity_counit,
     combine_slots,
     conjugate_basis_triangularity,
     coproduct,
     coproduct_left,
     coproduct_right,
     dual_action,
+    hopf_weight,
     kgl_homology_model,
     ko_homology_model,
     mon_bidegree,
@@ -233,8 +237,58 @@ def test_unknown_operator():
 def test_coassociativity_and_counit_weight8():
     for base in FULL_TABLE_BASES:
         alg = SteenrodAlgebra(base, weight=16)
-        assert check_coassociativity(alg, 8) > 0
-        assert check_counit(alg, 8) > 0
+        assert check_coassociativity_counit(alg, 8) > 0
+
+
+# basis monomials of weight <= w, for w = 0, 1, ..., 8
+HOPF_COUNTS = (2, 6, 10, 18, 30, 42, 58, 82, 110)
+
+
+@pytest.mark.parametrize("base", FULL_TABLE_BASES)
+def test_hopf_checks_run_in_the_algebra_their_weight_rule_gives(base, capsys, monkeypatch):
+    for w, count in enumerate(HOPF_COUNTS):
+        alg = SteenrodAlgebra(base, hopf_weight(w))
+        assert check_coassociativity_counit(alg, w) == check_antipode_axiom(alg, w) == count
+        assert cli.run(["--format", "json", "steenrod", "--base", base, "--weight", str(w)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["certificates"] == {"action_table": {"pass": True},
+                                          "coassociativity_counit": {"pass": True}}
+        assert report["results"]["monomials_checked"] == count
+
+    # one weight less is refused before any coproduct is computed
+    def no_coproduct(alg, key):
+        raise AssertionError("a coproduct was computed")
+
+    monkeypatch.setattr(steenrod, "_mono_coproduct", no_coproduct)
+    for w in range(len(HOPF_COUNTS)):
+        small = SteenrodAlgebra(base, hopf_weight(w) - 1)
+        for check in (check_coassociativity_counit, check_antipode_axiom):
+            with pytest.raises(TruncationExceeded, match=f"algebra of weight {hopf_weight(w)},"):
+                check(small, w)
+
+
+def test_hopf_weight_is_the_stem_bound():
+    assert [hopf_weight(w) for w in (0, 4, 6, 7, 9, 12, 15)] == [1, 7, 9, 11, 13, 16, 20]
+    assert all(hopf_weight(w) == steenrod.steenrod_spec("free", w).truncation for w in range(20))
+
+
+def test_merged_check_names_the_axiom_that_fails(monkeypatch):
+    alg = SteenrodAlgebra("real_closed", hopf_weight(3))
+    monkeypatch.setattr(steenrod, "coproduct_right", lambda alg, d: {})
+    with pytest.raises(BoundsExceeded, match="coassociativity fails on 1"):
+        check_coassociativity_counit(alg, 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(steenrod, "_mono_coproduct", lambda alg, key: {(key, key): alg.km.one})
+    with pytest.raises(BoundsExceeded, match="counit axiom fails on tau0$"):
+        check_coassociativity_counit(alg, 3)
+
+
+def test_action_table_reports_its_own_count():
+    # five dual actions per generator: tau_0, tau_1, xi_1 at weight 0 (algebra 1),
+    # tau_0..tau_4 and xi_1..xi_4 at weight 12 (algebra 16)
+    for base in FULL_TABLE_BASES:
+        assert cli.action_table(base, 0) == (True, 15, None)
+        assert cli.action_table(base, 12) == (True, 45, None)
 
 
 def test_antipode():
@@ -457,6 +511,22 @@ def test_pages_solve_each_cell_once(monkeypatch):
     assert len(calls) == made
 
 
+def test_pages_weigh_each_monomial_once(monkeypatch):
+    weigh = HomologyModel.monomial_weight
+    weighed = Counter()
+
+    def spy(model, mon):
+        weighed[mon] += 1
+        return weigh(model, mon)
+
+    monkeypatch.setattr(HomologyModel, "monomial_weight", spy)
+    model = ko_homology_model("real_closed", truncation=14)
+    bockstein_pages(model, smax=12, fmax=4)
+    # stems 0..13: the pages read each stem's cells and the boundaries from stem 13
+    stems = [mon for s in range(14) for mon in model.algebra.monomials_of_degree(s)]
+    assert weighed == Counter(stems)
+
+
 def test_cell_basis_is_not_aliased():
     model = ko_homology_model("real_closed", truncation=10)
     first = model.cell_basis(4, -3)
@@ -469,6 +539,21 @@ def test_cell_basis_is_not_aliased():
 
 
 # -- the per-algebra memos against cache-free references -----------------------
+
+def test_an_algebra_is_freed_with_its_memos_without_the_cycle_collector():
+    # the memos hold term dicts, not elements pointing back at the algebra
+    gc.disable()
+    try:
+        alg = SteenrodAlgebra("real_closed", hopf_weight(5))
+        assert check_antipode_axiom(alg, 5) == 42
+        assert dual_action("xi1_hat", "L", alg.tau(1)) == alg.tau(0)
+        assert alg._antipode_cache and alg._eta_cache
+        freed = weakref.ref(alg)
+        del alg
+        assert freed() is None
+    finally:
+        gc.enable()
+
 
 def _generators(key):
     """(kind, index) of each generator factor of a monomial key, in fold order.
@@ -698,12 +783,12 @@ import json
 import tracer
 import etasphere.cli
 from etasphere import kwcalc
-from etasphere.steenrod import SteenrodAlgebra, check_coassociativity
+from etasphere.steenrod import SteenrodAlgebra, check_coassociativity_counit
 
 t = tracer.Tracer()
 tracer.install(t)
 t.on = True
-check_coassociativity(SteenrodAlgebra("real_closed", weight=7), 4)
+check_coassociativity_counit(SteenrodAlgebra("real_closed", weight=7), 4)
 kwcalc.kw_hw_generators_check("F3", 3)
 print(json.dumps(t.layer_metrics()))
 """
