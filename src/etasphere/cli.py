@@ -296,7 +296,7 @@ def divided_power_identities(*reports) -> tuple:
 
 def divided_power_two_unit_choices() -> tuple:
     return divided_power_identities(*(
-        divided_power_construct(DividedPowerModel(modulus_bits=8, units=units, imax=5), 16)
+        divided_power_construct(DividedPowerModel(modulus_bits=8, units=units, imax=5), 16)[0]
         for units in ((1, 1, 1, 1, 1), (3, 5, 7, 9, 11))
     ))
 
@@ -594,9 +594,10 @@ def run(argv) -> int:
             except ValueError as exc:
                 raise UsageError(f"--units takes comma-separated integers: {args.units!r}") from exc
             model = DividedPowerModel(args.modulus_bits, units, args.imax)
-            out = divided_power_construct(model, args.nmax)
+            out, checked = divided_power_construct(model, args.nmax)
             certificates["divided_power_identities"], _ = run_check(divided_power_identities, out)
-            certificates["squares_normalized"] = certificate(out["squares_normalized"], model.imax)
+            certificates["squares_normalized"] = certificate(
+                out["squares_normalized"], checked["squares_normalized"])
             results = out
             ascii_body = (
                 f"x_m x_n = binom(m+n, n) x_(m+n) mod 2^{args.modulus_bits} "
@@ -614,12 +615,9 @@ def run(argv) -> int:
             ascii_body = emit_stems_chart(table)
 
         elif args.subcommand == "kwhw":
-            out = kw_hw_generators_check(fields[args.field], args.imax, args.modulus_bits)
-            # r in I^2 and each square; each product x_k; each lifted basis element
-            for key, checked in (("squares_in_2_plus_I2", args.imax + 1),
-                                 ("binary_products_generate", 2**args.imax + 1),
-                                 ("lift_certificate_ok", 2**args.imax + 1)):
-                certificates[key] = certificate(out[key], checked)
+            out, checked = kw_hw_generators_check(fields[args.field], args.imax, args.modulus_bits)
+            for key, count in checked.items():
+                certificates[key] = certificate(out[key], count)
             results = out
             ascii_body = json.dumps(out, sort_keys=True, indent=2)
 

@@ -13,10 +13,11 @@ Coefficients live in a small pluggable ring: any object with the attributes
 ungraded ring) and `describe`; derivations and the divided-power model
 also call `from_int`.  `F2`, `RationalRing`, `IntegersMod` and `KMTau` live
 here; `filtered.FiniteRing` is the W/2^K ring of the completed Witt models.
-Every sparse term dict over such a ring is accumulated with `add_term` and
-compared with `terms_equal`, and never stores a zero coefficient.  A ring
-class whose elements are ints added by XOR (`F2`, `KMTau`) sets `xor_terms`,
-which turns `add_term` into one `^` and `terms_equal` into dict equality.
+Every sparse term dict over such a ring is accumulated with `add_term` (or
+`add_terms`, a batch of tensor words) and compared with `terms_equal`, and
+never stores a zero coefficient.  A ring class whose elements are ints added
+by XOR (`F2`, `KMTau`) sets `xor_terms`, which turns `add_term` and
+`add_terms` into one `^` per term and `terms_equal` into dict equality.
 
 Truncation degree D is mandatory: operations that would need a monomial of
 degree beyond D raise TruncationExceeded instead of silently dropping it.
@@ -489,6 +490,37 @@ def add_term(ring, terms: dict, key, coeff) -> None:
         terms.pop(key, None)
     else:
         terms[key] = acc
+
+
+def add_terms(ring, terms: dict, src: dict, scale, prefix=(), suffix=()) -> None:
+    """terms[prefix + key + suffix] += scale * c for each key, c of src, in one loop.
+
+    The keys are tuples, the words of a tensor.  A product that the ring sends
+    to zero (a masked rho power) is dropped like any zero sum: it is never
+    stored and never raises.
+    """
+    mul = ring.mul
+    if not ring.xor_terms:
+        for key, coeff in src.items():
+            add_term(ring, terms, prefix + key + suffix, mul(scale, coeff))
+        return
+    get, pop, one = terms.get, terms.pop, ring.one
+    unit = scale == one
+    for key, coeff in src.items():
+        key = prefix + key + suffix
+        acc = get(key, 0) ^ (coeff if unit else scale if coeff == one else mul(scale, coeff))
+        if acc:
+            terms[key] = acc
+        else:
+            pop(key, None)
+
+
+def by_coefficient(ring, terms: dict) -> dict:
+    """The keys of a term dict grouped by their coefficient: {c: {key: one}}."""
+    out: dict = {}
+    for key, c in terms.items():
+        out.setdefault(c, {})[key] = ring.one
+    return out
 
 
 def terms_equal(ring, a: dict, b: dict) -> bool:

@@ -652,14 +652,15 @@ class DividedPowerModel:
         return pow(c, -1, self.modulus)
 
 
-def divided_power_construct(model: DividedPowerModel, n_max: int) -> dict:
+def divided_power_construct(model: DividedPowerModel, n_max: int) -> tuple[dict, dict]:
     """Generators x_0..x_{n_max} with x_m x_n = binom(m+n, n) x_{m+n}.
 
     s_0 = t_0 and s_{n+1} = (v_n^{-1} a_n^2 w_n) t_{n+1} normalizes the
     squares to s_n^2 = binom(2^{n+1}, 2^n) s_{n+1}; then x_n is the odd
     rational delta_n = prod (2^i)!^{eps_i} / n! times prod s_i^{eps_i} over
     the binary expansion of n, and the certificate checks every product with
-    m + n <= n_max exactly in Z/2^K.
+    m + n <= n_max exactly in Z/2^K.  Returns the report and the number of
+    cases behind its `squares_normalized` verdict.
     """
     if n_max > 2**model.imax:
         raise BoundsExceeded(f"n_max {n_max} exceeds 2^imax = {2**model.imax}")
@@ -680,7 +681,9 @@ def divided_power_construct(model: DividedPowerModel, n_max: int) -> dict:
 
     # verify s_n^2 = binom(2^{n+1}, 2^n) s_{n+1} exactly
     squares_ok = True
+    squares_checked = 0
     for n in range(0, model.imax):
+        squares_checked += 1
         if s(n) * s(n) != s(n + 1).scale(comb(2 ** (n + 1), 2**n)):
             squares_ok = False
 
@@ -720,7 +723,7 @@ def divided_power_construct(model: DividedPowerModel, n_max: int) -> dict:
         "certificate": certificate,
         "failures": failures,
         "x1_x1_equals_2_x2": xs[1] * xs[1] == xs[2].scale(2) if n_max >= 2 else None,
-    }
+    }, {"squares_normalized": squares_checked}
 
 
 def _factorial(n: int) -> int:
@@ -765,7 +768,7 @@ def kw_hw_generators_check(
     imax: int = 3,
     modulus_bits: int = 8,
     unit_twists: tuple = (),
-) -> dict:
+) -> tuple[dict, dict]:
     """Instantiate the W_I^-complete module model and verify the theorem's
     ring-level claims at desk scale.
 
@@ -776,7 +779,8 @@ def kw_hw_generators_check(
     pi_{4i} up to an explicit unit (also under twisted unit choices);
     x_0 = 1; and the module is free on the lifted basis in the filtered
     sense (lift_free_basis certificate).  `field` is a `WittPresentation` or
-    the name of a bundled catalog field.
+    the name of a bundled catalog field.  Returns the report and, for each of
+    its three certificates, the number of cases checked.
     """
     presentation = resolve_field(field)
     if presentation.vcd2 is None:
@@ -804,7 +808,9 @@ def kw_hw_generators_check(
 
     # t_i^2 = (2 + r) t_{i+1} verified in the model, twists squared
     squares_ok = True
+    squares_checked = 1  # r in I^2
     for i in range(0, imax):
+        squares_checked += 1
         coeff = finite.mul(two_plus_r, finite.mul(twist(i), twist(i)))
         if t(i) * t(i) != alg.element({((i + 1, 1),): coeff}):
             squares_ok = False
@@ -812,7 +818,9 @@ def kw_hw_generators_check(
     # binary products generate: x_k = prod t_n^{eps_n}: coefficient must be a unit
     products_ok = True
     units_found = {}
+    products_checked = 0
     for k in range(0, 2**imax + 1):
+        products_checked += 1
         bits = [b for b in range(k.bit_length()) if (k >> b) & 1]
         acc = alg.one()
         for b in bits:
@@ -848,7 +856,8 @@ def kw_hw_generators_check(
         "x0_is_one": x0_is_one,
         "unit_coefficients": units_found,
         "lift_certificate_ok": lift_free_basis(module, gr_basis),
-    }
+    }, {"squares_in_2_plus_I2": squares_checked, "binary_products_generate": products_checked,
+        "lift_certificate_ok": len(gr_basis)}
 
 
 def _finite_ring_inverse(finite, coeff):

@@ -8,17 +8,20 @@ monomial keys are its monomials: tau_i is generator 2i and xi_j generator
 2j - 1, so keys do not depend on the weight bound of the algebra.  The
 coproduct lives in the tensor square over the base, where the two units
 differ by eta_R(tau) = tau + rho tau_0.  A tensor is a plain term dict
-{word: c}: a word is a tuple with one monomial key per slot, and its
-coefficient c in k^M[tau] sits at the far left.  There is one crossing
-rule: a coefficient p left of a slot crosses a monomial m of that slot as
-the cached normal form of m eta_R(p) (`SteenrodAlgebra.mono_times_eta`).
-Every tensor loop accumulates through `graded.add_term`, so only
-`add_term` and `terms_equal` know that k^M[tau] coefficients are ints
-added by XOR.  Dual operations are
-obtained by contracting the coproduct against dual basis monomials; the
-antipode is computed recursively and self-checked against the algebroid
-axiom.  The eta-Bockstein pages for the ko- and kgl-models are assembled
-from the delta-complex with the class h adjoined.
+{word: c}: a word is a tuple of monomial ids, one per slot, and its
+coefficient c in k^M[tau] sits at the far left.  Each algebra gives each
+monomial key a small int id on first use (`SteenrodAlgebra.mono_id`), and
+`coproduct`, `dual_action` and `check_antipode_axiom` spell ids as keys
+again.  There is one crossing rule, `combine_slots`: a coefficient p left
+of a slot crosses a monomial m of that slot as the cached normal form of
+m eta_R(p) (`SteenrodAlgebra.mono_times_eta`).  Every tensor loop
+accumulates through `graded.add_term` or its batched form
+`graded.add_terms`, so only `graded` knows that k^M[tau] coefficients are
+ints added by XOR.  Dual operations are obtained by contracting the
+coproduct against dual basis monomials; the antipode is computed
+recursively and self-checked against the algebroid axiom.  The
+eta-Bockstein pages for the ko- and kgl-models are assembled from the
+delta-complex with the class h adjoined.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ from .graded import (
     KMTau,
     TruncationExceeded,
     add_term,
+    add_terms,
     apply_derivation,
+    by_coefficient,
     mon_mul,
     terms_equal,
 )
@@ -149,6 +154,7 @@ def steenrod_spec(rho_mode: str, weight: int) -> AlgebraSpec:
 
 
 UNIT_MON = ()
+UNIT_ID = 0  # the id of UNIT_MON in every algebra
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,10 +196,15 @@ class SteenrodAlgebra:
         self.max_tau = self.max_xi = top_index(weight)  # no xi_0: max_xi is 0 at weight 0
         self.spec = steenrod_spec(base.rho_mode, weight)
         self.km = self.spec.coefficients
-        # memos keyed by basis monomials: Delta(m) terms, chi(m), m*m', m*eta_R(c),
-        # and eta_R(c) by coefficient; they hold term dicts, never elements, so
+        # the tensor layer names each monomial key by a small int id, its
+        # position in mono_keys
+        self.mono_keys: list = [UNIT_MON]
+        self._ids: dict = {UNIT_MON: UNIT_ID}
+        # memos: Delta(m), also by coefficient, m*m' and m*eta_R(c) by monomial id,
+        # chi(m) by key and eta_R(c) by coefficient; they hold term dicts, never elements, so
         # that no reference cycle keeps an algebra alive after its last element
         self._coproduct_cache: dict = {}
+        self._coproduct_groups: dict = {}
         self._antipode_cache: dict = {}
         self._product_cache: dict = {}
         self._eta_product_cache: dict = {}
@@ -209,23 +220,40 @@ class SteenrodAlgebra:
                 )
         return out
 
-    def mono_product(self, k1, k2) -> dict:
-        """Cached normal form of the product of two basis monomials."""
-        key = (k1, k2) if k1 <= k2 else (k2, k1)
-        if key not in self._product_cache:
-            self._product_cache[key] = self.normal_form({mon_mul(k1, k2): self.km.one})
-        return self._product_cache[key]
+    def mono_id(self, key) -> int:
+        """The id of a monomial key, given on first use."""
+        mid = self._ids.get(key)
+        if mid is None:
+            mid = self._ids[key] = len(self.mono_keys)
+            self.mono_keys.append(key)
+        return mid
 
-    def mono_times_eta(self, key, coeff) -> dict:
-        """Cached normal form of the basis monomial times eta_R(coeff).
+    def slot(self, terms: dict) -> dict:
+        """Key-keyed terms as a one-slot tensor {(id,): c}."""
+        return {(self.mono_id(key),): c for key, c in terms.items()}
+
+    def mono_product(self, i, j) -> dict:
+        """Cached one-slot normal form of the product of the monomials with ids i, j."""
+        memo = (i, j) if i <= j else (j, i)
+        out = self._product_cache.get(memo)
+        if out is None:
+            keys = self.mono_keys
+            out = self._product_cache[memo] = self.slot(
+                self.normal_form({mon_mul(keys[i], keys[j]): self.km.one}))
+        return out
+
+    def mono_times_eta(self, i, coeff) -> dict:
+        """Cached one-slot normal form of the monomial with id i times eta_R(coeff).
 
         The result is shared between callers and must not be modified.
         """
-        memo = (key, coeff)
-        if memo not in self._eta_product_cache:
-            mono = SteenrodElement(self, {key: self.km.one})
-            self._eta_product_cache[memo] = (mono * self.eta_r_of_coeff(coeff)).terms
-        return self._eta_product_cache[memo]
+        memo = (i, coeff)
+        out = self._eta_product_cache.get(memo)
+        if out is None:
+            mono = SteenrodElement(self, {self.mono_keys[i]: self.km.one})
+            out = self._eta_product_cache[memo] = self.slot(
+                (mono * self.eta_r_of_coeff(coeff)).terms)
+        return out
 
     # -- element constructors ---------------------------------------------
     def zero(self):
@@ -364,45 +392,37 @@ class SteenrodElement:
 
 
 # ---------------------------------------------------------------------------
-# tensors over the base: term dicts {word: c}, c at the far left
+# tensors over the base: term dicts {word: c}, a word a tuple of monomial ids
 # ---------------------------------------------------------------------------
 
-def combine_slots(alg: SteenrodAlgebra, slots) -> dict:
-    """Far-left normal form of el_1 (x) ... (x) el_r, each slot a term dict.
+def combine_slots(alg: SteenrodAlgebra, out: dict, c, x: dict, y: dict) -> None:
+    """Add c . x (x) y to out in the far-left normal form.
 
-    Each slot carries its own left coefficients; folding right to left, the
-    coefficient p waiting left of a slot crosses each of its monomials m as
-    m eta_R(p).  The slots are read, never modified.
+    x is a one-slot tensor and y a tensor of any number of slots, given by
+    coefficient (`graded.by_coefficient`).  This is the crossing rule: a
+    coefficient s of y waits left of y and crosses each monomial m of x as
+    m eta_R(s), once for all the words of y with that coefficient.  x and y
+    are read, never modified.
     """
     km = alg.km
-    mul = km.mul
-    # state: suffix word -> coefficient waiting to cross into the next slot
-    state: dict = {(): km.one}
-    for el in reversed(slots):
-        nxt: dict = {}
-        for suffix, p in state.items():
-            for m, c in el.items():
-                # the unit crosses m unchanged
-                crossed = ((m, 1),) if p == 1 else alg.mono_times_eta(m, p).items()
-                for key, s in crossed:
-                    add_term(km, nxt, (key,) + suffix, c if s == 1 else mul(c, s))
-        state = nxt
-    return state
+    one, mul, eta = km.one, km.mul, alg.mono_times_eta
+    for xm, cx in x.items():
+        scale = mul(c, cx)
+        for s, tails in y.items():
+            # the unit crosses m unchanged
+            for k, s1 in (((xm, one),) if s == one else eta(xm[0], s).items()):
+                add_terms(km, out, tails, mul(scale, s1), prefix=k)
 
 
 def tensor_mul(alg: SteenrodAlgebra, x: dict, y: dict) -> dict:
-    """Product of two tensors with the same number of slots."""
-    km = alg.km
-    mul = km.mul
+    """Product of two 2-tensors."""
+    km, product = alg.km, alg.mono_product
     out: dict = {}
-    for word1, c1 in x.items():
-        for word2, c2 in y.items():
-            base = mul(c1, c2)
-            if not base:
-                continue
-            slots = [alg.mono_product(k1, k2) for k1, k2 in zip(word1, word2, strict=True)]
-            for word, c in combine_slots(alg, slots).items():
-                add_term(km, out, word, c if base == 1 else mul(base, c))
+    for (a1, a2), c1 in x.items():
+        for (b1, b2), c2 in y.items():
+            c = km.mul(c1, c2)
+            if c:
+                combine_slots(alg, out, c, product(a1, b1), by_coefficient(km, product(a2, b2)))
     return out
 
 
@@ -420,12 +440,12 @@ def _xi_key(j: int, power: int = 1):
 
 
 def _gen_coproduct(alg: SteenrodAlgebra, kind: str, i: int) -> dict:
-    """Terms of the coproduct of tau_i or xi_i; xi_(i-j)^(2^j) weighs 2^i - 2^j < 2^i."""
-    one = alg.km.one
-    out = {(_tau_key(i), UNIT_MON): one} if kind == "tau" else {}
+    """Delta of tau_i or xi_i as a 2-tensor; xi_(i-j)^(2^j) weighs 2^i - 2^j < 2^i."""
+    one, mid = alg.km.one, alg.mono_id
+    out = {(mid(_tau_key(i)), UNIT_ID): one} if kind == "tau" else {}
     lower = _tau_key if kind == "tau" else _xi_key
     for j in range(0, i + 1):
-        out[(_xi_key(i - j, 2**j), lower(j))] = one
+        out[(mid(_xi_key(i - j, 2**j)), mid(lower(j)))] = one
     return out
 
 
@@ -440,19 +460,28 @@ def _split_last(key):
     return rest, n
 
 
-def _mono_coproduct(alg: SteenrodAlgebra, key) -> dict:
-    """Terms of Delta(key), built as Delta(key / g) . Delta(g) and cached on alg.
+def _mono_coproduct(alg: SteenrodAlgebra, mid: int) -> dict:
+    """Delta of the monomial with id mid, built as Delta(m / g) . Delta(g) and cached on alg.
 
     The result is shared between callers and must not be modified.
     """
-    cached = alg._coproduct_cache.get(key)
+    cached = alg._coproduct_cache.get(mid)
     if cached is None:
-        if key == UNIT_MON:
-            cached = {(UNIT_MON, UNIT_MON): alg.km.one}
+        if mid == UNIT_ID:
+            cached = {(UNIT_ID, UNIT_ID): alg.km.one}
         else:
-            rest, n = _split_last(key)
-            cached = tensor_mul(alg, _mono_coproduct(alg, rest), _gen_coproduct(alg, *_generator(n)))
-        alg._coproduct_cache[key] = cached
+            rest, n = _split_last(alg.mono_keys[mid])
+            cached = tensor_mul(alg, _mono_coproduct(alg, alg.mono_id(rest)),
+                                _gen_coproduct(alg, *_generator(n)))
+        alg._coproduct_cache[mid] = cached
+    return cached
+
+
+def _coproduct_by_coefficient(alg: SteenrodAlgebra, mid: int) -> dict:
+    """`graded.by_coefficient` of Delta of the monomial with id mid, cached on alg."""
+    cached = alg._coproduct_groups.get(mid)
+    if cached is None:
+        cached = alg._coproduct_groups[mid] = by_coefficient(alg.km, _mono_coproduct(alg, mid))
     return cached
 
 
@@ -461,46 +490,38 @@ def coproduct(x: SteenrodElement) -> dict:
 
     This presentation is the free left-module normal form on the monomial
     pairs; tensor equality checks (coassociativity, counit, the antipode
-    axiom) use it.  The caller owns the returned term dict.
+    axiom) use it.  Its words are pairs of monomial keys, and the caller
+    owns the returned term dict.
     """
     alg = x.algebra
-    km = alg.km
-    mul = km.mul
+    km, keys = alg.km, alg.mono_keys
     out: dict = {}
     for key, coeff in x.terms.items():
-        for word, c in _mono_coproduct(alg, key).items():
-            add_term(km, out, word, c if coeff == 1 else mul(coeff, c))
+        for (a, b), c in _mono_coproduct(alg, alg.mono_id(key)).items():
+            add_term(km, out, (keys[a], keys[b]), km.mul(coeff, c))
     return out
 
 
-def coproduct_left(alg: SteenrodAlgebra, t: dict) -> dict:
-    """(Delta (x) id) on a 2-tensor, giving a 3-tensor."""
+def coproduct_left(alg: SteenrodAlgebra, t: dict, out: dict | None = None) -> dict:
+    """(Delta (x) id) on a 2-tensor, added to out (a new dict by default), which it returns."""
+    out = {} if out is None else out
     km = alg.km
-    mul = km.mul
-    out: dict = {}
     for (m1, m2), c in t.items():
-        for (a, b), cc in _mono_coproduct(alg, m1).items():
-            # append m2 on the right: no coefficient crosses to the right
-            add_term(km, out, (a, b, m2), c if cc == 1 else mul(c, cc))
+        # append m2 on the right: no coefficient crosses to the right
+        for cc, words in _coproduct_by_coefficient(alg, m1).items():
+            add_terms(km, out, words, km.mul(c, cc), suffix=(m2,))
     return out
 
 
-def coproduct_right(alg: SteenrodAlgebra, t: dict) -> dict:
-    """(id (x) Delta) on a 2-tensor, giving a 3-tensor.
+def coproduct_right(alg: SteenrodAlgebra, t: dict, out: dict | None = None) -> dict:
+    """(id (x) Delta) on a 2-tensor, added to out (a new dict by default), which it returns.
 
-    A coefficient cc of Delta(m2) sits left of slot 2 and crosses m1 as
-    m1 eta_R(cc); the normal form is left-linear, so c . (m1 eta_R(cc)) is
-    the cached unit product scaled by c.
+    The coefficients of Delta(m2) cross m1 by the crossing rule.
     """
-    km = alg.km
-    mul = km.mul
-    out: dict = {}
+    out = {} if out is None else out
+    one = alg.km.one
     for (m1, m2), c in t.items():
-        for (a, b), cc in _mono_coproduct(alg, m2).items():
-            # the unit crosses m1 unchanged
-            crossed = ((m1, 1),) if cc == 1 else alg.mono_times_eta(m1, cc).items()
-            for key1, c1 in crossed:
-                add_term(km, out, (key1, a, b), c if c1 == 1 else mul(c, c1))
+        combine_slots(alg, out, c, {(m1,): one}, _coproduct_by_coefficient(alg, m2))
     return out
 
 
@@ -512,13 +533,15 @@ def check_coassociativity_counit(alg: SteenrodAlgebra, max_weight: int) -> int:
     km = alg.km
     keys = alg.basis_monomials(max_weight)
     for key in keys:
-        d = _mono_coproduct(alg, key)
-        if not terms_equal(km, coproduct_left(alg, d), coproduct_right(alg, d)):
+        mid = alg.mono_id(key)
+        d = _mono_coproduct(alg, mid)
+        # the two sides, one added with the opposite sign, must cancel
+        if coproduct_right(alg, {w: km.neg(c) for w, c in d.items()}, coproduct_left(alg, d)):
             raise BoundsExceeded(f"coassociativity fails on {describe_mon(key)}")
         # eps keeps the words whose other slot is the unit, each once
-        left = {m2: c for (m1, m2), c in d.items() if m1 == UNIT_MON}
-        right = {m1: c for (m1, m2), c in d.items() if m2 == UNIT_MON}
-        x = {key: km.one}
+        left = {m2: c for (m1, m2), c in d.items() if m1 == UNIT_ID}
+        right = {m1: c for (m1, m2), c in d.items() if m2 == UNIT_ID}
+        x = {mid: km.one}
         if not (terms_equal(km, left, x) and terms_equal(km, right, x)):
             raise BoundsExceeded(f"counit axiom fails on {describe_mon(key)}")
     return len(keys)
@@ -616,16 +639,16 @@ def check_antipode_axiom(alg: SteenrodAlgebra, max_weight: int) -> int:
     """
     km = alg.km
     mul = km.mul
-    keys = alg.basis_monomials(max_weight)
-    for key in keys:
+    basis, keys = alg.basis_monomials(max_weight), alg.mono_keys
+    for key in basis:
         raw: dict = {}
-        for (m1, m2), c in _mono_coproduct(alg, key).items():
-            for k2, c2 in _mono_antipode(alg, m2).terms.items():
-                add_term(km, raw, mon_mul(m1, k2), mul(c, c2))
+        for (a, b), c in _mono_coproduct(alg, alg.mono_id(key)).items():
+            for k2, c2 in _mono_antipode(alg, keys[b]).terms.items():
+                add_term(km, raw, mon_mul(keys[a], k2), mul(c, c2))
         expected = {UNIT_MON: km.one} if key == UNIT_MON else {}
         if not terms_equal(km, alg.normal_form(raw), expected):
             raise BoundsExceeded(f"antipode axiom fails on {describe_mon(key)}")
-    return len(keys)
+    return len(basis)
 
 
 _ACTION_COLUMNS = (("tau0_hat", "L"), ("tau1_hat", "L"), ("xi1_hat", "L"),

@@ -194,7 +194,7 @@ def test_criterion_9_divided_powers_two_unit_choices():
     ok = True
     for units in [(1, 1, 1, 1, 1), (3, 5, 7, 9, 11)]:
         model = DividedPowerModel(modulus_bits=8, units=units, imax=5)
-        out = divided_power_construct(model, 16)
+        out, _ = divided_power_construct(model, 16)
         ok &= out["certificate"] and out["squares_normalized"]
     report(9, "divided-power certificate x_m x_n = binom(m+n, n) x_(m+n) mod 2^8, "
               "m + n <= 16, two unit choices",

@@ -207,7 +207,7 @@ def test_kwhw_certificate_runs_the_lemma_suite_once(monkeypatch, imax):
         return suite(alpha)
 
     monkeypatch.setattr(filtered, "filtered_lemma_suite", counted)
-    out = kw_hw_generators_check("Z_half", imax, 8)
+    out, _ = kw_hw_generators_check("Z_half", imax, 8)
     assert out["lift_certificate_ok"] is True
     assert len(calls) == 1
 

@@ -25,6 +25,7 @@ from etasphere.graded import (
     RationalRing,
     TruncationExceeded,
     add_term,
+    add_terms,
     apply_derivation,
     check_confluence_random,
     hilbert_dimension,
@@ -382,6 +383,12 @@ def test_add_term_and_terms_equal_match_dense_sums(name, data):
     assert all(not ring.is_zero(c) for c in a.values())
     assert terms_equal(ring, a, b) == (dense_a == dense_b)
     assert terms_equal(ring, a, dict(a))
+    # the batched form: scale * b added to a, each key framed as a tensor word
+    scale = data.draw(coeff)
+    batched = {(7, k, 8): c for k, c in a.items()}
+    add_terms(ring, batched, {(k,): c for k, c in b.items()}, scale, prefix=(7,), suffix=(8,))
+    want = dense_sum(ring, a_pairs + [(k, ring.mul(scale, c)) for k, c in b_pairs], range(5))
+    assert batched == {(7, k, 8): c for k, c in want.items()}
 
 
 @given(gf2_rows, gf2_rows)

@@ -319,7 +319,7 @@ def test_hopf_constants_bound():
 def test_divided_power_certificate_two_unit_choices():
     for units in [(1, 1, 1, 1, 1), (3, 5, 7, 9, 11)]:
         model = DividedPowerModel(modulus_bits=8, units=units, imax=5)
-        out = divided_power_construct(model, 16)
+        out, _ = divided_power_construct(model, 16)
         assert out["squares_normalized"], units
         assert out["certificate"], units
         assert out["x1_x1_equals_2_x2"], units
@@ -329,7 +329,7 @@ def test_divided_power_with_kummer_units():
     # w_i = binom(2^{i+1}, 2^i)/2: s_2^2 = 6 s_3 holds exactly mod 2^8
     units = tuple(comb(2 ** (i + 1), 2**i) // 2 for i in range(5))
     model = DividedPowerModel(modulus_bits=8, units=units, imax=5)
-    out = divided_power_construct(model, 8)
+    out, _ = divided_power_construct(model, 8)
     assert out["certificate"]
 
 
@@ -342,6 +342,19 @@ def test_divided_power_algebra_square_rule():
         square = alg.gen(f"t{i}") * alg.gen(f"t{i}")
         assert square == alg.gen(f"t{i + 1}").scale(2 * w)
     assert alg.square_images[3] is None
+
+
+def test_the_generator_certificates_report_their_own_counts():
+    # one case per square s_n^2, n < imax; r in I^2 and each t_i^2, i < imax;
+    # each product x_k and each lifted basis element, k <= 2^imax
+    for imax in (0, 2, 5):
+        _, checked = divided_power_construct(DividedPowerModel(modulus_bits=8, imax=imax), 1)
+        assert checked == {"squares_normalized": imax}
+    for imax in (1, 3):
+        _, checked = kw_hw_generators_check("F3", imax, 6)
+        assert checked == {"squares_in_2_plus_I2": imax + 1,
+                           "binary_products_generate": 2**imax + 1,
+                           "lift_certificate_ok": 2**imax + 1}
 
 
 def test_divided_power_rejects_bad_model():
@@ -366,7 +379,7 @@ def test_hw_hw_stems():
 # -- kw smash HW generators -----------------------------------------------------
 
 def test_kw_hw_generators_real_closed():
-    out = kw_hw_generators_check("real_closed", imax=3, modulus_bits=8)
+    out, _ = kw_hw_generators_check("real_closed", imax=3, modulus_bits=8)
     assert out["r_in_I_squared"]
     assert out["squares_in_2_plus_I2"]
     assert out["binary_products_generate"]
@@ -374,7 +387,7 @@ def test_kw_hw_generators_real_closed():
 
 
 def test_kw_hw_generators_quadratically_closed():
-    out = kw_hw_generators_check("quadratically_closed", imax=3, modulus_bits=8)
+    out, _ = kw_hw_generators_check("quadratically_closed", imax=3, modulus_bits=8)
     assert out["squares_in_2_plus_I2"]
     assert out["binary_products_generate"]
     assert out["lift_certificate_ok"]
@@ -394,7 +407,7 @@ def test_kw_hw_algebra_uses_the_ideal_square_sample():
 @pytest.mark.parametrize("name", catalog_names())
 def test_kw_hw_generators_x0_is_the_unit(name):
     # the empty product x_0 is exactly the unit of W/2^K, not just some unit
-    out = kw_hw_generators_check(name, imax=2, modulus_bits=6)
+    out, _ = kw_hw_generators_check(name, imax=2, modulus_bits=6)
     finite = FiniteRing.from_witt_mod2k(catalog_lookup(name), 6)
     assert out["x0_is_one"] is True
     assert out["unit_coefficients"][0] == list(finite.one)
@@ -407,7 +420,7 @@ def test_kw_hw_generators_x0_is_computed(monkeypatch):
         return self.element({(): add(one, add(one, one))})
 
     monkeypatch.setattr(kwcalc.AlgebraSpec, "one", three)
-    out = kw_hw_generators_check("F3", imax=1, modulus_bits=4)
+    out, _ = kw_hw_generators_check("F3", imax=1, modulus_bits=4)
     assert out["x0_is_one"] is False
     assert out["unit_coefficients"][0] == [3]
 
@@ -415,7 +428,7 @@ def test_kw_hw_generators_x0_is_computed(monkeypatch):
 def test_kw_hw_generators_with_unit_twists():
     # scaling the t_i by odd units leaves the products generators
     pres_unit = (1,)
-    out = kw_hw_generators_check(
+    out, _ = kw_hw_generators_check(
         "real_closed", imax=3, modulus_bits=8,
         unit_twists=((3,), (5,), (7,), (9,)),
     )

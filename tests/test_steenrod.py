@@ -20,6 +20,9 @@ from etasphere.graded import (
     BoundsExceeded,
     KMTau,
     TruncationExceeded,
+    add_term,
+    add_terms,
+    by_coefficient,
     check_confluence_random,
     terms_equal,
 )
@@ -27,6 +30,7 @@ from etasphere.steenrod import (
     HomologyModel,
     SteenrodAlgebra,
     SteenrodElement,
+    UNIT_ID,
     UNIT_MON,
     UnknownOperator,
     _gen_coproduct,
@@ -48,6 +52,16 @@ from etasphere.steenrod import (
     tau_monomial_homology_dims,
     tensor_mul,
 )
+
+
+def key_words(alg, t):
+    """A tensor over alg with its words of monomial ids spelled as monomial keys."""
+    return {tuple(alg.mono_keys[i] for i in word): c for word, c in t.items()}
+
+
+def id_words(alg, t):
+    """A tensor with its words of monomial keys spelled as monomial ids of alg."""
+    return {tuple(alg.mono_id(key) for key in word): c for word, c in t.items()}
 
 
 def mon_key(eps=(), E=()):
@@ -274,13 +288,99 @@ def test_hopf_weight_is_the_stem_bound():
 
 def test_merged_check_names_the_axiom_that_fails(monkeypatch):
     alg = SteenrodAlgebra("real_closed", hopf_weight(3))
-    monkeypatch.setattr(steenrod, "coproduct_right", lambda alg, d: {})
-    with pytest.raises(BoundsExceeded, match="coassociativity fails on 1"):
+    # a dropped right side leaves the left side in the dict
+    monkeypatch.setattr(steenrod, "coproduct_right", lambda alg, t, out=None: out)
+    with pytest.raises(BoundsExceeded, match="coassociativity fails on 1$"):
         check_coassociativity_counit(alg, 3)
     monkeypatch.undo()
-    monkeypatch.setattr(steenrod, "_mono_coproduct", lambda alg, key: {(key, key): alg.km.one})
+    # m (x) m is coassociative, but its counit is not m
+    monkeypatch.setattr(steenrod, "_mono_coproduct", lambda alg, mid: {(mid, mid): alg.km.one})
     with pytest.raises(BoundsExceeded, match="counit axiom fails on tau0$"):
         check_coassociativity_counit(alg, 3)
+    monkeypatch.undo()
+    # one coefficient of the memoized Delta(tau_1) flipped: tau_1 (x) 1 gets rho tau_1 (x) 1 added
+    alg = SteenrodAlgebra("real_closed", hopf_weight(3))
+    km = alg.km
+    tau1 = alg.mono_id(alg.tau(1).terms.popitem()[0])
+    memo = steenrod._mono_coproduct(alg, tau1)
+    memo[(tau1, UNIT_ID)] = km.add(memo[(tau1, UNIT_ID)], km.monomial(1, 0))
+    with pytest.raises(BoundsExceeded, match="coassociativity fails on tau0\\*tau1\\*xi1$"):
+        check_coassociativity_counit(alg, 3)
+    # the key-word oracle on the same memo fails first on the same monomial
+    failing = [key for key in alg.basis_monomials(3) if not _oracle_holds(alg, key)]
+    assert steenrod.describe_mon(failing[0]) == "tau0*tau1*xi1"
+    assert tau1 in map(alg.mono_id, failing)
+
+
+# -- the merged check against a key-word oracle -----------------------------------
+
+def _delta(alg, key):
+    """Delta of a monomial key, in key words, as the library translates it."""
+    return coproduct(SteenrodElement(alg, {key: alg.km.one}))
+
+
+def _oracle_left(alg, t):
+    """(Delta (x) id) on a key-word 2-tensor, one add_term per term."""
+    km = alg.km
+    out = {}
+    for (m1, m2), c in t.items():
+        for (a, b), cc in _delta(alg, m1).items():
+            add_term(km, out, (a, b, m2), km.mul(c, cc))
+    return out
+
+
+def _oracle_right(alg, t):
+    """(id (x) Delta) on a key-word 2-tensor; cc crosses m1 as the product m1 eta_R(cc)."""
+    km = alg.km
+    out = {}
+    for (m1, m2), c in t.items():
+        for (a, b), cc in _delta(alg, m2).items():
+            crossed = SteenrodElement(alg, {m1: km.one}) * alg.eta_r_of_coeff(cc)
+            for k1, c1 in crossed.terms.items():
+                add_term(km, out, (k1, a, b), km.mul(c, c1))
+    return out
+
+
+def _oracle_holds(alg, key):
+    """Coassociativity and the counit on one monomial key, in key words."""
+    km = alg.km
+    d = _delta(alg, key)
+    x = {key: km.one}
+    return (terms_equal(km, _oracle_left(alg, d), _oracle_right(alg, d))
+            and terms_equal(km, {m2: c for (m1, m2), c in d.items() if m1 == UNIT_MON}, x)
+            and terms_equal(km, {m1: c for (m1, m2), c in d.items() if m2 == UNIT_MON}, x))
+
+
+@pytest.mark.parametrize("base", FULL_TABLE_BASES)
+def test_the_merged_check_agrees_with_a_key_word_oracle(base):
+    alg = SteenrodAlgebra(base, hopf_weight(9))
+    basis = alg.basis_monomials(9)
+    assert check_coassociativity_counit(alg, 9) == len(basis) == 142
+    for key in basis:
+        assert _oracle_holds(alg, key), key
+        d = _delta(alg, key)
+        ids = id_words(alg, d)
+        assert ids == steenrod._mono_coproduct(alg, alg.mono_id(key))
+        assert key_words(alg, coproduct_left(alg, ids)) == _oracle_left(alg, d), key
+        assert key_words(alg, coproduct_right(alg, ids)) == _oracle_right(alg, d), key
+
+
+def test_a_product_the_base_masks_to_zero_is_dropped():
+    # over F_q, rho^2 = 0: scale rho times a coefficient rho is zero, and so is its term
+    alg = SteenrodAlgebra("finite_field_3mod4", 16)
+    km = alg.km
+    rho = km.monomial(1, 0)
+    assert km.mul(rho, rho) == 0
+    (tau0,), (xi1,) = (map(alg.mono_id, el.terms) for el in (alg.tau(0), alg.xi(1)))
+    out = {(xi1, tau0): km.one}
+    add_terms(km, out, {(tau0,): rho, (xi1,): rho}, rho, suffix=(tau0,))
+    assert out == {(xi1, tau0): km.one}
+    out = {}
+    tau = km.monomial(0, 1)
+    y = {km.one: {(xi1,): km.one}, tau: {(tau0,): km.one}}
+    steenrod.combine_slots(alg, out, rho, {(tau0,): rho}, y)
+    steenrod.combine_slots(alg, out, km.one, {(tau0,): rho}, {rho: {(xi1,): km.one}})
+    assert out == {}
 
 
 def test_action_table_reports_its_own_count():
@@ -545,9 +645,10 @@ def test_an_algebra_is_freed_with_its_memos_without_the_cycle_collector():
     gc.disable()
     try:
         alg = SteenrodAlgebra("real_closed", hopf_weight(5))
-        assert check_antipode_axiom(alg, 5) == 42
+        assert check_antipode_axiom(alg, 5) == check_coassociativity_counit(alg, 5) == 42
         assert dual_action("xi1_hat", "L", alg.tau(1)) == alg.tau(0)
-        assert alg._antipode_cache and alg._eta_cache
+        assert alg._antipode_cache and alg._eta_cache and alg._eta_product_cache
+        assert len(alg.mono_keys) > 42
         freed = weakref.ref(alg)
         del alg
         assert freed() is None
@@ -571,17 +672,18 @@ def test_memoized_coproducts_match_generator_products(base):
     km = alg.km
     etas = set()
     for key in alg.basis_monomials(9):
-        want = {(UNIT_MON, UNIT_MON): km.one}
+        want = {(UNIT_ID, UNIT_ID): km.one}
         for kind, i in _generators(key):
             want = tensor_mul(ref, want, _gen_coproduct(ref, kind, i))
         got = coproduct(SteenrodElement(alg, {key: km.one}))
-        assert got == want, key
+        assert got == key_words(ref, want), key
         for (m1, m2), _ in got.items():
             etas.update((m1, cc) for cc in coproduct(SteenrodElement(ref, {m2: km.one})).values())
     assert any(cc != km.one for _, cc in etas)
     for m1, cc in etas:
         want = SteenrodElement(ref, {m1: km.one}) * ref.eta_r_of_coeff(cc)
-        assert alg.mono_times_eta(m1, cc) == want.terms, (m1, cc)
+        got = key_words(alg, alg.mono_times_eta(alg.mono_id(m1), cc))
+        assert got == {(key,): c for key, c in want.terms.items()}, (m1, cc)
 
 
 @pytest.mark.parametrize("base", FULL_TABLE_BASES)
@@ -612,7 +714,7 @@ def test_memoized_results_are_not_aliased():
         want = dict(first)
         first.clear()
         assert terms(fn(x)) == want, fn.__name__
-    d = coproduct(x)
+    d = id_words(alg, coproduct(x))
     left, right = coproduct_left(alg, d), coproduct_right(alg, d)
     for t in (left, right):
         t.clear()
@@ -663,7 +765,8 @@ def test_coproduct_is_multiplicative(base, a, b):
     x, y = (SteenrodElement(alg, {key: alg.km.one}) for key in (a, b))
 
     def check():
-        assert coproduct(x * y) == tensor_mul(alg, coproduct(x), coproduct(y))
+        dx, dy = (id_words(alg, coproduct(el)) for el in (x, y))
+        assert coproduct(x * y) == key_words(alg, tensor_mul(alg, dx, dy))
 
     _unless_truncated(check)
 
@@ -711,8 +814,8 @@ def test_term_dicts_never_store_a_zero_coefficient(base, xs, ys, cs):
         x, y, c = _element(alg, xs), _element(alg, ys), _coefficient(km, cs)
         outputs = [
             (x * y).terms, (y * x).terms, x.scale(c).terms, antipode(x).terms,
-            coproduct(x), combine_slots(alg, [x.terms, y.terms]),
-            combine_slots(alg, [y.terms, x.terms]),
+            coproduct(x), _combine_slots(alg, [x.terms, y.terms]),
+            _combine_slots(alg, [y.terms, x.terms]),
         ]
         for terms in outputs:
             assert all(isinstance(v, int) and v != 0 for v in terms.values())
@@ -724,6 +827,16 @@ def test_term_dicts_never_store_a_zero_coefficient(base, xs, ys, cs):
 
 
 # -- the crossing rule against the slot-product fold ---------------------------
+
+def _combine_slots(alg, slots):
+    """slots[0] (x) ... (x) slots[-1] in key words, folded right to left by `combine_slots`."""
+    t = alg.slot(slots[-1])
+    for el in reversed(slots[:-1]):
+        out = {}
+        combine_slots(alg, out, alg.km.one, alg.slot(el), by_coefficient(alg.km, t))
+        t = out
+    return key_words(alg, t)
+
 
 def _reference_combine_slots(alg, slots):
     """Far-left normal form of slots[0] (x) ... (x) slots[-1], slot elements given.
@@ -753,7 +866,7 @@ def test_combine_slots_crosses_like_the_slot_product_fold(base, slot_summands):
         reject()
     # a fresh algebra, so that no memo is shared with the reference
     alg = SteenrodAlgebra(base, weight=16)
-    assert combine_slots(alg, [el.terms for el in slots]) == want
+    assert _combine_slots(alg, [el.terms for el in slots]) == want
 
 
 def test_combine_slots_crosses_non_unit_coefficients():
@@ -763,16 +876,16 @@ def test_combine_slots_crosses_non_unit_coefficients():
     assert any(c != alg.km.one for c in sq.values())
     for slots in ([sq, sq], [sq, alg.tau(0).terms, sq]):
         want = _reference_combine_slots(alg, [SteenrodElement(alg, el) for el in slots])
-        assert combine_slots(alg, slots) == want
+        assert _combine_slots(alg, slots) == want
         assert any(len(word) == len(slots) for word in want)
 
 
 def test_tensor_mul_rejects_tensors_of_different_slot_counts():
     alg = SteenrodAlgebra("real_closed", weight=8)
-    d = coproduct(alg.tau(0))
-    with pytest.raises(ValueError, match="zip"):
+    d = id_words(alg, coproduct(alg.tau(0)))
+    with pytest.raises(ValueError, match="unpack"):
         tensor_mul(alg, d, coproduct_left(alg, d))
-    with pytest.raises(ValueError, match="zip"):
+    with pytest.raises(ValueError, match="unpack"):
         tensor_mul(alg, coproduct_right(alg, d), d)
 
 
@@ -801,7 +914,8 @@ def test_perfbench_tracer_installs_and_counts_the_tensor_layer():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     metrics = json.loads(done.stdout.splitlines()[-1])
-    assert metrics["steenrod.tensor_mul.calls"] > 0
+    for layer in ("tensor_mul", "combine_slots", "coproduct_left", "coproduct_right"):
+        assert metrics[f"steenrod.{layer}.calls"] > 0, layer
     assert metrics["steenrod.SteenrodElement.__mul__.calls"] > 0
     assert metrics["filtered.lift_free_basis.calls"] > 0
     assert metrics["filtered.FilteredRing.from_witt_mod2k.calls"] > 0
