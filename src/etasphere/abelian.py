@@ -36,11 +36,8 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
         return []
     if not b:
         return [[] for _ in a]
-    cols = len(b[0])
-    return [
-        [sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for ra in a
-    ]
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(ra, col)) for col in cols] for ra in a]
 
 
 def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
@@ -64,28 +61,43 @@ def bilinear(table, a, b) -> list[int]:
 
 
 def det_sign(mat: list[list[int]]) -> int:
-    """Determinant of a small integer matrix (used only for +/-1 checks)."""
+    """Determinant of a small integer matrix (used only for +/-1 checks).
+
+    Bareiss elimination: every division is exact, so entries stay minors of mat.
+    """
     n = len(mat)
     m = [row[:] for row in mat]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        # fraction-free elimination: track the accumulated divisor
-        for r in range(col + 1, n):
-            while m[r][col] != 0:
-                if abs(m[r][col]) < abs(m[col][col]):
-                    m[col], m[r] = m[r], m[col]
-                    det = -det
-                q = m[r][col] // m[col][col]
-                for j in range(col, n):
-                    m[r][j] -= q * m[col][j]
-        det *= m[col][col]
-    return det
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def _unimodular_pair(p: int, q: int) -> tuple[int, int, int, int]:
+    """(x, y, a, b) with x*p + y*q = gcd(p, q) (p != 0), a*p + b*q = 0 and x*b - y*a = 1.
+
+    When p divides q this is the plain elimination (1, 0, -q/p, 1), which
+    keeps p; otherwise y != 0.
+    """
+    if q % p == 0:
+        return 1, 0, -(q // p), 1
+    old_r, r, old_x, x, old_y, y = p, q, 1, 0, 0, 1
+    while r:
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_x, x = x, old_x - quo * x
+        old_y, y = y, old_y - quo * y
+    g = old_r
+    return old_x, old_y, -(q // g), p // g
 
 
 def smith_normal_form(
@@ -94,93 +106,68 @@ def smith_normal_form(
     """Return (U, D, V) with D = U * matrix * V diagonal and d_i | d_{i+1}.
 
     U and V are unimodular.  Total on integer matrices; the empty matrix is
-    handled (D empty, U/V identity of the right size).
+    handled (D empty, U/V identity of the right size).  Each step replaces a
+    pair of rows (or columns) by a 2x2 unimodular combination built from the
+    extended gcd of the pivot and the entry it clears, so the pivot becomes
+    their gcd in one step and U and V stay small.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    d = [row[:] for row in matrix]
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
+    # the rows of [D | U] over the rows of V: a row operation on the first rows
+    # acts on D and U at once, a column operation below cols on D and V at once
+    a = [[*row, *u_row] for row, u_row in zip(matrix, identity_matrix(rows))]
+    a += identity_matrix(cols)
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+    def clear_row(t, i):
+        x, y, p, q = _unimodular_pair(a[t][t], a[i][t])
+        rt, ri = a[t], a[i]
+        if y:
+            a[t] = [x * e + y * f for e, f in zip(rt, ri)]
+        a[i] = [p * e + q * f for e, f in zip(rt, ri)]
 
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    def clear_col(t, j):
+        x, y, p, q = _unimodular_pair(a[t][t], a[t][j])
+        for row in a:
+            e, f = row[t], row[j]
+            if y:
+                row[t] = x * e + y * f
+            row[j] = p * e + q * f
 
-    def add_row(src, dst, q):
-        # row_dst += q * row_src
-        d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while True:
-        # find a pivot of minimal absolute value in the remaining block
-        pivot = None
-        best = None
+    for t in range(min(rows, cols)):
+        # a pivot of minimal absolute value in the remaining block
+        best = pi = pj = 0
         for i in range(t, rows):
+            row = a[i]
             for j in range(t, cols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
-                    best = abs(d[i][j])
-                    pivot = (i, j)
-        if pivot is None:
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    best, pi, pj = x, i, j
+        if not best:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
         while True:
-            # clear column t
-            dirty = False
             for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    add_row(t, i, -q)
-                    if d[i][t] != 0:  # remainder smaller than pivot: swap up
-                        swap_rows(t, i)
-                        dirty = True
-            # clear row t
+                if a[i][t]:
+                    clear_row(t, i)
             for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    add_col(t, j, -q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty and all(d[i][t] == 0 for i in range(t + 1, rows)) \
-                    and all(d[t][j] == 0 for j in range(t + 1, cols)):
+                if a[t][j]:
+                    clear_col(t, j)
+            # a column step that lowered the pivot may have refilled column t
+            if any(row[t] for row in a[t + 1:rows]):
+                continue
+            # the pivot must divide the rest of the block
+            pivot = a[t][t]
+            offender = next((r for r in a[t + 1:rows]
+                             if any(x % pivot for x in r[t + 1:cols])), None)
+            if offender is None:
                 break
-        # pivot must divide the rest of the block
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue  # redo this pivot
-        if d[t][t] < 0:
-            negate_row(t)
-        t += 1
-        if t == rows or t == cols:
-            break
-
-    return u, d, v
+            a[t] = [e + f for e, f in zip(a[t], offender)]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+    return [row[cols:] for row in a[:rows]], [row[:cols] for row in a[:rows]], a[rows:]
 
 
 def invert_unimodular(u: list[list[int]]) -> list[list[int]]:

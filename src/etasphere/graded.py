@@ -5,7 +5,8 @@ a kind: `polynomial` (free) or `square` (the square rewrites to a stated
 element of twice the degree).  Elements are sparse monomial -> coefficient
 maps; monomials are tuples of (generator index, exponent) sorted by index.
 Homology is implemented over F2 only, with ranks over the rationals (by
-fraction-free integer elimination) available for derivation matrices.
+fraction-free integer elimination) available for derivation matrices.  An
+element of Q is an int, or a `Fraction` once a non-integer enters.
 
 Coefficients live in a small pluggable ring: any object with the attributes
 `name`, `zero`, `one` and `xor_terms` and the methods `add`, `neg`, `mul`,
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import gf2
@@ -88,8 +88,8 @@ class F2:
 class RationalRing:
     name = "Q"
     xor_terms = False
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -104,7 +104,7 @@ class RationalRing:
         return a == 0
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def degrees(self, a):
         return {0}
@@ -280,8 +280,12 @@ Monomial = tuple  # tuple of (generator index, exponent), sorted by index
 
 
 def mon_mul(a: Monomial, b: Monomial) -> Monomial:
-    exps: dict[int, int] = {}
-    for i, e in itertools.chain(a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    exps = dict(a)
+    for i, e in b:
         exps[i] = exps.get(i, 0) + e
     return tuple(sorted(exps.items()))
 
@@ -371,6 +375,8 @@ class AlgebraSpec:
     def normalize(self, raw_terms: dict, strategy: str = "low") -> dict:
         """Apply rewrites until every monomial is in normal form."""
         ring = self.coefficients
+        if not self.square_images:  # no rewrite applies: only the zeros go
+            return {m: c for m, c in raw_terms.items() if not ring.is_zero(c)}
         out: dict[Monomial, object] = {}
         work = list(raw_terms.items())
         fuel = 10**6
@@ -646,6 +652,21 @@ class Derivation:
                 self.images[idx] = algebra.zero()
 
 
+def _leibniz(d: Derivation, raw: dict, mon: Monomial, coeff) -> None:
+    """Add the unnormalized terms of d(coeff * mon) into raw, by the Leibniz rule."""
+    ring = d.algebra.coefficients
+    for pos, (i, e) in enumerate(mon):
+        img = d.images[i].terms
+        if not img:
+            continue
+        scalar = ring.mul(coeff, ring.from_int(e))
+        if ring.is_zero(scalar):
+            continue
+        rest = mon[:pos] + (((i, e - 1),) if e > 1 else ()) + mon[pos + 1:]
+        for m2, c2 in img.items():
+            add_term(ring, raw, mon_mul(rest, m2), ring.mul(scalar, c2))
+
+
 def apply_derivation(d: Derivation, a: GradedElement) -> GradedElement:
     """d(a) by the Leibniz rule: every term gathered raw, then one normal form.
 
@@ -653,19 +674,9 @@ def apply_derivation(d: Derivation, a: GradedElement) -> GradedElement:
     alg = d.algebra
     if a.terms and a.max_degree() + d.degree_shift > alg.truncation:
         raise TruncationExceeded("derivation image exceeds truncation")
-    ring = alg.coefficients
     raw: dict[Monomial, object] = {}
     for mon, coeff in a.terms.items():
-        for pos, (i, e) in enumerate(mon):
-            img = d.images[i].terms
-            if not img:
-                continue
-            scalar = ring.mul(coeff, ring.from_int(e))
-            if ring.is_zero(scalar):
-                continue
-            rest = mon[:pos] + (((i, e - 1),) if e > 1 else ()) + mon[pos + 1:]
-            for m2, c2 in img.items():
-                add_term(ring, raw, mon_mul(rest, m2), ring.mul(scalar, c2))
+        _leibniz(d, raw, mon, coeff)
     return GradedElement(alg, alg.normalize(raw))
 
 
@@ -674,15 +685,20 @@ def derivation_matrix(d: Derivation, n: int):
 
     Returns (source basis, target basis, columns) where columns[j] is the
     dict mapping target monomial -> coefficient for the j-th source monomial.
+    Every source monomial has degree n, so one truncation check covers them all.
     """
-    source = d.algebra.monomials_of_degree(n)
+    alg = d.algebra
+    source = alg.monomials_of_degree(n)
     m = n + d.degree_shift
-    target = d.algebra.monomials_of_degree(m) if 0 <= m <= d.algebra.truncation else []
+    if source and m > alg.truncation:
+        raise TruncationExceeded("derivation image exceeds truncation")
+    target = alg.monomials_of_degree(m) if 0 <= m <= alg.truncation else []
     cols = []
-    one = d.algebra.coefficients.one
+    one = alg.coefficients.one
     for mon in source:
-        el = apply_derivation(d, GradedElement(d.algebra, {mon: one}))
-        cols.append(dict(el.terms))
+        raw: dict[Monomial, object] = {}
+        _leibniz(d, raw, mon, one)
+        cols.append(alg.normalize(raw))
     return source, target, cols
 
 

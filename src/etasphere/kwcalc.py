@@ -39,8 +39,8 @@ from .graded import (
     add_term,
     apply_derivation,
     f2_kernel,
-    f2_masks,
     hilbert_dimension,
+    mon_mul,
     rank_and_kernel_dim,
 )
 from .witt import GWElement, WittPresentation, fundamental_ideal_power, n_epsilon, resolve_field
@@ -508,34 +508,49 @@ def abstract_phi_report(max_degree: int, ring) -> dict:
 
 
 def _kernel_indecomposables(algebra, kernels):
-    """Degrees where the kernel needs a new polynomial generator.
+    """Degrees where the kernel needs a new polynomial generator (F2).
 
     `kernels` maps each degree, ascending, to its source basis and the
-    bitmasks of a kernel basis over it.
+    bitmasks of a kernel basis over it.  The kernel K of a derivation is a
+    subalgebra, generated by the fresh generators G found degree by degree,
+    so its decomposables K+ * K+ are spanned by the products g * b of a
+    lower-degree g in G with a kernel basis element b.  Each such product is
+    formed on bitmasks, from the normal forms of the monomial products.
     """
     new_generator_degrees = []
-    chosen: dict[int, list] = {}
+    fresh: dict[int, list[int]] = {}  # degree -> bitmasks of its new generators
     for degree, (source, ker_masks) in kernels.items():
         if not ker_masks:
             continue
-        # products of strictly lower-degree kernel elements
+        index = {mon: j for j, mon in enumerate(source)}
+        product_masks: dict = {}  # monomial product -> its normal form as a bitmask over source
         decomposable = []
-        for d1 in range(1, degree):
-            d2 = degree - d1
-            if d1 > d2:
-                break
-            for a in chosen.get(d1, []):
-                for b in chosen.get(d2, []):
-                    decomposable.append(a * b)
-        dec_masks = gf2.row_reduce(f2_masks([e.terms for e in decomposable], source))
-        fresh = gf2.quotient_basis(ker_masks, dec_masks)
-        if fresh:
-            new_generator_degrees.extend([degree] * len(fresh))
-        chosen[degree] = [
-            GradedElement(algebra, {source[j]: 1 for j in range(len(source)) if (mask >> j) & 1})
-            for mask in ker_masks
-        ]
+        for dg, gens in fresh.items():
+            src_g = kernels[dg][0]
+            src_b, ker_b = kernels[degree - dg]
+            for g in gens:
+                row = [0] * len(src_b)  # row[j]: g times src_b[j]
+                for i in _bits(g):
+                    for j, mon in enumerate(src_b):
+                        prod = mon_mul(src_g[i], mon)
+                        mask = product_masks.get(prod)
+                        if mask is None:
+                            mask = product_masks[prod] = sum(
+                                1 << index[m] for m in algebra.normalize({prod: 1}))
+                        row[j] ^= mask
+                for b in ker_b:
+                    acc = 0
+                    for j in _bits(b):
+                        acc ^= row[j]
+                    decomposable.append(acc)
+        fresh[degree] = gf2.quotient_basis(ker_masks, decomposable)
+        new_generator_degrees.extend([degree] * len(fresh[degree]))
     return new_generator_degrees
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def phi_iterates_on_msl(i: int, max_degree: int | None = None) -> dict:

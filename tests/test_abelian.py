@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import gcd
+import time
+from fractions import Fraction
+from math import gcd, prod
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -87,6 +90,103 @@ def test_snf_invariants_hold(matrix):
     u, _, v = smith_normal_form(matrix)
     for w in (u, v):
         assert mat_mul(w, invert_unimodular(w)) == identity_matrix(len(w))
+
+
+def fraction_det(matrix):
+    """The determinant by Gaussian elimination over Q."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for r in range(k + 1, len(m)):
+            f = m[r][k] / m[k][k]
+            m[r] = [x - f * y for x, y in zip(m[r], m[k])]
+    return det
+
+
+def snf_diagonal_by_remainders(matrix):
+    """D by the remainder-and-swap reduction that the extended-gcd steps replaced (no U, V)."""
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    d = [row[:] for row in matrix]
+    t = 0
+    while t < min(rows, cols):
+        block = [(abs(d[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if d[i][j]]
+        if not block:
+            break
+        _, pi, pj = min(block)
+        d[t], d[pi] = d[pi], d[t]
+        for row in d:
+            row[t], row[pj] = row[pj], row[t]
+        while True:
+            dirty = False
+            for i in range(t + 1, rows):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+                    if d[i][t]:  # remainder smaller than the pivot: swap up
+                        d[t], d[i] = d[i], d[t]
+                        dirty = True
+            for j in range(t + 1, cols):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    for row in d:
+                        row[j] -= q * row[t]
+                    if d[t][j]:
+                        for row in d:
+                            row[t], row[j] = row[j], row[t]
+                        dirty = True
+            if not (dirty or any(d[i][t] for i in range(t + 1, rows))
+                    or any(d[t][j] for j in range(t + 1, cols))):
+                break
+        offender = next((i for i in range(t + 1, rows)
+                         if any(x % d[t][t] for x in d[i][t + 1:])), None)
+        if offender is not None:
+            d[t] = [x + y for x, y in zip(d[t], d[offender])]
+            continue
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+        t += 1
+    return d
+
+
+@pytest.mark.parametrize("matrix, det", [
+    ([[-56, -19, 98, -65, 90], [73, 38, 67, -88, 40], [16, -14, 20, 100, 18],
+      [100, 91, -46, 86, -13], [-8, -37, -84, -75, -70]], -3222197760),
+    ([[1, 6, 3, 3, 7, 8], [-1, -6, 9, -8, 5, -1], [-3, -5, 5, 3, -1, 2],
+      [-5, 7, -4, 4, -5, -1], [-2, -6, 8, -9, 4, -7], [-8, 5, 0, 9, 5, -7]], 132164),
+], ids=["5x5", "6x6"])
+def test_snf_is_fast_on_matrices_whose_transforms_once_grew_without_bound(matrix, det):
+    start = time.perf_counter()
+    diag = check_snf(matrix)
+    assert time.perf_counter() - start < 1.0
+    assert fraction_det(matrix) == det_sign(matrix) == det
+    assert prod(diag) == abs(det)
+
+
+def test_snf_random_matrices_up_to_6x6_with_entries_to_100():
+    rng = random.Random(2203)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.randint(-100, 100) for _ in range(cols)] for _ in range(rows)]
+        diag = check_snf(m)
+        if rows == cols:
+            assert prod(diag) == abs(fraction_det(m)) == abs(det_sign(m))
+        u, _, v = smith_normal_form(m)
+        assert max(abs(x) for w in (u, v) for row in w for x in row) < 2**512, m
+
+
+def test_snf_diagonal_matches_the_remainder_reduction_on_small_matrices():
+    rng = random.Random(2204)
+    for _ in range(1500):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        assert smith_normal_form(m)[1] == snf_diagonal_by_remainders(m), m
 
 
 def test_normal_form_rules():

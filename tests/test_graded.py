@@ -28,9 +28,11 @@ from etasphere.graded import (
     add_terms,
     apply_derivation,
     check_confluence_random,
+    derivation_matrix,
     hilbert_dimension,
     homology_at_degree,
     mon_from_dict,
+    mon_mul,
     normalize_product,
     rank_and_kernel_dim,
     rational_rank,
@@ -620,3 +622,132 @@ def test_monomials_of_degree_match_exponent_vectors_in_order(name):
     algebra = monomial_basis_cases()[name]
     for n in range(algebra.truncation + 1):
         assert algebra.monomials_of_degree(n) == monomials_by_exponent_vectors(algebra, n), n
+
+
+# -- ring-layer shortcuts against the plain versions they replace ----------------
+
+def mon_mul_reference(a, b):
+    """The product the dict-and-sort way, for every pair of factors."""
+    exps = {}
+    for i, e in itertools.chain(a, b):
+        exps[i] = exps.get(i, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def normalize_reference(algebra, raw_terms):
+    """The rewrite loop of `AlgebraSpec.normalize`, run whether or not a rule exists."""
+    ring = algebra.coefficients
+    out, work = {}, list(raw_terms.items())
+    while work:
+        mon, coeff = work.pop()
+        if ring.is_zero(coeff):
+            continue
+        squares = [i for i, e in mon if e >= 2 and algebra.generators[i].kind == SQUARE]
+        if not squares:
+            add_term(ring, out, mon, coeff)
+            continue
+        rest = dict(mon)
+        rest[min(squares)] -= 2
+        image = algebra.square_images[min(squares)]
+        if image is None:
+            raise TruncationExceeded("square past the truncation")
+        for im_mon, im_coeff in image.items():
+            work.append((mon_mul_reference(mon_from_dict(rest), im_mon), ring.mul(coeff, im_coeff)))
+    return out
+
+
+class FractionRationals(RationalRing):
+    """Q with every element a Fraction, as `RationalRing` once was."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+
+def random_monomial(rng, ngens=8):
+    """A sorted monomial on up to four of the first ngens generators; empty a fifth of the time."""
+    chosen = sorted(rng.sample(range(ngens), rng.randint(0, 4)))
+    return tuple((i, rng.randint(1, 3)) for i in chosen)
+
+
+def test_mon_mul_matches_the_dict_and_sort_product():
+    rng = random.Random(2201)
+    for _ in range(3000):
+        a, b = random_monomial(rng), random_monomial(rng)
+        assert mon_mul(a, b) == mon_mul_reference(a, b), (a, b)
+    assert mon_mul((), ()) == ()
+
+
+@pytest.mark.parametrize("ring", [F2(), RationalRing(), IntegersMod(8), KM_FREE],
+                         ids=["F2", "Q", "Z/8", "kM[tau]"])
+def test_normalize_without_rewrite_rules_only_drops_zeros(ring):
+    a = AlgebraSpec([GeneratorSpec(f"x{i}", i + 1) for i in range(8)], ring, 80)
+    assert not a.square_images
+    rng = random.Random(ring.name)
+    coeffs = [ring.zero, ring.one, ring.from_int(2), ring.from_int(3)]
+    if isinstance(ring, KMTau):
+        coeffs += [packed(ring, [(1, 0), (0, 2)])]
+    for _ in range(300):
+        raw = {random_monomial(rng): rng.choice(coeffs) for _ in range(rng.randrange(6))}
+        got = a.normalize(raw)
+        assert got == normalize_reference(a, raw)
+        assert got is not raw and all(not ring.is_zero(c) for c in got.values())
+
+
+def test_normalize_still_rewrites_squares_and_raises_past_the_truncation():
+    for mode in ("free", "square_zero"):
+        a = steenrod_spec(mode, 7)
+        ngens, one = len(a.generators), a.coefficients.one
+        top = ngens - 1  # tau3, whose square lies past the truncation
+        assert a.generators[top].kind == SQUARE and a.square_images[top] is None
+        rng = random.Random(mode)
+        rewritten = 0
+        for _ in range(200):
+            mons = [random_monomial(rng, top) for _ in range(rng.randrange(1, 4))]
+            raw = {mon: one for mon in mons if a.mon_degree(mon) <= a.truncation}
+            got = a.normalize(raw)
+            assert got == normalize_reference(a, raw)
+            rewritten += got.keys() != raw.keys()
+        assert rewritten >= 20
+        with pytest.raises(TruncationExceeded):
+            a.normalize({((top, 2),): one})
+
+
+def test_rational_ring_keeps_integers_as_ints_and_fractions_exact():
+    q, ref = RationalRing(), FractionRationals()
+    assert [type(x) for x in (q.zero, q.one, q.from_int(-7))] == [int, int, int]
+    rng = random.Random(2202)
+    for _ in range(500):
+        a, b = rng.randint(-50, 50), rng.randint(-50, 50)
+        for op in ("add", "mul"):
+            got = getattr(q, op)(a, b)
+            assert type(got) is int and got == getattr(ref, op)(ref.from_int(a), ref.from_int(b))
+        assert type(q.neg(a)) is int and q.is_zero(a) == ref.is_zero(Fraction(a))
+        f = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+        pairs = ((q.add(a, f), ref.add(Fraction(a), f)), (q.mul(f, b), ref.mul(f, Fraction(b))))
+        for got, want in pairs:
+            assert got == want and hash(got) == hash(want)
+            assert q.describe(got) == ref.describe(want)
+    assert q.mul(Fraction(3, 2), 2) == 3 and q.add(Fraction(1, 3), 2) == Fraction(7, 3)
+
+
+@pytest.mark.parametrize("name", sorted(derivation_cases()))
+def test_derivation_matrix_matches_apply_derivation_per_monomial(name):
+    d = derivation_cases()[name]
+    alg, ring = d.algebra, d.algebra.coefficients
+    for n in range(max(0, -d.degree_shift), alg.truncation - max(0, d.degree_shift) + 1):
+        source, target, cols = derivation_matrix(d, n)
+        assert source == alg.monomials_of_degree(n)
+        assert target == (alg.monomials_of_degree(n + d.degree_shift)
+                          if n + d.degree_shift <= alg.truncation else [])
+        for mon, col in zip(source, cols, strict=True):
+            want = apply_derivation(d, GradedElement(alg, {mon: ring.one})).terms
+            assert terms_equal(ring, col, want) and set(col) <= set(target), mon
+            if isinstance(ring, RationalRing):
+                assert all(type(c) is int for c in col.values())
+    past = alg.truncation - d.degree_shift + 1
+    if d.degree_shift > 0 and alg.monomials_of_degree(past):
+        with pytest.raises(TruncationExceeded, match="derivation image exceeds truncation"):
+            derivation_matrix(d, past)

@@ -1,14 +1,25 @@
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from etasphere import cli, kwcalc
+from etasphere import cli, gf2, graded, kwcalc
 from etasphere.abelian import FinAbGroup, ker_coker_of_mul
 from etasphere.filtered import FiniteRing
+from etasphere.graded import (
+    AlgebraSpec,
+    Derivation,
+    F2,
+    GeneratorSpec,
+    GradedElement,
+    RationalRing,
+    f2_kernel,
+    f2_masks,
+)
 from etasphere.witt import GWElement, catalog_lookup, catalog_names
 from etasphere.kwcalc import (
     AlgebraError,
@@ -283,6 +294,59 @@ def test_a_failed_phi_spot_check_fails_its_certificate_with_a_message(monkeypatc
     cert, checked = cli.run_check(cli.msp_phi_surjective)
     assert cert == {"pass": False, "counterexample": "phi(e2) = 0, expected 1"}
     assert checked is None
+
+
+def phi_model(max_degree):
+    """phi(x_i) = x_(i-1) on F2[x_1, ..., x_max] (x_0 = 1), as in abstract_phi_report."""
+    a = AlgebraSpec([GeneratorSpec(f"x{i}", i) for i in range(1, max_degree + 1)],
+                    F2(), max_degree + 1)
+    images = {"x1": a.one()}
+    for i in range(2, max_degree + 1):
+        images[f"x{i}"] = a.gen(f"x{i - 1}")
+    return a, Derivation(a, -1, images, name="phi")
+
+
+def kernel_indecomposables_all_pairs(algebra, kernels):
+    """New generator degrees against every product of two lower kernel basis elements."""
+    degrees, chosen = [], {}
+    for degree, (source, ker_masks) in kernels.items():
+        if not ker_masks:
+            continue
+        products = [a * b for d1 in range(1, degree // 2 + 1)
+                    for a in chosen.get(d1, []) for b in chosen.get(degree - d1, [])]
+        dec = gf2.row_reduce(f2_masks([p.terms for p in products], source))
+        degrees += [degree] * len(gf2.quotient_basis(ker_masks, dec))
+        chosen[degree] = [
+            GradedElement(algebra, {source[j]: 1 for j in range(len(source)) if mask >> j & 1})
+            for mask in ker_masks]
+    return degrees
+
+
+@pytest.mark.parametrize("max_degree", range(1, 19))
+def test_kernel_indecomposables_match_all_pairs_of_kernel_elements(max_degree):
+    algebra, phi = phi_model(max_degree)
+    kernels = {n: f2_kernel(phi, n) for n in range(1, max_degree + 1)}
+    got = kwcalc._kernel_indecomposables(algebra, kernels)
+    assert got == kernel_indecomposables_all_pairs(algebra, kernels)
+    assert got == list(range(2, max_degree + 1))
+
+
+def test_the_phi_reports_multiply_no_graded_elements(monkeypatch):
+    calls = {}
+    for name in ("normalize_product", "apply_derivation"):
+        def counting(*args, _fn=getattr(graded, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(graded, name, counting)
+    f2 = kwcalc.abstract_phi_report(16, F2())
+    q = kwcalc.abstract_phi_report(16, RationalRing())
+    assert calls == {}
+    assert f2["surjective"] and q["surjective"]
+    assert f2["kernel_generator_degrees"] == list(range(2, 17))
+    # the counters are live: a product of elements goes through them
+    x = phi_model(2)[0].gen("x1")
+    assert x * x == GradedElement(x.algebra, {((0, 2),): 1})
+    assert calls == {"normalize_product": 1}
 
 
 def test_phi_iterates():
