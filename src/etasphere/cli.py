@@ -43,6 +43,7 @@ from .steenrod import (
     check_antipode_axiom,
     check_coassociativity_counit,
     conjugate_basis_triangularity,
+    conjugate_weight,
     hopf_weight,
     kgl_homology_model,
     ko_homology_model,
@@ -237,7 +238,7 @@ def n_epsilon_odd_is_unit_class() -> tuple:
 
 
 def rewrite_confluence_random(rng) -> tuple:
-    km = KMTau("free")
+    km = KMTau()
     motivic = AlgebraSpec(steenrod_generators(km, 3), km, truncation=24)
     return True, check_confluence_random(motivic, 10_000, rng), None
 
@@ -342,7 +343,7 @@ def verify_checks(rng) -> dict:
         "steenrod": {
             **steenrod_checks,
             "conjugate_triangularity": lambda: (True, conjugate_basis_triangularity(
-                SteenrodAlgebra("real_closed", weight=16), max_weight=8, max_tau_power=2), None),
+                SteenrodAlgebra("real_closed", conjugate_weight(8, 2)), 8, 2), None),
             "antipode_axiom": lambda: (
                 True, check_antipode_axiom(SteenrodAlgebra("real_closed", hopf_weight(7)), 7), None),
         },

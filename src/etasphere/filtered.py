@@ -11,7 +11,8 @@ is a `FiniteRing` with such a chain of ideals, and a `FilteredRModule` one
 generators of each level.  That finite shadow is exactly what makes the
 gr-comparison lemmas checkable by direct computation: complete, Hausdorff
 and exhaustive hold by construction and both sides of each lemma reduce to
-exact lattice arithmetic.  `lift_free_basis` checks that gr(M) is free on
+exact lattice arithmetic.  The lemma suite compares one component with
+another along a matrix.  `lift_free_basis` checks that gr(M) is free on
 stated classes and lets the lemma suite certify their lifts (the map from
 the free filtered module on them is a filtered isomorphism), once per
 distinct degree.
@@ -20,7 +21,7 @@ distinct degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .abelian import (
@@ -92,37 +93,21 @@ class FilteredComponent:
         return quotient_structure(self.ngens, self.level(s), self.level(s + 1))
 
 
-@dataclass
-class FilteredModule:
-    components: dict[int, FilteredComponent] = field(default_factory=dict)
+def _check_hypotheses(src: FilteredComponent, tgt: FilteredComponent, mat) -> None:
+    """Raise HypothesisViolated unless mat: src -> tgt is a filtered map.
 
-    def validate(self):
-        for comp in self.components.values():
-            comp.validate()
-
-
-@dataclass
-class FilteredMorphism:
-    source: FilteredModule
-    target: FilteredModule
-    matrices: dict[int, list[list[int]]]
-
-    def validate(self):
-        self.source.validate()
-        self.target.validate()
-        for n, mat in self.matrices.items():
-            src = self.source.components[n]
-            tgt = self.target.components[n]
-            if len(mat) != tgt.ngens or any(len(r) != src.ngens for r in mat):
-                raise HypothesisViolated(f"matrix shape mismatch in degree {n}")
-            depth = max(len(src.chain), len(tgt.chain))
-            for s in range(depth):
-                level = lattice(tgt.ngens, tgt.level(s))
-                for g in src.level(s):
-                    if mat_vec(mat, list(g)) not in level:
-                        raise HypothesisViolated(
-                            f"map does not respect filtration at degree {n}, level {s}"
-                        )
+    mat has one row per generator of tgt and one column per generator of
+    src, both chains are valid, and mat sends F^s into F'^s at every level.
+    """
+    src.validate()
+    tgt.validate()
+    if len(mat) != tgt.ngens or any(len(r) != src.ngens for r in mat):
+        raise HypothesisViolated("matrix shape mismatch")
+    for s in range(max(len(src.chain), len(tgt.chain))):
+        level = lattice(tgt.ngens, tgt.level(s))
+        for g in src.level(s):
+            if mat_vec(mat, list(g)) not in level:
+                raise HypothesisViolated(f"map does not respect filtration at level {s}")
 
 
 def _preimage(mat, targets, src_dim):
@@ -131,64 +116,51 @@ def _preimage(mat, targets, src_dim):
     return [p for p in preimage(len(mat), columns, targets) if any(p)]
 
 
-def filtered_lemma_suite(alpha: FilteredMorphism) -> dict:
-    """Evaluate gr(alpha) degreewise and re-verify the lemma conclusions.
+def filtered_lemma_suite(src: FilteredComponent, tgt: FilteredComponent, mat) -> dict:
+    """Evaluate gr(alpha) for alpha = mat: src -> tgt and re-verify the lemma conclusions.
 
     Returns a report with, per lemma, whether the gr-hypothesis holds and
     whether the corresponding conclusion about alpha itself was verified by
     direct lattice computation.  Each level's image, preimage and kernel
-    intersection is computed once per degree; a conclusion is reported only
-    when its hypothesis holds in every degree.
+    intersection is computed once; a conclusion is reported only when its
+    hypothesis holds.
     """
-    alpha.validate()
-    report = {
-        "gr_iso": True,
-        "gr_surjective": True,
-        "gr_injective": True,
-        "per_degree": {},
-    }
-    injective = surjective_each_level = kernel_match = True
-    for n, mat in alpha.matrices.items():
-        src = alpha.source.components[n]
-        tgt = alpha.target.components[n]
-        m = src.ngens
-        ker = _preimage(mat, tgt.relations, m)
-        zero = lattice(m, src.relations)
-        injective &= all(v in zero for v in ker)
-        ker_full = ker + [list(r) for r in src.relations]
-        surj = inj = True
-        depth = max(len(src.chain), len(tgt.chain)) - 1
-        ker_above = lattice_intersection(m, ker_full, src.level(0))
-        for s in range(depth + 1):
-            image = [mat_vec(mat, list(g)) for g in src.level(s)]
-            surjective_each_level &= (
-                lattice(tgt.ngens, image + tgt.relations) == lattice(tgt.ngens, tgt.level(s))
-            )
-            if s == depth:
-                break
-            # gr^s(alpha) is onto: alpha(F^s) + F'^(s+1) = F'^s
-            surj &= lattice(tgt.ngens, image + tgt.level(s + 1)) == lattice(tgt.ngens, tgt.level(s))
-            # ker gr^s(alpha) = {x in F^s : alpha x in F'^(s+1)} / F^(s+1)
-            above = src.level(s + 1)
-            num = lattice_intersection(m, _preimage(mat, tgt.level(s + 1), m), src.level(s))
-            above_lattice = lattice(m, above)
-            inj &= all(v in above_lattice for v in num)
-            ker_here, ker_above = ker_above, lattice_intersection(m, ker_full, above)
-            gr_ker, _ = quotient_structure(m, ker_here + ker_above, ker_above)
-            ker_gr, _ = quotient_structure(m, num + above, above)
-            kernel_match &= gr_ker == ker_gr
-        report["per_degree"][n] = {"gr_surjective": surj, "gr_injective": inj}
-        report["gr_surjective"] &= surj
-        report["gr_injective"] &= inj
-    report["gr_iso"] = report["gr_surjective"] and report["gr_injective"]
+    _check_hypotheses(src, tgt, mat)
+    m = src.ngens
+    ker = _preimage(mat, tgt.relations, m)
+    zero = lattice(m, src.relations)
+    injective = all(v in zero for v in ker)
+    ker_full = ker + [list(r) for r in src.relations]
+    surj = inj = surjective_each_level = kernel_match = True
+    depth = max(len(src.chain), len(tgt.chain)) - 1
+    ker_above = lattice_intersection(m, ker_full, src.level(0))
+    for s in range(depth + 1):
+        image = [mat_vec(mat, list(g)) for g in src.level(s)]
+        surjective_each_level &= (
+            lattice(tgt.ngens, image + tgt.relations) == lattice(tgt.ngens, tgt.level(s))
+        )
+        if s == depth:
+            break
+        # gr^s(alpha) is onto: alpha(F^s) + F'^(s+1) = F'^s
+        surj &= lattice(tgt.ngens, image + tgt.level(s + 1)) == lattice(tgt.ngens, tgt.level(s))
+        # ker gr^s(alpha) = {x in F^s : alpha x in F'^(s+1)} / F^(s+1)
+        above = src.level(s + 1)
+        num = lattice_intersection(m, _preimage(mat, tgt.level(s + 1), m), src.level(s))
+        above_lattice = lattice(m, above)
+        inj &= all(v in above_lattice for v in num)
+        ker_here, ker_above = ker_above, lattice_intersection(m, ker_full, above)
+        gr_ker, _ = quotient_structure(m, ker_here + ker_above, ker_above)
+        ker_gr, _ = quotient_structure(m, num + above, above)
+        kernel_match &= gr_ker == ker_gr
+    report = {"gr_iso": surj and inj, "gr_surjective": surj, "gr_injective": inj}
 
     # conclusions, re-verified on alpha itself
-    if report["gr_surjective"]:
+    if surj:
         report["alpha_surjective_each_level"] = surjective_each_level
         report["kernel_gr_matches"] = kernel_match  # gr(ker) = ker(gr)
-    if report["gr_injective"]:
+    if inj:
         report["alpha_injective"] = injective
-    if report["gr_iso"]:
+    if surj and inj:
         # a filtered iso is injective with alpha(F^s) = F'^s on the nose
         report["alpha_filtered_iso"] = injective and surjective_each_level
     return report
@@ -358,6 +330,5 @@ def lift_free_basis(module: FilteredRModule, gr_basis) -> bool:
         ])
         columns = [module.act(t, e, x_i) for _, x_i in basis_here for e in _unit_vectors(n)]
         mat = [[col[r] for col in columns] for r in range(comp.ngens)]
-        alpha = FilteredMorphism(FilteredModule({t: free}), FilteredModule({t: comp}), {t: mat})
-        certified.append(filtered_lemma_suite(alpha).get("alpha_filtered_iso", False))
+        certified.append(filtered_lemma_suite(free, comp, mat).get("alpha_filtered_iso", False))
     return all(certified)

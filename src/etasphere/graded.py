@@ -156,11 +156,11 @@ class KMTau:
     beyond, and so does `mul` when the tau exponents of a term of each
     factor add up to S or more, rather than let tau^S alias into the next
     rho row.  Addition is XOR, the zero is 0 and the unit is 1; `terms`
-    lists the (rho, tau) exponents in ascending order.  `rho_mode` controls
-    the base field: "free" (real closed, k^M = F2[rho]), "zero"
-    (quadratically closed, products masked to row 0), or "square_zero"
-    (finite field with q = 3 mod 4, rho^2 = 0, products masked to rows 0
-    and 1).  The grading degree of rho^r tau^t is t (the stem of tau),
+    lists the (rho, tau) exponents in ascending order.  The base field
+    enters only through `rho_order`, the N with rho^N = 0: None when rho is
+    free (real closed, k^M = F2[rho]), 1 when rho = 0 (quadratically closed)
+    and 2 for a finite field with q = 3 mod 4; products are masked to the
+    rows below N.  The grading degree of rho^r tau^t is t (the stem of tau),
     matching the stem grading used by the motivic algebra specs.
     """
 
@@ -169,23 +169,16 @@ class KMTau:
     zero = 0
     one = 1
 
-    def __init__(self, rho_mode: str = "free"):
-        if rho_mode not in ("free", "zero", "square_zero"):
-            raise AlgebraError(f"unknown rho mode {rho_mode!r}")
-        self.rho_mode = rho_mode
-        self.name = f"kM[tau]({rho_mode})"
-        rows = {"free": None, "zero": 1, "square_zero": 2}[rho_mode]
-        self._mask = None if rows is None else (1 << rows * self.STRIDE) - 1
+    def __init__(self, rho_order: int | None = None):
+        if rho_order is not None and (type(rho_order) is not int or rho_order < 1):
+            raise AlgebraError(f"rho order must be None or an int >= 1, not {rho_order!r}")
+        self.rho_order = rho_order
+        self.name = "kM[tau]" if rho_order is None else f"kM[tau]/rho^{rho_order}"
+        self._mask = None if rho_order is None else (1 << rho_order * self.STRIDE) - 1
 
     def admissible(self, a: int) -> bool:
         """Whether rho^a is nonzero in this base."""
-        if a == 0:
-            return True
-        if self.rho_mode == "zero":
-            return False
-        if self.rho_mode == "square_zero":
-            return a <= 1
-        return True
+        return self.rho_order is None or a < self.rho_order
 
     def monomial(self, rho_exp: int = 0, tau_exp: int = 0):
         if rho_exp < 0 or not 0 <= tau_exp < self.STRIDE:

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from math import comb
+from math import comb, factorial
 
 from . import gf2
 from .abelian import FinAbGroup, ker_coker_of_mul, lattice
@@ -553,7 +553,7 @@ def _bits(mask: int) -> list[int]:
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
-def phi_iterates_on_msl(i: int, max_degree: int | None = None) -> dict:
+def phi_iterates_on_msl(i: int) -> dict:
     """In the MSL gr-model, phi applied i times to e_{2i} reaches 1.
 
     The filtration witness: at each step the gr-level image is exactly the
@@ -564,12 +564,7 @@ def phi_iterates_on_msl(i: int, max_degree: int | None = None) -> dict:
         raise ValueError("i must be non-negative")
     if i == 0:
         return {"i": 0, "chain": ["e0 = 1"], "reaches_unit": True}
-    degree_needed = 4 * i
-    if max_degree is None:
-        max_degree = degree_needed
-    if degree_needed > max_degree:
-        raise BoundsExceeded(f"need degree {degree_needed}, bound {max_degree}")
-    algebra, phi = msp_gr_model(max_degree, odd_gens=False)
+    algebra, phi = msp_gr_model(4 * i, odd_gens=False)
     current = algebra.gen(f"e{2 * i}")
     chain = [f"e{2 * i}"]
     for _ in range(i):
@@ -706,8 +701,8 @@ def divided_power_construct(model: DividedPowerModel, n_max: int) -> tuple[dict,
         d = Fraction(1)
         for i in range(n.bit_length()):
             if (n >> i) & 1:
-                d *= Fraction(_factorial(2**i))
-        d /= _factorial(n)
+                d *= Fraction(factorial(2**i))
+        d /= factorial(n)
         if nu2_fraction(d) != 0:
             raise UnitInversionFailed(f"delta_{n} is not a 2-adic unit")
         return (d.numerator * model.inverse(d.denominator)) % mod
@@ -739,13 +734,6 @@ def divided_power_construct(model: DividedPowerModel, n_max: int) -> tuple[dict,
         "failures": failures,
         "x1_x1_equals_2_x2": xs[1] * xs[1] == xs[2].scale(2) if n_max >= 2 else None,
     }, {"squares_normalized": squares_checked}
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def nu2_fraction(f: Fraction) -> int:

@@ -58,31 +58,21 @@ class UnknownOperator(KeyError):
 # base fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MotivicBase:
-    """Mod-2 Milnor K-theory base: rho is the class of -1 in degree 1."""
-
-    name: str
-    rho_mode: str  # "free" | "zero" | "square_zero"
-
-    def coefficient_ring(self) -> KMTau:
-        return KMTau(self.rho_mode)
-
-
+# each base by the N with rho^N = 0 in k^M(F)/2 (None: rho is free)
 MOTIVIC_BASES = {
-    "real_closed": MotivicBase("real_closed", "free"),
-    "quadratically_closed": MotivicBase("quadratically_closed", "zero"),
+    "real_closed": None,
+    "quadratically_closed": 1,
     # k^M(F_q)/2 for q = 3 mod 4: one generator u = rho with u^2 = 0.  The
     # vanishing of products in degree 2 is standard for finite fields and is
     # recorded here as an external input.
-    "finite_field_3mod4": MotivicBase("finite_field_3mod4", "square_zero"),
+    "finite_field_3mod4": 2,
 }
 
 
-def motivic_base(name: str) -> MotivicBase:
-    if name not in MOTIVIC_BASES:
-        raise UnknownOperator(f"unknown motivic base {name!r}")
-    return MOTIVIC_BASES[name]
+def rho_order(base: str) -> int | None:
+    if base not in MOTIVIC_BASES:
+        raise UnknownOperator(f"unknown motivic base {base!r}")
+    return MOTIVIC_BASES[base]
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +109,16 @@ def hopf_weight(max_weight: int) -> int:
     return max_weight + top_index(max_weight) + 1
 
 
+def conjugate_weight(max_weight: int, max_tau_power: int) -> int:
+    """The algebra weight that `conjugate_basis_triangularity` up to these bounds needs.
+
+    A candidate rho^a tau^q chi(m') matches eta_R(tau)^p chi(m) only when
+    stem(m') <= stem(m) + p, and stem(m) <= hopf_weight(max_weight), so no
+    monomial the check meets weighs more than this.
+    """
+    return hopf_weight(max_weight) + max_tau_power
+
+
 def steenrod_generators(km, weight: int) -> list[GeneratorSpec]:
     """tau_0, xi_1, tau_1, ..., xi_k, tau_k with 2^k - 1 <= weight, by index.
 
@@ -144,12 +144,12 @@ def steenrod_generators(km, weight: int) -> list[GeneratorSpec]:
 
 
 @functools.lru_cache(maxsize=16)
-def steenrod_spec(rho_mode: str, weight: int) -> AlgebraSpec:
-    """The ring of `SteenrodAlgebra(base, weight)`, built once per (rho-mode, weight).
+def steenrod_spec(order: int | None, weight: int) -> AlgebraSpec:
+    """The ring of `SteenrodAlgebra(base, weight)`, built once per (rho order, weight).
 
     Its truncation is the largest stem of a normal form, `hopf_weight(weight)`.
     """
-    km = KMTau(rho_mode)
+    km = KMTau(order)
     return AlgebraSpec(steenrod_generators(km, weight), km, hopf_weight(weight))
 
 
@@ -188,13 +188,10 @@ def describe_mon(key) -> str:
 # ---------------------------------------------------------------------------
 
 class SteenrodAlgebra:
-    def __init__(self, base: MotivicBase | str = "real_closed", weight: int = 16):
-        if isinstance(base, str):
-            base = motivic_base(base)
-        self.base = base
+    def __init__(self, base: str = "real_closed", weight: int = 16):
         self.weight = weight
         self.max_tau = self.max_xi = top_index(weight)  # no xi_0: max_xi is 0 at weight 0
-        self.spec = steenrod_spec(base.rho_mode, weight)
+        self.spec = steenrod_spec(rho_order(base), weight)
         self.km = self.spec.coefficients
         # the tensor layer names each monomial key by a small int id, its
         # position in mono_keys
@@ -576,8 +573,7 @@ def dual_action(op_id: str, side: str, x: SteenrodElement) -> SteenrodElement:
     out = alg.zero()
     for (m1, m2), c in coproduct(x).items():
         if side == "L":
-            chi = alg.eta_r_of_coeff(c) * _mono_antipode(alg, m1)
-            coeff = chi.terms.get(target, km.zero)
+            coeff = antipode(SteenrodElement(alg, {m1: c})).terms.get(target, km.zero)
             if not km.is_zero(coeff):
                 out = out + SteenrodElement(alg, {m2: coeff})
         elif m2 == target:
@@ -696,7 +692,7 @@ class HomologyModel:
     """
 
     name: str
-    base: MotivicBase
+    base: str
     algebra: AlgebraSpec
     delta: Derivation
     gen_weights: list  # w per generator index
@@ -796,15 +792,13 @@ class HomologyModel:
         return count
 
 
-def _xi_tau_model(name: str, base: MotivicBase | str, truncation: int) -> HomologyModel:
+def _xi_tau_model(name: str, base: str, truncation: int) -> HomologyModel:
     """The ko model (first generator xi1^2) or the kgl model (first generator xi1).
 
     Then come xi_j of stem 2^j - 1 and tau_i of stem 2^i up to the
     truncation, of weight 1 - 2^j and 1 - 2^i; delta(xi_j) = xi_(j-1)^2.
     """
-    if isinstance(base, str):
-        base = motivic_base(base)
-    km = base.coefficient_ring()
+    km = KMTau(rho_order(base))
     rho = km.monomial(1, 0)
     ko = name == "ko"
     gens = [GeneratorSpec("xi1sq", 2, POLYNOMIAL) if ko else GeneratorSpec("xi1", 1, POLYNOMIAL)]
@@ -835,21 +829,19 @@ def _xi_tau_model(name: str, base: MotivicBase | str, truncation: int) -> Homolo
     return HomologyModel(name, base, algebra, delta, weights)
 
 
-def ko_homology_model(base: MotivicBase | str, truncation: int = 16) -> HomologyModel:
+def ko_homology_model(base: str, truncation: int = 16) -> HomologyModel:
     """k^M[xi1^2, xi2, ..., tau2, tau3, ...]/(tau_i^2 - rho tau_{i+1}) + delta."""
     return _xi_tau_model("ko", base, truncation)
 
 
-def kgl_homology_model(base: MotivicBase | str, truncation: int = 16) -> HomologyModel:
+def kgl_homology_model(base: str, truncation: int = 16) -> HomologyModel:
     """Same with xi1 itself a generator: delta(xi1) = xi0^2 = 1."""
     return _xi_tau_model("kgl", base, truncation)
 
 
-def sphere_model(base: MotivicBase | str, truncation: int = 16) -> HomologyModel:
+def sphere_model(base: str, truncation: int = 16) -> HomologyModel:
     """The Witt K-theory sphere itself: k^M concentrated in stem 0."""
-    if isinstance(base, str):
-        base = motivic_base(base)
-    km = base.coefficient_ring()
+    km = KMTau(rho_order(base))
     algebra = AlgebraSpec([], km, truncation)
     delta = Derivation(algebra, -1, {}, name="delta")
     return HomologyModel("sphere", base, algebra, delta, [])
@@ -950,8 +942,8 @@ def bockstein_pages(
         ),
         "collapses": not offenders,
     }
-    e1 = BocksteinPage(1, e1_entries, note=f"model {model.name}/{model.base.name}")
-    e2 = BocksteinPage(2, e2_entries, note=f"model {model.name}/{model.base.name}")
+    e1 = BocksteinPage(1, e1_entries, note=f"model {model.name}/{model.base}")
+    e2 = BocksteinPage(2, e2_entries, note=f"model {model.name}/{model.base}")
     return e1, e2, collapse_report
 
 
@@ -1011,12 +1003,17 @@ def conjugate_basis_triangularity(alg: SteenrodAlgebra, max_weight: int = 8,
     contribution involves a strictly larger (q, m') in the monomial order.
     The candidate columns of each target bidegree are eliminated once for
     all pairs of that bidegree, and must be independent, so that the
-    expansion is unique.  Returns the number of pairs (p, m) checked.
+    expansion is unique.  Returns the number of pairs (p, m) checked; an
+    algebra below `conjugate_weight(max_weight, max_tau_power)` is refused.
 
     The expansion is triangular in both orders of tau_i and xi_i on the
     three bases for weights <= 8 and tau powers <= 2; the chain read from
     the bottom fails over R, where eta_R(tau) = tau + rho tau_0.
     """
+    need = conjugate_weight(max_weight, max_tau_power)
+    if need > alg.weight:
+        raise TruncationExceeded(f"triangularity to weight {max_weight} and tau power "
+                                 f"{max_tau_power} needs an algebra of weight {need}, not {alg.weight}")
     km = alg.km
     mons = alg.basis_monomials(max_weight)
     # conjugation and eta_R(tau) factors cascade monomial weights upward

@@ -56,7 +56,6 @@ class WittPresentation:
         rank_mod2,
         ideal_generators,
         vcd2: int | None,
-        validate: bool = True,
     ):
         self.name = name
         self.additive = additive
@@ -67,8 +66,7 @@ class WittPresentation:
         self.rank_mod2 = tuple(int(b) % 2 for b in rank_mod2)
         self.ideal_generators = [additive.reduce(g) for g in ideal_generators]
         self.vcd2 = vcd2  # None means infinity
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- elements -------------------------------------------------------------
     def element(self, coords) -> "WittElement":

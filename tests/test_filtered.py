@@ -10,8 +10,6 @@ from etasphere import filtered
 from etasphere.abelian import FinAbGroup, counting_function
 from etasphere.filtered import (
     FilteredComponent,
-    FilteredModule,
-    FilteredMorphism,
     FilteredRModule,
     FilteredRing,
     FiniteRing,
@@ -92,9 +90,7 @@ def test_validation_catches_bad_chains():
 
 def test_lemma_suite_identity():
     comp = two_adic_component(4)
-    module = FilteredModule({0: comp})
-    alpha = FilteredMorphism(module, module, {0: [[1]]})
-    report = filtered_lemma_suite(alpha)
+    report = filtered_lemma_suite(comp, comp, [[1]])
     assert report["gr_iso"]
     assert report["alpha_filtered_iso"]
     assert report["alpha_injective"]
@@ -108,17 +104,13 @@ def test_lemma_suite_multiplication_by_two_shifted_target():
     bits = 8
     src = two_adic_component(bits)
     tgt = two_adic_component(bits)
-    module_s = FilteredModule({0: src})
-    module_t = FilteredModule({0: tgt})
-    alpha = FilteredMorphism(module_s, module_t, {0: [[1]]})
-    report = filtered_lemma_suite(alpha)
+    report = filtered_lemma_suite(src, tgt, [[1]])
     assert report["gr_iso"] and report["alpha_filtered_iso"]
 
     # the honest non-example: multiplication by 2 into the unshifted target
     # lands in one filtration step higher, so it vanishes on gr and neither
     # hypothesis applies
-    beta = FilteredMorphism(module_s, module_t, {0: [[2]]})
-    report2 = filtered_lemma_suite(beta)
+    report2 = filtered_lemma_suite(src, tgt, [[2]])
     assert not report2["gr_surjective"]
     assert not report2["gr_injective"]
 
@@ -128,13 +120,23 @@ def test_lemma_suite_surjection_z8_to_z2():
     # surjection and gr ker = ker gr, checked exhaustively by lattices
     src = two_adic_component(3)   # Z/8, chain 1,2,4,8
     tgt = two_adic_component(1)   # Z/2, chain 1,2
-    alpha = FilteredMorphism(
-        FilteredModule({0: src}), FilteredModule({0: tgt}), {0: [[1]]}
-    )
-    report = filtered_lemma_suite(alpha)
+    report = filtered_lemma_suite(src, tgt, [[1]])
     assert report["gr_surjective"]
     assert report["alpha_surjective_each_level"]
     assert report["kernel_gr_matches"]
+
+
+def test_lemma_suite_checks_its_hypotheses_first():
+    src = two_adic_component(3)  # Z/8, chain 1, 2, 4, 8
+    coarse = FilteredComponent(1, [[8]], [[[1]], [[4]], [[8]]])
+    bad_chain = FilteredComponent(1, [[8]], [[[1]], [[4]]])  # not Hausdorff
+    with pytest.raises(HypothesisViolated, match="shape"):
+        filtered_lemma_suite(src, src, [[1, 0]])
+    with pytest.raises(HypothesisViolated, match="Hausdorff"):
+        filtered_lemma_suite(src, bad_chain, [[1]])
+    with pytest.raises(HypothesisViolated, match="level 1"):
+        filtered_lemma_suite(src, coarse, [[1]])  # F^1 = 2Z/8 is not inside 4Z/8
+    assert filtered_lemma_suite(coarse, src, [[1]])["gr_surjective"] is False
 
 
 def z_mod_2k_ring(bits: int) -> FilteredRing:
@@ -202,9 +204,9 @@ def test_kwhw_certificate_runs_the_lemma_suite_once(monkeypatch, imax):
     calls = []
     suite = filtered.filtered_lemma_suite
 
-    def counted(alpha):
-        calls.append(alpha)
-        return suite(alpha)
+    def counted(src, tgt, mat):
+        calls.append(mat)
+        return suite(src, tgt, mat)
 
     monkeypatch.setattr(filtered, "filtered_lemma_suite", counted)
     out, _ = kw_hw_generators_check("Z_half", imax, 8)
@@ -350,12 +352,10 @@ def test_lemma_suite_matches_element_enumeration(source, target, data):
         st.lists(st.integers(0, 7), min_size=src.ngens, max_size=src.ngens),
         min_size=tgt.ngens, max_size=tgt.ngens,
     ))
-    alpha = FilteredMorphism(FilteredModule({0: src}), FilteredModule({0: tgt}), {0: mat})
     try:
-        alpha.validate()
+        report = filtered_lemma_suite(src, tgt, mat)
     except HypothesisViolated:
         reject()
-    report = filtered_lemma_suite(alpha)
 
     def apply(x):
         return tuple(sum(r * c for r, c in zip(row, x)) % d for row, d in zip(mat, tgt_orders))
@@ -384,7 +384,6 @@ def test_lemma_suite_matches_element_enumeration(source, target, data):
         "gr_iso": surj and inj,
         "gr_surjective": surj,
         "gr_injective": inj,
-        "per_degree": {0: {"gr_surjective": surj, "gr_injective": inj}},
     }
     if surj:
         expected["alpha_surjective_each_level"] = each_level

@@ -67,7 +67,7 @@ def test_truncation_enforced():
 
 def test_motivic_square_rewrite():
     # tau0^2 -> tau*xi1 + rho*tau0*xi1 + rho*tau1 over the rho-coefficient base
-    km = KMTau("free")
+    km = KMTau()
     tau = km.monomial(0, 1)
     rho = km.monomial(1, 0)
     a = AlgebraSpec(
@@ -186,7 +186,7 @@ def test_hilbert_dimensions():
 
 
 def test_confluence_random_words():
-    km = KMTau("free")
+    km = KMTau()
     tau = km.monomial(0, 1)
     rho = km.monomial(1, 0)
     a = AlgebraSpec(
@@ -348,7 +348,7 @@ def packed(km, pairs):
     return functools.reduce(km.add, (km.monomial(r, t) for r, t in pairs), km.zero)
 
 
-KM_FREE = KMTau("free")
+KM_FREE = KMTau()
 TERM_RINGS = {
     "F2": (F2(), st.integers(0, 1)),
     "Z/8": (IntegersMod(8), st.integers(0, 7)),
@@ -411,17 +411,19 @@ def test_gf2_span_intersection_against_brute_force(a_rows, b_rows):
     assert _gf2_span(basis) == _gf2_span(a_rows) & _gf2_span(b_rows)
 
 
-RHO_MODES = ("free", "zero", "square_zero")
+# rho free, rho = 0, rho^2 = 0 and rho^3 = 0, the last beyond every named base
+RHO_ORDERS = (None, 1, 2, 3)
+RHO_ORDER_IDS = ("free", "zero", "square_zero", "cube_zero")
 
 
 class FrozensetKMTau:
     """Reference k^M[tau]: frozensets of (rho_exp, tau_exp) pairs, multiplied pairwise."""
 
-    def __init__(self, rho_mode):
-        self.rho_mode = rho_mode
+    def __init__(self, rho_order):
+        self.rho_order = rho_order
 
     def admissible(self, a):
-        return a == 0 or self.rho_mode == "free" or (self.rho_mode == "square_zero" and a <= 1)
+        return self.rho_order is None or a < self.rho_order
 
     def monomial(self, r, t):
         return frozenset({(r, t)}) if self.admissible(r) else frozenset()
@@ -451,12 +453,13 @@ class FrozensetKMTau:
 km_pairs = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)), max_size=5)
 
 
-@given(st.sampled_from(RHO_MODES), km_pairs, km_pairs, km_pairs)
+@given(st.sampled_from(RHO_ORDERS), km_pairs, km_pairs, km_pairs)
 def test_packed_kmtau_matches_frozenset_reference(mode, xs, ys, zs):
     km, ref = KMTau(mode), FrozensetKMTau(mode)
     fa, fb, fc = (functools.reduce(lambda acc, p: acc ^ ref.monomial(*p), ps, frozenset())
                   for ps in (xs, ys, zs))
     a, b, c = packed(km, fa), packed(km, fb), packed(km, fc)
+    assert all(km.admissible(r) == ref.admissible(r) for r in range(5))
     assert list(km.terms(a)) == sorted(fa)
     assert km.is_zero(a) == (not fa)
     assert km.mul(a, b) == packed(km, ref.mul(fa, fb))
@@ -470,7 +473,7 @@ def test_packed_kmtau_matches_frozenset_reference(mode, xs, ys, zs):
     assert km.degrees(a) == ref.degrees(fa)
 
 
-@pytest.mark.parametrize("mode", RHO_MODES)
+@pytest.mark.parametrize("mode", RHO_ORDERS, ids=RHO_ORDER_IDS)
 def test_kmtau_tau_exponent_past_the_stride_raises(mode):
     km = KMTau(mode)
     top = KMTau.STRIDE - 1
@@ -484,11 +487,17 @@ def test_kmtau_tau_exponent_past_the_stride_raises(mode):
         km.mul(km.monomial(0, 40) ^ km.one, km.monomial(0, 30) ^ km.one)
     # the largest tau exponent that fits stays in its row
     assert list(km.terms(km.mul(km.monomial(0, top - 1), km.monomial(0, 1)))) == [(0, top)]
-    if mode != "zero":
+    if mode != 1:
         rho = km.monomial(1, 0)
         assert list(km.terms(km.mul(km.monomial(0, top), rho))) == [(1, top)]
         with pytest.raises(AlgebraError):
             km.mul(km.monomial(1, 40), km.monomial(0, 30))
+
+
+@pytest.mark.parametrize("order", ["free", 0, -1, True, 2.0, "2"])
+def test_kmtau_takes_only_a_positive_int_rho_order(order):
+    with pytest.raises(AlgebraError, match="rho order"):
+        KMTau(order)
 
 
 # -- apply_derivation and monomial bases against independent references --------
@@ -607,7 +616,7 @@ def monomial_basis_cases():
     for base in ("real_closed", "quadratically_closed"):
         cases[f"ko/{base}"] = ko_homology_model(base, truncation=16).algebra
         cases[f"kgl/{base}"] = kgl_homology_model(base, truncation=16).algebra
-    cases["steenrod/free/7"] = steenrod_spec("free", 7)
+    cases["steenrod/free/7"] = steenrod_spec(None, 7)
     cases["phi/F2"] = phi_algebra(9, F2())[0]
     cases["phi/Q"] = phi_algebra(9, RationalRing())[0]
     # degrees out of order, a generator above every small n, squares with no image
@@ -697,8 +706,8 @@ def test_normalize_without_rewrite_rules_only_drops_zeros(ring):
 
 
 def test_normalize_still_rewrites_squares_and_raises_past_the_truncation():
-    for mode in ("free", "square_zero"):
-        a = steenrod_spec(mode, 7)
+    for mode, order in (("free", None), ("square_zero", 2)):
+        a = steenrod_spec(order, 7)
         ngens, one = len(a.generators), a.coefficients.one
         top = ngens - 1  # tau3, whose square lies past the truncation
         assert a.generators[top].kind == SQUARE and a.square_images[top] is None

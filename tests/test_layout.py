@@ -9,7 +9,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "etasphere"
 
 # definitions that nothing in the library calls, each kept for a stated reason
 NO_LIBRARY_CALLER = {
-    "antipode": "a perfbench tracer layer: the conjugation of a whole element",
     "homology_at_degree": "a perfbench tracer layer",
     "tau_monomial_homology_dims": "the perfbench oracle for the pages E2 cells",
 }

@@ -40,6 +40,7 @@ from etasphere.steenrod import (
     check_coassociativity_counit,
     combine_slots,
     conjugate_basis_triangularity,
+    conjugate_weight,
     coproduct,
     coproduct_left,
     coproduct_right,
@@ -246,6 +247,19 @@ def test_unknown_operator():
         dual_action("sq2_hat", "L", alg.one())
     with pytest.raises(UnknownOperator):
         dual_action("tau0_hat", "M", alg.one())
+    with pytest.raises(UnknownOperator, match="unknown motivic base"):
+        SteenrodAlgebra("p_adic", weight=8)
+    with pytest.raises(UnknownOperator, match="unknown motivic base"):
+        ko_homology_model("p_adic")
+
+
+def test_each_base_is_the_nilpotence_order_of_rho():
+    orders = {"real_closed": None, "quadratically_closed": 1, "finite_field_3mod4": 2}
+    assert steenrod.MOTIVIC_BASES == orders
+    for base, order in orders.items():
+        km = SteenrodAlgebra(base, weight=4).km
+        assert km.rho_order == order == ko_homology_model(base).algebra.coefficients.rho_order
+        assert [km.admissible(a) for a in range(4)] == [order is None or a < order for a in range(4)]
 
 
 def test_coassociativity_and_counit_weight8():
@@ -283,7 +297,7 @@ def test_hopf_checks_run_in_the_algebra_their_weight_rule_gives(base, capsys, mo
 
 def test_hopf_weight_is_the_stem_bound():
     assert [hopf_weight(w) for w in (0, 4, 6, 7, 9, 12, 15)] == [1, 7, 9, 11, 13, 16, 20]
-    assert all(hopf_weight(w) == steenrod.steenrod_spec("free", w).truncation for w in range(20))
+    assert all(hopf_weight(w) == steenrod.steenrod_spec(None, w).truncation for w in range(20))
 
 
 def test_merged_check_names_the_axiom_that_fails(monkeypatch):
@@ -421,10 +435,20 @@ def test_conjugate_basis_triangularity_weight8():
 
 @pytest.mark.parametrize("base", FULL_TABLE_BASES)
 def test_certificate_counts_are_pinned(base):
-    # a grouping that skipped rows would lower these counts
-    assert conjugate_basis_triangularity(SteenrodAlgebra(base, 16), 5, 2) == 126
-    assert conjugate_basis_triangularity(SteenrodAlgebra(base, 16), 8, 2) == 330
+    # a grouping that skipped rows would lower these counts; the triangularity
+    # counts hold in a weight-16 algebra and in the one its weight rule gives
+    for w, want in ((5, 126), (8, 330)):
+        for weight in (16, conjugate_weight(w, 2)):
+            assert conjugate_basis_triangularity(SteenrodAlgebra(base, weight), w, 2) == want
     assert check_antipode_axiom(SteenrodAlgebra(base, 16), 7) == 82
+
+
+def test_triangularity_refuses_an_algebra_below_the_conjugate_weight():
+    assert [conjugate_weight(w, p) for w, p in ((0, 0), (5, 2), (8, 2))] == [1, 10, 14]
+    for w, p in ((0, 0), (0, 2), (5, 2), (8, 1)):
+        small = SteenrodAlgebra("real_closed", conjugate_weight(w, p) - 1)
+        with pytest.raises(TruncationExceeded, match=f"algebra of weight {conjugate_weight(w, p)},"):
+            conjugate_basis_triangularity(small, w, p)
 
 
 def test_conjugate_basis_triangularity_rejects_dependent_columns(monkeypatch):
@@ -808,7 +832,7 @@ def _element(alg, summands):
 def test_term_dicts_never_store_a_zero_coefficient(base, xs, ys, cs):
     alg = SteenrodAlgebra(base, weight=16)
     km = alg.km
-    generic = GenericTermsKMTau(km.rho_mode)
+    generic = GenericTermsKMTau(km.rho_order)
 
     def check():
         x, y, c = _element(alg, xs), _element(alg, ys), _coefficient(km, cs)
