@@ -359,13 +359,6 @@ def verify_checks(rng) -> dict:
 
 VERIFY_MODULES = sorted(verify_checks(None))
 
-# the module whose checks `--verify` adds to each subcommand
-VERIFY_MODULE = {
-    "stems": "kwcalc", "operator": "kwcalc", "hopf": "kwcalc", "divided": "kwcalc",
-    "cobordism": "kwcalc", "hwhw": "kwcalc", "kwhw": "kwcalc", "witt": "witt",
-    "steenrod": "steenrod", "pages": "steenrod",
-}
-
 
 def run_module(module: str, rng, certificates: dict) -> dict:
     """Run one module's checks into certificates; returns name -> pass."""
@@ -382,6 +375,119 @@ def run_module(module: str, rng, certificates: dict) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+# Each subcommand is one function (args, fields, stems_data, certificates) ->
+# (results, ascii_body) that adds its certificates in place.  It calls the
+# library through this module's global names, so that a wrapper rebound over
+# them (perfbench's tracer) sees every call.
+
+def stems_command(args, fields, stems_data, certificates):
+    table = eta_stems(fields[args.field], args.max, stems_data)
+    return table.to_json(), emit_stems_chart(table)
+
+
+def witt_command(args, fields, stems_data, certificates):
+    out = {}
+    if args.field:
+        out["presentation"] = fields[args.field].to_json()
+        # load_config validated every presentation it returned
+        certificates["presentation_validates"] = certificate(True, 1)
+    if args.brute_force is not None:
+        brute = brute_force_witt_ring(args.brute_force)
+        out["brute_force"] = brute.to_json()
+        if args.field:
+            iso = find_ring_isomorphism(fields[args.field], brute)
+            certificates["ring_isomorphic_to_catalog"], _ = run_check(
+                isomorphic_to_catalog, {args.field: iso})
+            if iso is not None:
+                out["isomorphism_images"] = [list(c) for c in iso]
+    if not out:
+        out["catalog"] = sorted(fields)
+    return out, json.dumps(out, sort_keys=True, indent=2)
+
+
+def steenrod_command(args, fields, stems_data, certificates):
+    certificates["action_table"], _ = run_check(action_table, args.base, args.weight)
+    certificates["coassociativity_counit"], checked = run_check(
+        coassoc_counit, args.base, args.weight)
+    results = {"base": args.base, "weight": args.weight}
+    if checked is not None:
+        results["monomials_checked"] = checked
+    return results, json.dumps(results, sort_keys=True, indent=2)
+
+
+def pages_command(args, fields, stems_data, certificates):
+    truncation = args.smax + 2 if args.truncation is None else args.truncation
+    builder = {"ko": ko_homology_model, "kgl": kgl_homology_model,
+               "sphere": sphere_model}[args.model]
+    model = builder(args.base, truncation=truncation)
+    e1, e2, report = bockstein_pages(model, args.smax, args.fmax, args.wmin, args.wmax)
+    cells = report["f_positive_cells"]
+    certificates["f_positive_stems_mod_4"] = certificate(
+        report["f_positive_stems_mod_4"], cells, report["offending_cells"])
+    certificates["collapse"] = certificate(report["collapses"], cells)
+    results = {
+        "model": args.model,
+        "base": args.base,
+        "e1_cells": {f"{k}": v for k, v in sorted(e1.entries.items())},
+        "e2_cells": {f"{k}": v for k, v in sorted(e2.entries.items())},
+        "collapse_argument": report["argument"],
+    }
+    return results, emit_page_chart(e2, args.smax, args.fmax)
+
+
+def operator_command(args, fields, stems_data, certificates):
+    result = normal_order(_parse_word(args.word))
+    results = {
+        "word": args.word,
+        "normal_form": repr(result),
+        "terms": {f"beta^{i} phi^{j}": str(c) for (i, j), c in sorted(result.terms.items())},
+    }
+    return results, repr(result)
+
+
+def hopf_command(args, fields, stems_data, certificates):
+    out = hopf_constants(args.imax, args.jmax)
+    certificates["matches_binomials"], _ = run_check(binomials_mod8, out)
+    return out, f"a_ij = binom(i+j, i) mod 8 verified for i <= {args.imax}, j <= {args.jmax}"
+
+
+def divided_command(args, fields, stems_data, certificates):
+    try:
+        units = tuple(int(u) for u in args.units.split(",")) if args.units else ()
+    except ValueError as exc:
+        raise UsageError(f"--units takes comma-separated integers: {args.units!r}") from exc
+    model = DividedPowerModel(args.modulus_bits, units, args.imax)
+    out, checked = divided_power_construct(model, args.nmax)
+    certificates["divided_power_identities"], _ = run_check(divided_power_identities, out)
+    certificates["squares_normalized"] = certificate(
+        out["squares_normalized"], checked["squares_normalized"])
+    return out, (f"x_m x_n = binom(m+n, n) x_(m+n) mod 2^{args.modulus_bits} "
+                 f"for m+n <= {args.nmax}: {'ok' if out['certificate'] else 'FAILED'}")
+
+
+def cobordism_command(args, fields, stems_data, certificates):
+    table = cobordism_stems(args.theory, args.field, args.max)
+    return table.to_json(), emit_stems_chart(table)
+
+
+def hwhw_command(args, fields, stems_data, certificates):
+    table = hw_hw_stems(fields[args.field], args.max)
+    return table.to_json(), emit_stems_chart(table)
+
+
+def kwhw_command(args, fields, stems_data, certificates):
+    out, checked = kw_hw_generators_check(fields[args.field], args.imax, args.modulus_bits)
+    for key, count in checked.items():
+        certificates[key] = certificate(out[key], count)
+    return out, json.dumps(out, sort_keys=True, indent=2)
+
+
+def verify_command(args, fields, stems_data, certificates):
+    # each named module once, in sorted order, so one seed fixes every case
+    rng = random.Random(args.seed)
+    modules = sorted(set(args.module or VERIFY_MODULES))
+    return {module: run_module(module, rng, certificates) for module in modules}, None
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -406,23 +512,26 @@ def build_parser() -> argparse.ArgumentParser:
     output_flags.add_argument("--verify", action="store_true", default=argparse.SUPPRESS,
                               help="also run the module invariant suite")
 
-    def command(name, help):
-        return sub.add_parser(name, help=help, parents=[output_flags])
+    # each subcommand with its function and the module whose checks --verify adds
+    def command(name, help, handler, verify_module):
+        p = sub.add_parser(name, help=help, parents=[output_flags])
+        p.set_defaults(handler=handler, verify_module=verify_module)
+        return p
 
-    p = command("stems", help="eta-periodic stable stems table")
+    p = command("stems", "eta-periodic stable stems table", stems_command, "kwcalc")
     p.add_argument("--field", required=True)
     p.add_argument("--max", type=int, default=8)
 
-    p = command("witt", help="catalog presentation summary and checks")
+    p = command("witt", "catalog presentation summary and checks", witt_command, "witt")
     p.add_argument("--field")
     p.add_argument("--brute-force", type=int, metavar="Q",
                    help="classify diagonal forms over F_Q and compare")
 
-    p = command("steenrod", help="dual Steenrod algebra verification")
+    p = command("steenrod", "dual Steenrod algebra verification", steenrod_command, "steenrod")
     p.add_argument("--base", default="real_closed")
     p.add_argument("--weight", type=int, default=12)
 
-    p = command("pages", help="eta-Bockstein spectral sequence pages")
+    p = command("pages", "eta-Bockstein spectral sequence pages", pages_command, "steenrod")
     p.add_argument("--base", default="real_closed")
     p.add_argument("--model", choices=("ko", "kgl", "sphere"), default="ko")
     p.add_argument("--smax", type=int, default=16)
@@ -431,35 +540,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wmax", type=int)
     p.add_argument("--truncation", type=int)
 
-    p = command("operator", help="normal-order a word in beta and phi")
+    p = command("operator", "normal-order a word in beta and phi", operator_command, "kwcalc")
     p.add_argument("--word", required=True,
                    help="space-separated tokens: beta, phi, integers, fractions")
 
-    p = command("hopf", help="Hopf algebroid constants a_ij mod 8")
+    p = command("hopf", "Hopf algebroid constants a_ij mod 8", hopf_command, "kwcalc")
     p.add_argument("--imax", type=int, default=12)
     p.add_argument("--jmax", type=int, default=12)
 
-    p = command("divided", help="divided-power generator certificate")
+    p = command("divided", "divided-power generator certificate", divided_command, "kwcalc")
     p.add_argument("--nmax", type=int, default=16)
     p.add_argument("--modulus-bits", type=int, default=8)
     p.add_argument("--units", help="comma-separated odd units w_i")
     p.add_argument("--imax", type=int, default=5)
 
-    p = command("cobordism", help="eta-periodic cobordism ranks")
+    p = command("cobordism", "eta-periodic cobordism ranks", cobordism_command, "kwcalc")
     p.add_argument("--theory", choices=("MSp", "MSL", "msp", "msl"), required=True)
     p.add_argument("--field", default="real_closed")
     p.add_argument("--max", type=int, default=12)
 
-    p = command("hwhw", help="HW smash HW summands")
+    p = command("hwhw", "HW smash HW summands", hwhw_command, "kwcalc")
     p.add_argument("--field", required=True)
     p.add_argument("--max", type=int, default=5)
 
-    p = command("kwhw", help="kw smash HW generator certificate")
+    p = command("kwhw", "kw smash HW generator certificate", kwhw_command, "kwcalc")
     p.add_argument("--field", required=True)
     p.add_argument("--imax", type=int, default=3)
     p.add_argument("--modulus-bits", type=int, default=8)
 
-    p = command("verify", help="run invariant suites")
+    p = command("verify", "run invariant suites", verify_command, None)
     p.add_argument("--module", choices=VERIFY_MODULES, action="append")
     p.add_argument("--seed", type=int, default=421)
 
@@ -510,126 +619,15 @@ def run(argv) -> int:
 
     started = time.perf_counter()
     certificates: dict = {}
-    results = None
-    ascii_body = None
-    inputs = {k: v for k, v in vars(args).items() if k not in ("format",) and v is not None}
+    inputs = {k: v for k, v in vars(args).items()
+              if k not in ("format", "handler", "verify_module") and v is not None}
 
     try:
         fields, stems_data = load_config(args.catalog, args.stems_data)
         check_arguments(args, fields)
-
-        if args.subcommand == "stems":
-            table = eta_stems(fields[args.field], args.max, stems_data)
-            results = table.to_json()
-            ascii_body = emit_stems_chart(table)
-
-        elif args.subcommand == "witt":
-            out = {}
-            if args.field:
-                out["presentation"] = fields[args.field].to_json()
-                # load_config validated every presentation it returned
-                certificates["presentation_validates"] = certificate(True, 1)
-            if args.brute_force:
-                brute = brute_force_witt_ring(args.brute_force)
-                out["brute_force"] = brute.to_json()
-                if args.field:
-                    iso = find_ring_isomorphism(fields[args.field], brute)
-                    certificates["ring_isomorphic_to_catalog"], _ = run_check(
-                        isomorphic_to_catalog, {args.field: iso})
-                    if iso is not None:
-                        out["isomorphism_images"] = [list(c) for c in iso]
-            if not out:
-                out["catalog"] = sorted(fields)
-            results = out
-            ascii_body = json.dumps(out, sort_keys=True, indent=2)
-
-        elif args.subcommand == "steenrod":
-            certificates["action_table"], _ = run_check(action_table, args.base, args.weight)
-            certificates["coassociativity_counit"], checked = run_check(
-                coassoc_counit, args.base, args.weight)
-            results = {"base": args.base, "weight": args.weight}
-            if checked is not None:
-                results["monomials_checked"] = checked
-            ascii_body = json.dumps(results, sort_keys=True, indent=2)
-
-        elif args.subcommand == "pages":
-            truncation = args.smax + 2 if args.truncation is None else args.truncation
-            builder = {"ko": ko_homology_model, "kgl": kgl_homology_model,
-                       "sphere": sphere_model}[args.model]
-            model = builder(args.base, truncation=truncation)
-            e1, e2, report = bockstein_pages(
-                model, args.smax, args.fmax, args.wmin, args.wmax
-            )
-            cells = report["f_positive_cells"]
-            certificates["f_positive_stems_mod_4"] = certificate(
-                report["f_positive_stems_mod_4"], cells, report["offending_cells"])
-            certificates["collapse"] = certificate(report["collapses"], cells)
-            results = {
-                "model": args.model,
-                "base": args.base,
-                "e1_cells": {f"{k}": v for k, v in sorted(e1.entries.items())},
-                "e2_cells": {f"{k}": v for k, v in sorted(e2.entries.items())},
-                "collapse_argument": report["argument"],
-            }
-            ascii_body = emit_page_chart(e2, args.smax, args.fmax)
-
-        elif args.subcommand == "operator":
-            word = _parse_word(args.word)
-            result = normal_order(word)
-            results = {
-                "word": args.word,
-                "normal_form": repr(result),
-                "terms": {f"beta^{i} phi^{j}": str(c) for (i, j), c in sorted(result.terms.items())},
-            }
-            ascii_body = repr(result)
-
-        elif args.subcommand == "hopf":
-            out = hopf_constants(args.imax, args.jmax)
-            certificates["matches_binomials"], _ = run_check(binomials_mod8, out)
-            results = out
-            ascii_body = f"a_ij = binom(i+j, i) mod 8 verified for i <= {args.imax}, j <= {args.jmax}"
-
-        elif args.subcommand == "divided":
-            try:
-                units = tuple(int(u) for u in args.units.split(",")) if args.units else ()
-            except ValueError as exc:
-                raise UsageError(f"--units takes comma-separated integers: {args.units!r}") from exc
-            model = DividedPowerModel(args.modulus_bits, units, args.imax)
-            out, checked = divided_power_construct(model, args.nmax)
-            certificates["divided_power_identities"], _ = run_check(divided_power_identities, out)
-            certificates["squares_normalized"] = certificate(
-                out["squares_normalized"], checked["squares_normalized"])
-            results = out
-            ascii_body = (
-                f"x_m x_n = binom(m+n, n) x_(m+n) mod 2^{args.modulus_bits} "
-                f"for m+n <= {args.nmax}: {'ok' if out['certificate'] else 'FAILED'}"
-            )
-
-        elif args.subcommand == "cobordism":
-            table = cobordism_stems(args.theory, args.field, args.max)
-            results = table.to_json()
-            ascii_body = emit_stems_chart(table)
-
-        elif args.subcommand == "hwhw":
-            table = hw_hw_stems(fields[args.field], args.max)
-            results = table.to_json()
-            ascii_body = emit_stems_chart(table)
-
-        elif args.subcommand == "kwhw":
-            out, checked = kw_hw_generators_check(fields[args.field], args.imax, args.modulus_bits)
-            for key, count in checked.items():
-                certificates[key] = certificate(out[key], count)
-            results = out
-            ascii_body = json.dumps(out, sort_keys=True, indent=2)
-
-        elif args.subcommand == "verify":
-            rng = random.Random(args.seed)
-            results = {module: run_module(module, rng, certificates)
-                       for module in args.module or VERIFY_MODULES}
-
-        if args.verify and args.subcommand != "verify":
-            run_module(VERIFY_MODULE[args.subcommand], random.Random(421), certificates)
-
+        results, ascii_body = args.handler(args, fields, stems_data, certificates)
+        if args.verify and args.verify_module:
+            run_module(args.verify_module, random.Random(421), certificates)
     except (
         UsageError,
         witt.UnknownField,

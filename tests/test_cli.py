@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from etasphere import cli, witt
 from etasphere.cli import (
-    VERIFY_MODULE,
+    VERIFY_MODULES,
     build_parser,
     emit_json,
     load_config,
@@ -24,6 +24,12 @@ from etasphere.cli import (
     run_check,
     verify_checks,
 )
+
+
+def subcommands() -> dict:
+    """Each subcommand's parser, by name."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
 
 
 def run_capture(capsys, argv):
@@ -289,6 +295,8 @@ def test_pages_and_steenrod_usage_errors_exit_2(capsys):
     ["pages", "--model", "kgl", "--smax", "6", "--fmax", "2", "--truncation", "6"],
     ["pages", "--truncation", "0"],
     ["kwhw", "--field", "real_closed", "--modulus-bits", "0"],
+    ["witt", "--brute-force", "0"],
+    ["witt", "--field", "F3", "--brute-force", "0"],
 ])
 def test_bad_bounds_and_fields_exit_2(capsys, argv):
     code, out, err = run_capture(capsys, argv)
@@ -328,19 +336,13 @@ def test_format_before_the_subcommand_is_kept(capsys):
     assert "kwcalc.normal_order_phi_beta_n" in report["certificates"]
 
 
-# every subcommand but `verify`, with its flags; `verify` and `--verify` run
-# whole invariant suites, which take seconds each
+# every subcommand but `verify`, with every long option it declares (--format
+# included); `verify` and `--verify` run whole invariant suites, which take
+# seconds each
 FUZZ_FLAGS = {
-    "stems": ["--field", "--max"],
-    "witt": ["--field", "--brute-force"],
-    "steenrod": ["--base", "--weight"],
-    "pages": ["--base", "--model", "--smax", "--fmax", "--wmin", "--wmax", "--truncation"],
-    "operator": ["--word"],
-    "hopf": ["--imax", "--jmax"],
-    "divided": ["--nmax", "--modulus-bits", "--units", "--imax"],
-    "cobordism": ["--theory", "--field", "--max"],
-    "hwhw": ["--field", "--max"],
-    "kwhw": ["--field", "--imax", "--modulus-bits"],
+    name: [flag for action in parser._actions for flag in action.option_strings
+           if flag.startswith("--") and flag not in ("--help", "--verify")]
+    for name, parser in subcommands().items() if name != "verify"
 }
 FUZZ_TOKENS = ["0", "1", "2", "3", "6", "-1", "real_closed", "nosuch", "abc", "1/0",
                "phi", "beta", "json"]
@@ -354,7 +356,7 @@ def test_cli_fuzz_exit_codes(data):
     head = data.draw(st.dictionaries(
         st.sampled_from(["--format", "--catalog", "--stems-data"]), tokens, max_size=2))
     options = data.draw(st.dictionaries(
-        st.sampled_from(FUZZ_FLAGS[command] + ["--format"]), tokens, max_size=4))
+        st.sampled_from(FUZZ_FLAGS[command]), tokens, max_size=4))
     loose = data.draw(st.lists(tokens, max_size=1))
     argv = [w for item in head.items() for w in item] + [command]
     argv += [w for item in options.items() for w in item] + loose
@@ -402,9 +404,63 @@ def test_runner_fails_a_raising_check_and_an_empty_check():
 
 
 def test_every_subcommand_but_verify_has_a_verify_module():
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(VERIFY_MODULE) == set(sub.choices) - {"verify"}
-    assert set(VERIFY_MODULE.values()) <= set(verify_checks(None))
+    modules = {name: p.get_default("verify_module") for name, p in subcommands().items()}
+    assert modules.pop("verify") is None
+    assert None not in modules.values()
+    assert set(modules.values()) <= set(verify_checks(None))
+
+
+# each subcommand but `verify` at its smallest bounds, with the module whose
+# checks --verify adds to it
+SMALLEST = {
+    "stems": ("kwcalc", ["--field", "real_closed", "--max", "0"]),
+    "witt": ("witt", ["--field", "F3"]),
+    "steenrod": ("steenrod", ["--weight", "0"]),
+    "pages": ("steenrod", ["--smax", "0", "--fmax", "0"]),
+    "operator": ("kwcalc", ["--word", "phi"]),
+    "hopf": ("kwcalc", ["--imax", "0", "--jmax", "0"]),
+    "divided": ("kwcalc", ["--nmax", "0", "--imax", "0"]),
+    "cobordism": ("kwcalc", ["--theory", "MSp", "--max", "0"]),
+    "hwhw": ("kwcalc", ["--field", "real_closed", "--max", "0"]),
+    "kwhw": ("kwcalc", ["--field", "real_closed", "--imax", "0"]),
+}
+
+
+def test_verify_flag_adds_exactly_the_subcommands_own_module(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_checks", lambda rng: {
+        module: {"trivial": lambda: (True, 1, None)} for module in VERIFY_MODULES})
+    assert set(SMALLEST) == set(subcommands()) - {"verify"}
+    for name, (module, rest) in SMALLEST.items():
+        certificates = []
+        for verify in ([], ["--verify"]):
+            _, out, err = run_capture(capsys, ["--format", "json", *verify, name, *rest])
+            assert not err, name
+            certificates.append(set(json.loads(out)["certificates"]))
+        assert certificates[1] - certificates[0] == {f"{module}.trivial"}, name
+        assert certificates[0] <= certificates[1], name
+    code, out, _ = run_capture(capsys, ["--format", "json", "--verify", "verify"])
+    assert code == 0
+    assert set(json.loads(out)["certificates"]) == {f"{m}.trivial" for m in VERIFY_MODULES}
+
+
+def test_verify_runs_each_named_module_once_in_sorted_order(capsys, monkeypatch):
+    draws = []
+
+    def spy(rng):
+        draws.append(rng.random())
+        return True, 1, None
+
+    monkeypatch.setattr(cli, "smith_normal_form_random", spy)
+    for modules in (["graded", "abelian"], ["abelian", "graded"], ["abelian", "abelian"]):
+        argv = ["--format", "json", "verify"] + [w for m in modules for w in ("--module", m)]
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0, modules
+        report = json.loads(out)
+        assert report["inputs"]["module"] == modules
+        assert set(report["results"]) == set(modules)
+    # abelian runs first in both orders, and once when it is named twice
+    assert len(draws) == 3
+    assert draws[0] == draws[1] == draws[2]
 
 
 @pytest.mark.parametrize("argv, vacuous", [
