@@ -5,8 +5,8 @@ is Z^g modulo a relation lattice, and its filtration is a finite descending
 chain of lattices that starts at everything and ends at the relation lattice
 (so F^last = 0 in the quotient).  `level(s)` clamps s to the chain, so F^s
 is everything for s <= 0 and the relations past the end.  A `FilteredRing`
-is a `FiniteRing` with such a chain of ideals, and a `FilteredRModule` one
-`FilteredComponent` per external degree with its action table beside it;
+is a `FiniteRing` with such a chain of ideals, and a module over it is one
+`FilteredComponent` with an action table beside it;
 `FilteredComponent.finite` builds both from additive orders and the
 generators of each level.  That finite shadow is exactly what makes the
 gr-comparison lemmas checkable by direct computation: complete, Hausdorff
@@ -14,8 +14,7 @@ and exhaustive hold by construction and both sides of each lemma reduce to
 exact lattice arithmetic.  The lemma suite compares one component with
 another along a matrix.  `lift_free_basis` checks that gr(M) is free on
 stated classes and lets the lemma suite certify their lifts (the map from
-the free filtered module on them is a filtered isomorphism), once per
-distinct degree.
+the free filtered module on them is a filtered isomorphism).
 """
 
 from __future__ import annotations
@@ -214,6 +213,12 @@ class FiniteRing:
     def mul(self, a, b):
         return self.reduce(bilinear(self.mult_table, a, b))
 
+    def is_unit(self, a) -> bool:
+        """Whether a is invertible: in a finite ring, whether multiplication by a is onto."""
+        rel = [[d if i == j else 0 for i in range(self.n)] for j, d in enumerate(self.orders)]
+        image = [self.mul(a, e) for e in _unit_vectors(self.n)]
+        return lattice(self.n, image + rel) == lattice(self.n, _unit_vectors(self.n) + rel)
+
     @classmethod
     def from_witt_mod2k(cls, presentation, modulus_bits: int):
         """W/2^K as a finite ring, with generators in presentation order."""
@@ -245,8 +250,7 @@ class FilteredRing:
         chains = []
         s = 1
         while True:
-            power = fundamental_ideal_power(presentation, s)
-            gens = [list(v) for v in power.generator_coords]
+            gens = fundamental_ideal_power(presentation, s).basis()
             chains.append(gens)
             if all(ring.is_zero(g) for g in gens):
                 break
@@ -256,79 +260,50 @@ class FilteredRing:
         return cls(ring, chains)
 
 
-class FilteredRModule:
-    """Finite module over a FilteredRing, one component per external degree."""
-
-    def __init__(self, ring: FilteredRing):
-        self.ring = ring
-        self.components: dict[int, FilteredComponent] = {}
-        self.actions: dict[int, list] = {}
-
-    def add_component(self, degree: int, orders, action_table, chain_generators):
-        """action_table[i][j]: coordinates of (ring gen i) . (module gen j)."""
-        self.components[degree] = FilteredComponent.finite(orders, chain_generators)
-        self.actions[degree] = action_table
-
-    def act(self, degree, ring_coords, mod_coords):
-        """(ring element) . (module element), reduced modulo diag(orders)."""
-        out = bilinear(self.actions[degree], ring_coords, mod_coords)
-        relations = self.components[degree].relations
-        return tuple(c % rel[k] for k, (c, rel) in enumerate(zip(out, relations)))
-
-
-def lift_free_basis(module: FilteredRModule, gr_basis) -> bool:
+def lift_free_basis(ring: FilteredRing, component: FilteredComponent, action, basis) -> bool:
     """Check gr-freeness on the stated basis and certify the lifted basis.
 
-    `gr_basis` is a list of (degree, filtration s, coords) whose classes are
-    claimed to form a gr(R)-basis of gr(M).  The coords themselves are taken
-    as the lifts (any representative of the gr class is one).  Raises
-    NotFree when the freeness hypothesis fails.  Otherwise the lemma suite
-    certifies the lifts: returns whether the map from the free filtered
-    module on them is a filtered isomorphism in every degree.  Degrees with
-    the same component, action table and lifts are checked once.
+    `component` is a finite module over `ring` (`FilteredComponent.finite`),
+    with action[i][j] the coordinates of (ring gen i) . (module gen j).
+    `basis` is a list of (filtration s, coords) whose classes are claimed to
+    form a gr(R)-basis of gr(M).  The coords themselves are taken as the
+    lifts (any representative of the gr class is one).  Raises NotFree when
+    the freeness hypothesis fails.  Otherwise the lemma suite certifies the
+    lifts: returns whether the map from the free filtered module on them is
+    a filtered isomorphism.
     """
-    ring = module.ring
-    by_degree: dict[int, list] = {}
-    for (t, s, coords) in gr_basis:
-        by_degree.setdefault(t, []).append((s, list(coords)))
-    distinct = {}
-    for t, comp in module.components.items():
-        basis_here = by_degree.get(t, [])
-        distinct.setdefault(repr((comp, module.actions[t], basis_here)), (t, comp, basis_here))
+    orders = [rel[k] for k, rel in enumerate(component.relations)]
+
+    def act(ring_coords, mod_coords):
+        return [c % d for c, d in zip(bilinear(action, ring_coords, mod_coords), orders)]
 
     # freeness of gr(M) over gr(R) on the claimed classes
-    for t, comp, basis_here in distinct.values():
-        for sigma in range(len(comp.chain) - 1):
-            # expected order of gr^sigma(M_t)
-            expected = 1
-            spans = [list(g) for g in comp.level(sigma + 1)]
-            for (s_i, x_i) in basis_here:
-                if s_i > sigma:
-                    continue
-                expected *= ring.gr_order(sigma - s_i)
-                for rgen in ring.filtration.level(sigma - s_i):
-                    spans.append(list(module.act(t, rgen, x_i)))
-            actual = comp.gr(sigma)[0].order()
-            span_ok = lattice(comp.ngens, spans) == lattice(comp.ngens, comp.level(sigma))
-            if actual != expected or not span_ok:
-                raise NotFree(
-                    f"gr(M) is not free on the stated basis at degree {t}, "
-                    f"filtration {sigma}: order {actual} vs {expected}, "
-                    f"span {'ok' if span_ok else 'proper'}"
-                )
+    for sigma in range(len(component.chain) - 1):
+        # expected order of gr^sigma(M)
+        expected = 1
+        spans = [list(g) for g in component.level(sigma + 1)]
+        for (s_i, x_i) in basis:
+            if s_i > sigma:
+                continue
+            expected *= ring.gr_order(sigma - s_i)
+            for rgen in ring.filtration.level(sigma - s_i):
+                spans.append(act(rgen, x_i))
+        actual = component.gr(sigma)[0].order()
+        span_ok = lattice(component.ngens, spans) == lattice(component.ngens, component.level(sigma))
+        if actual != expected or not span_ok:
+            raise NotFree(
+                f"gr(M) is not free on the stated basis at filtration {sigma}: "
+                f"order {actual} vs {expected}, span {'ok' if span_ok else 'proper'}"
+            )
 
     # certificate: R^k with R's chain shifted by each s_i, e_(i,j) -> (ring gen j) . x_i
-    n, last = ring.ring.n, len(ring.filtration.chain) - 1
-    certified = []
-    for t, comp, basis_here in distinct.values():
-        k = len(basis_here)
-        free = FilteredComponent.finite(ring.ring.orders * k, [
-            [[0] * (n * i) + list(g) + [0] * (n * (k - 1 - i))
-             for i, (s_i, _) in enumerate(basis_here)
-             for g in ring.filtration.level(s - s_i)]
-            for s in range(1, last + max((s_i for s_i, _ in basis_here), default=0) + 1)
-        ])
-        columns = [module.act(t, e, x_i) for _, x_i in basis_here for e in _unit_vectors(n)]
-        mat = [[col[r] for col in columns] for r in range(comp.ngens)]
-        certified.append(filtered_lemma_suite(free, comp, mat).get("alpha_filtered_iso", False))
-    return all(certified)
+    n, last, k = ring.ring.n, len(ring.filtration.chain) - 1, len(basis)
+    free = FilteredComponent.finite(ring.ring.orders * k, [
+        [[0] * (n * i) + list(g) + [0] * (n * (k - 1 - i))
+         for i, (s_i, _) in enumerate(basis)
+         for g in ring.filtration.level(s - s_i)]
+        for s in range(1, last + max((s_i for s_i, _ in basis), default=0) + 1)
+    ])
+    columns = [act(e, x_i) for _, x_i in basis for e in _unit_vectors(n)]
+    mat = [[col[r] for col in columns] for r in range(component.ngens)]
+    return filtered_lemma_suite(free, component, mat).get("alpha_filtered_iso", False)

@@ -19,6 +19,7 @@ from math import gcd
 
 from .abelian import (
     FinAbGroup,
+    Lattice,
     _unit_vectors,
     bilinear,
     counting_function,
@@ -60,6 +61,20 @@ class WittPresentation:
         self.name = name
         self.additive = additive
         n = additive.ngens
+        # every shape before any reduce, so a bad data file names its field
+        if len(mult_table) != n or any(
+            len(row) != n or any(len(c) != n for c in row) for row in mult_table
+        ):
+            raise InvalidPresentation("mult_table shape mismatch")
+        if len(rank_mod2) != n:
+            raise InvalidPresentation("rank_mod2 length mismatch")
+        vectors = [("unit", unit), ("minus_one", minus_one)]
+        vectors += [("ideal_generators entry", v) for v in ideal_generators]
+        for label, vec in vectors:
+            if len(vec) != n:
+                raise InvalidPresentation(f"{label} needs {n} coordinates, got {list(vec)}")
+        if vcd2 is not None and (type(vcd2) is not int or vcd2 < 0):
+            raise InvalidPresentation(f"vcd2 must be null or an integer >= 0, got {vcd2!r}")
         self.mult_table = [[additive.reduce(mult_table[i][j]) for j in range(n)] for i in range(n)]
         self.unit = additive.reduce(unit)
         self.minus_one = additive.reduce(minus_one)
@@ -99,10 +114,6 @@ class WittPresentation:
     def validate(self):
         g = self.additive
         n = g.ngens
-        if len(self.mult_table) != n or any(len(row) != n for row in self.mult_table):
-            raise InvalidPresentation("mult_table shape mismatch")
-        if len(self.rank_mod2) != n:
-            raise InvalidPresentation("rank_mod2 length mismatch")
         rel = g.relation_columns()
         relations = lattice(n, rel)
 
@@ -154,12 +165,11 @@ class WittPresentation:
             raise InvalidPresentation("ideal generators do not generate ker(rank)")
 
         # I^(vcd2+1) inside 2W
-        if self.vcd2 is not None:
-            power = fundamental_ideal_power(self, self.vcd2 + 1)
-            two_w = lattice(n, self.two_torsion_free_lattice())
-            for v in power.generator_coords:
-                if v not in two_w:
-                    raise InvalidPresentation("I^(vcd2+1) not contained in 2W")
+        if self.vcd2 is not None and not (
+            fundamental_ideal_power(self, self.vcd2 + 1)
+            <= lattice(n, self.two_torsion_free_lattice())
+        ):
+            raise InvalidPresentation("I^(vcd2+1) not contained in 2W")
 
     # -- misc -----------------------------------------------------------------
     def __repr__(self):
@@ -325,33 +335,21 @@ def _order_in_quotient(ambient, lattice_cols, vec):
     return order
 
 
-@dataclass
-class IdealPower:
-    """Subgroup I^n of W with generating products and normal-form data."""
+def fundamental_ideal_power(ring: WittPresentation, n: int) -> Lattice:
+    """I^n with the relations, as a lattice in Z^ngens.
 
-    n: int
-    group: FinAbGroup
-    generator_coords: list  # products of n ideal generators (coordinates)
-    normal_form_gen_coords: list  # one coordinate vector per invariant factor / free slot
-
-
-def fundamental_ideal_power(ring: WittPresentation, n: int) -> IdealPower:
+    I^0 is everything, and I^(k+1) is spanned by the products of a basis of
+    I^k with the ideal generators, so each step multiplies at most
+    ngens x len(ideal_generators) pairs.
+    """
     amb = ring.additive.ngens
     rel = ring.additive.relation_columns()
-    if n == 0:
-        whole = _unit_vectors(amb)
-        group, gens = quotient_structure(amb, whole + rel, rel)
-        return IdealPower(0, group, [tuple(v) for v in whole], gens)
-    products = []
-    base = [ring.element(v) for v in ring.ideal_generators]
-    for combo in itertools.combinations_with_replacement(range(len(base)), n):
-        prod = ring.one()
-        for k in combo:
-            prod = prod * base[k]
-        products.append(prod.coords)
-    span = [list(v) for v in products] + rel
-    group, gens = quotient_structure(amb, span, rel)
-    return IdealPower(n, group, products, gens)
+    power = lattice(amb, _unit_vectors(amb) + rel)
+    for _ in range(n):
+        power = lattice(amb, [
+            bilinear(ring.mult_table, b, g) for b in power.basis() for g in ring.ideal_generators
+        ] + rel)
+    return power
 
 
 def n_epsilon(ring: WittPresentation, n: int) -> GWElement:

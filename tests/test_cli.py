@@ -6,11 +6,15 @@ import contextlib
 import importlib
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from group_rings import laurent_tower_entry
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -241,6 +245,61 @@ def test_bad_catalog_fails_validation(tmp_path, capsys):
     path.write_text(json.dumps(entry))
     with pytest.raises(Exception):
         load_config(catalog_path=str(path))
+
+
+def _z_half_with(**edits) -> dict:
+    entry = next(e for e in _bundled_catalog() if e["name"] == "Z_half")
+    return dict(entry, **edits)
+
+
+def _mult_table_with_entry(entry):
+    table = _z_half_with()["mult_table"]
+    return [[entry] + table[0][1:]] + table[1:]
+
+
+@pytest.mark.parametrize("edits, field", [
+    ({"unit": [1]}, "unit"),
+    ({"unit": [1, 0, 0]}, "unit"),
+    ({"minus_one": [1]}, "minus_one"),
+    ({"ideal_generators": [[2]]}, "ideal_generators"),
+    ({"ideal_generators": [[2, 0, 0], [0, 1]]}, "ideal_generators"),
+    ({"mult_table": _mult_table_with_entry([1])}, "mult_table"),
+    ({"mult_table": _z_half_with()["mult_table"][:1]}, "mult_table"),
+    ({"vcd2": -2}, "vcd2"),
+    ({"vcd2": True}, "vcd2"),
+], ids=["unit_short", "unit_long", "minus_one_short", "ideal_generator_short",
+        "ideal_generator_long", "mult_table_entry_short", "mult_table_one_row",
+        "vcd2_negative", "vcd2_bool"])
+def test_catalog_entry_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys, edits, field):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([_z_half_with(**edits)]))
+    code, out, err = run_capture(capsys, ["--catalog", str(path), "witt"])
+    assert code == 2 and not out
+    assert err.startswith("usage error: malformed data file:") and field in err, err
+
+
+def _two_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", [["witt", "--field", "R_t4"]] + [
+    argv + ["--field", f"R_t{k}"] for k in (2, 3)
+    for argv in (["stems", "--max", "16"], ["hwhw", "--max", "4"], ["kwhw", "--imax", "3"])
+], ids=" ".join)
+def test_laurent_towers_run_through_the_cli(tmp_path, argv):
+    # W(R((t_1))...((t_k))) = Z[(Z/2)^k] for k <= 4 from a user catalog: every
+    # entry validates and every certificate passes, in 60 s and 2 GiB of address space
+    path = tmp_path / "towers.json"
+    path.write_text(json.dumps([laurent_tower_entry(k) for k in range(1, 5)]))
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "etasphere.cli", "--format", "json", "--catalog", str(path), *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+        preexec_fn=_two_gib_address_space)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["all_passed"] and report["results"]
+    assert all(info["pass"] for info in report["certificates"].values()), report["certificates"]
 
 
 def test_precondition_violations_exit_2(capsys):

@@ -10,7 +10,6 @@ from etasphere import filtered
 from etasphere.abelian import FinAbGroup, counting_function
 from etasphere.filtered import (
     FilteredComponent,
-    FilteredRModule,
     FilteredRing,
     FiniteRing,
     HypothesisViolated,
@@ -148,29 +147,26 @@ def z_mod_2k_ring(bits: int) -> FilteredRing:
 def test_lift_free_basis_trivial():
     # gr basis {1} of the 2-adically filtered Z/2^K model lifts to basis {1}
     ring = z_mod_2k_ring(5)
-    module = FilteredRModule(ring)
-    module.add_component(0, [2**5], [[[1]]], [[[2**s]] for s in range(1, 6)])
-    assert lift_free_basis(module, [(0, 0, [1])])
+    module = FilteredComponent.finite([2**5], [[[2**s]] for s in range(1, 6)])
+    assert lift_free_basis(ring, module, [[[1]]], [(0, [1])])
 
 
 def test_lift_free_basis_rejects_non_basis():
     ring = z_mod_2k_ring(4)
-    module = FilteredRModule(ring)
-    module.add_component(0, [2**4], [[[1]]], [[[2**s]] for s in range(1, 5)])
+    module = FilteredComponent.finite([2**4], [[[2**s]] for s in range(1, 5)])
     with pytest.raises(NotFree):
-        lift_free_basis(module, [(0, 0, [2])])  # 2 is not a gr^0-generator
+        lift_free_basis(ring, module, [[[1]]], [(0, [2])])  # 2 is not a gr^0-generator
 
 
 def test_two_lifts_differ_by_unit_triangular_transition():
     ring = z_mod_2k_ring(6)
-    module = FilteredRModule(ring)
-    module.add_component(4, [2**6], [[[1]]], [[[2**s]] for s in range(1, 7)])
+    module = FilteredComponent.finite([2**6], [[[2**s]] for s in range(1, 7)])
     lift_a = [1]
     lift_b = [1 + 2]  # same gr^0 class modulo F^1? 1+2 = 3: 3 = 1 mod 2
-    cert_a = lift_free_basis(module, [(4, 0, lift_a)])
-    cert_b = lift_free_basis(module, [(4, 0, lift_b)])
+    cert_a = lift_free_basis(ring, module, [[[1]]], [(0, lift_a)])
+    cert_b = lift_free_basis(ring, module, [[[1]]], [(0, lift_b)])
     assert cert_a and cert_b
-    coeffs = [c for c in ring.ring.elements() if module.act(4, c, lift_a) == tuple(lift_b)]
+    coeffs = [c for c in ring.ring.elements() if ring.ring.mul(c, lift_a) == tuple(lift_b)]
     assert coeffs == [(3,)]  # unit diagonal: the transition 3 is 1 + (filtration >= 1)
 
 
@@ -178,9 +174,8 @@ def test_lift_free_basis_returns_false_when_lifts_are_not_a_basis():
     # gr(Z/4) with the chain (2), (4) is free on the class of 1 over gr of the
     # 2-adically filtered Z/16, but Z/16 -> Z/4 is no filtered isomorphism
     ring = z_mod_2k_ring(4)
-    module = FilteredRModule(ring)
-    module.add_component(0, [4], [[[1]]], [[[2]], [[4]]])
-    assert lift_free_basis(module, [(0, 0, [1])]) is False
+    module = FilteredComponent.finite([4], [[[2]], [[4]]])
+    assert lift_free_basis(ring, module, [[[1]]], [(0, [1])]) is False
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -188,13 +183,8 @@ def test_lift_free_basis_witt_mod_2k(name):
     # the same machinery over W(F)/2^K with the I-adic chain, as kwcalc builds it
     pres = catalog_lookup(name)
     ring = FilteredRing.from_witt_mod2k(pres, 5)
-    module = FilteredRModule(ring)
-    n = ring.ring.n
-    action = [[list(pres.mult_table[i][j]) for j in range(n)] for i in range(n)]
-    module.add_component(0, ring.ring.orders, action, ring.filtration.chain[1:])
-    unit = list(pres.unit)
-    cert = lift_free_basis(module, [(0, 0, unit)])
-    assert cert
+    module = FilteredComponent.finite(ring.ring.orders, ring.filtration.chain[1:])
+    assert lift_free_basis(ring, module, ring.ring.mult_table, [(0, list(pres.unit))])
 
 
 @pytest.mark.parametrize("imax", [3, 5])

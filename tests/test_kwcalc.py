@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from group_rings import laurent_tower_entry
 
 from etasphere import cli, gf2, graded, kwcalc
 from etasphere.abelian import FinAbGroup, ker_coker_of_mul
@@ -20,7 +21,7 @@ from etasphere.graded import (
     f2_kernel,
     f2_masks,
 )
-from etasphere.witt import GWElement, catalog_lookup, catalog_names
+from etasphere.witt import GWElement, WittPresentation, catalog_lookup, catalog_names
 from etasphere.kwcalc import (
     AlgebraError,
     BoundsExceeded,
@@ -166,6 +167,15 @@ def test_phi_ker_coker_matches_the_closed_form(name):
     shadow = ring.additive.two_local_shadow()
     expected = [ker_coker_of_mul(shadow, 2 ** (3 + nu2(n))) for n in range(1, 65)]
     assert phi_ker_coker(ring, 64) == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_phi_ker_coker_on_a_laurent_tower_is_2_to_the_k_copies_of_real_closed(k):
+    # additively W(R((t_1))...((t_k))) is W(R)^(2^k) and phi acts by an integer
+    ring = WittPresentation.from_json(laurent_tower_entry(k))
+    copies = [[functools.reduce(FinAbGroup.direct_sum, [group] * 2**k) for group in entry]
+              for entry in phi_ker_coker(catalog_lookup("real_closed"), 16)]
+    assert [list(entry) for entry in phi_ker_coker(ring, 16)] == copies
 
 
 def test_phi_ker_coker_takes_one_ker_coker_per_two_part(monkeypatch):
@@ -497,3 +507,23 @@ def test_kw_hw_generators_with_unit_twists():
         unit_twists=((3,), (5,), (7,), (9,)),
     )
     assert out["binary_products_generate"]
+
+
+def test_kw_hw_generators_with_a_non_unit_twist_fail():
+    # t_0 scaled by 2 makes x_1 = 2 t_0, whose coefficient is no unit
+    out, _ = kw_hw_generators_check("real_closed", imax=2, modulus_bits=8,
+                                    unit_twists=((2,), (1,), (1,)))
+    assert out["unit_coefficients"][1] == [2]
+    assert out["binary_products_generate"] is False
+
+
+@pytest.mark.parametrize("name", ["F5", "Z_half"])
+def test_finite_ring_units_match_an_inverse_search(name):
+    finite = FiniteRing.from_witt_mod2k(catalog_lookup(name), 3)
+    elements = list(finite.elements())
+    verdicts = set()
+    for c in elements:
+        has_inverse = any(finite.mul(c, x) == finite.one for x in elements)
+        assert finite.is_unit(c) == has_inverse, c
+        verdicts.add(has_inverse)
+    assert verdicts == {True, False}

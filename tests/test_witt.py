@@ -3,14 +3,17 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from group_rings import laurent_tower_entry
 
-from etasphere.abelian import FinAbGroup
+from etasphere.abelian import FinAbGroup, _unit_vectors, lattice, quotient_structure
 from etasphere.witt import (
     BruteWittRing,
     GWElement,
+    InvalidPresentation,
     RingMismatch,
     UnknownField,
     UnsupportedCharacteristic,
+    WittPresentation,
     brute_force_witt_ring,
     catalog_lookup,
     catalog_names,
@@ -40,10 +43,8 @@ def test_real_closed_presentation():
     ring = catalog_lookup("real_closed")
     assert ring.additive == FinAbGroup(1, [])
     assert ring.element(ring.minus_one) == ring.element([-1])
-    ideal = fundamental_ideal_power(ring, 1)
     # I = 2Z inside Z
-    assert ideal.group == FinAbGroup(1, [])
-    assert ideal.normal_form_gen_coords == [[2]]
+    assert fundamental_ideal_power(ring, 1) == lattice(1, [[2]])
 
 
 def test_z_half_relations():
@@ -103,14 +104,51 @@ def test_unit_predicate_matches_solver_on_all_catalog_rings():
 
 def test_fundamental_ideal_powers():
     rc = catalog_lookup("real_closed")
-    sq = fundamental_ideal_power(rc, 2)
-    assert sq.normal_form_gen_coords == [[4]]  # I^2 = 4Z
+    assert fundamental_ideal_power(rc, 2) == lattice(1, [[4]])  # I^2 = 4Z
     qc = catalog_lookup("quadratically_closed")
-    assert fundamental_ideal_power(qc, 1).group.is_trivial()
+    assert fundamental_ideal_power(qc, 1) == lattice(1, qc.additive.relation_columns())  # I = 0
     for name in ALL_FIELDS:
         ring = catalog_lookup(name)
         whole = fundamental_ideal_power(ring, 0)
-        assert whole.group == ring.additive
+        rel = ring.additive.relation_columns()
+        assert quotient_structure(ring.additive.ngens, whole.basis(), rel)[0] == ring.additive
+
+
+def multiset_product_span(ring, n):
+    """I^n with the relations, as the span of every product of n ideal generators."""
+    amb = ring.additive.ngens
+    rel = ring.additive.relation_columns()
+    if n == 0:
+        return lattice(amb, _unit_vectors(amb) + rel)
+    products = []
+    for combo in itertools.combinations_with_replacement(ring.ideal_generators, n):
+        prod = ring.one()
+        for g in combo:
+            prod = prod * ring.element(g)
+        products.append(prod.coords)
+    return lattice(amb, products + rel)
+
+
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_iterated_ideal_power_matches_the_multiset_products_on_the_catalog(name):
+    ring = catalog_lookup(name)
+    for n in range(ring.vcd2 + 3):
+        assert fundamental_ideal_power(ring, n) == multiset_product_span(ring, n), n
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_iterated_ideal_power_matches_the_multiset_products_on_group_rings(k):
+    ring = WittPresentation.from_json(laurent_tower_entry(k))
+    for n in range(5):
+        assert fundamental_ideal_power(ring, n) == multiset_product_span(ring, n), n
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_group_ring_presentation_needs_its_vcd2(k):
+    # I^k is not inside 2W in Z[(Z/2)^k], so vcd2 = k - 1 must be refused
+    entry = dict(laurent_tower_entry(k), vcd2=k - 1)
+    with pytest.raises(InvalidPresentation, match=r"I\^\(vcd2\+1\) not contained in 2W"):
+        WittPresentation.from_json(entry)
 
 
 def test_n_epsilon():
@@ -169,15 +207,14 @@ def test_brute_force_rejects_even_characteristic():
 
 def test_vcd2_containment_on_catalog():
     # validation already checks I^(vcd2+1) <= 2W; re-derive it element-wise here
-    from etasphere.abelian import lattice
     for name in ALL_FIELDS:
         ring = catalog_lookup(name)
         if ring.vcd2 is None:
             continue
         power = fundamental_ideal_power(ring, ring.vcd2 + 1)
         two_w = lattice(ring.additive.ngens, ring.two_torsion_free_lattice())
-        for coords in power.generator_coords:
-            assert list(coords) in two_w
+        for coords in power.basis():
+            assert coords in two_w
 
 
 def test_json_round_trip_presentation():
