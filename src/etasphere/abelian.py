@@ -492,10 +492,6 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _unit_vectors(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # the three spec operations
 # ---------------------------------------------------------------------------

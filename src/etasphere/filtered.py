@@ -25,8 +25,8 @@ from math import gcd
 
 from .abelian import (
     FinAbGroup,
-    _unit_vectors,
     bilinear,
+    identity_matrix,
     lattice,
     lattice_intersection,
     mat_vec,
@@ -63,7 +63,7 @@ class FilteredComponent:
         the relations."""
         n = len(orders)
         rel = [[d if i == j else 0 for i in range(n)] for j, d in enumerate(orders)]
-        chain = [_unit_vectors(n) + rel]
+        chain = [identity_matrix(n) + rel]
         chain += [[list(g) for g in gens] + rel for gens in chain_generators]
         if lattice(n, chain[-1]) != lattice(n, rel):
             raise HypothesisViolated("filtration chain does not reach zero")
@@ -71,7 +71,7 @@ class FilteredComponent:
 
     def validate(self):
         n = self.ngens
-        full = _unit_vectors(n) + [list(r) for r in self.relations]
+        full = identity_matrix(n) + [list(r) for r in self.relations]
         if not self.chain:
             raise HypothesisViolated("empty filtration chain")
         if lattice(n, self.chain[0]) != lattice(n, full):
@@ -216,8 +216,8 @@ class FiniteRing:
     def is_unit(self, a) -> bool:
         """Whether a is invertible: in a finite ring, whether multiplication by a is onto."""
         rel = [[d if i == j else 0 for i in range(self.n)] for j, d in enumerate(self.orders)]
-        image = [self.mul(a, e) for e in _unit_vectors(self.n)]
-        return lattice(self.n, image + rel) == lattice(self.n, _unit_vectors(self.n) + rel)
+        image = [self.mul(a, e) for e in identity_matrix(self.n)]
+        return lattice(self.n, image + rel) == lattice(self.n, identity_matrix(self.n) + rel)
 
     @classmethod
     def from_witt_mod2k(cls, presentation, modulus_bits: int):
@@ -304,6 +304,6 @@ def lift_free_basis(ring: FilteredRing, component: FilteredComponent, action, ba
          for g in ring.filtration.level(s - s_i)]
         for s in range(1, last + max((s_i for s_i, _ in basis), default=0) + 1)
     ])
-    columns = [act(e, x_i) for _, x_i in basis for e in _unit_vectors(n)]
+    columns = [act(e, x_i) for _, x_i in basis for e in identity_matrix(n)]
     mat = [[col[r] for col in columns] for r in range(component.ngens)]
     return filtered_lemma_suite(free, component, mat).get("alpha_filtered_iso", False)

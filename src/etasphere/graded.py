@@ -4,6 +4,9 @@ An algebra is a list of generators, each with a positive integer degree and
 a kind: `polynomial` (free) or `square` (the square rewrites to a stated
 element of twice the degree).  Elements are sparse monomial -> coefficient
 maps; monomials are tuples of (generator index, exponent) sorted by index.
+`GradedElement` is the one sparse element type: its sum, negative and scalar
+multiple keep the element's class, and `steenrod.SteenrodElement` subclasses
+it with a product bounded by weight instead of degree.
 Homology is implemented over F2 only, with ranks over the rationals (by
 fraction-free integer elimination) available for derivation matrices.  An
 element of Q is an int, or a `Fraction` once a non-integer enters.
@@ -557,11 +560,11 @@ class GradedElement:
         out = dict(self.terms)
         for mon, coeff in other.terms.items():
             add_term(ring, out, mon, coeff)
-        return GradedElement(self.algebra, out)
+        return type(self)(self.algebra, out)
 
     def __neg__(self):
         ring = self.algebra.coefficients
-        return GradedElement(self.algebra, {m: ring.neg(c) for m, c in self.terms.items()})
+        return type(self)(self.algebra, {m: ring.neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -576,7 +579,7 @@ class GradedElement:
             prod = ring.mul(coeff, c)
             if not ring.is_zero(prod):
                 raw[mon] = prod
-        return GradedElement(self.algebra, self.algebra.normalize(raw))
+        return type(self)(self.algebra, self.algebra.normalize(raw))
 
     def __eq__(self, other):
         return (

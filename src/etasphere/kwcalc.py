@@ -23,7 +23,7 @@ from math import comb, factorial
 
 from . import gf2
 from .abelian import FinAbGroup, ker_coker_of_mul, quotient_structure
-from .filtered import FilteredComponent, FilteredRing, FiniteRing, lift_free_basis
+from .filtered import FilteredRing, FiniteRing, lift_free_basis
 from .graded import (
     POLYNOMIAL,
     SQUARE,
@@ -837,8 +837,7 @@ def kw_hw_generators_check(
 
     # filtered freeness certificate: the 2^imax + 1 degrees 4k, k <= 2^imax,
     # are one free module of rank one over the I-adically filtered ring
-    component = FilteredComponent.finite(finite.orders, ring.filtration.chain[1:])
-    lift_ok = lift_free_basis(ring, component, finite.mult_table, [(0, finite.one)])
+    lift_ok = lift_free_basis(ring, ring.filtration, finite.mult_table, [(0, finite.one)])
 
     return {
         "field": presentation.name,

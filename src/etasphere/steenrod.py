@@ -5,7 +5,11 @@ tau^eps xi^E; the square of tau_i rewrites to (tau + rho tau_0) xi_{i+1}
 + rho tau_{i+1}.  As a ring the algebra is a `graded.AlgebraSpec` (see
 `steenrod_generators`), whose `normalize` applies that rewrite, and the
 monomial keys are its monomials: tau_i is generator 2i and xi_j generator
-2j - 1, so keys do not depend on the weight bound of the algebra.  The
+2j - 1, so keys do not depend on the weight bound of the algebra.  An
+element is a `graded.GradedElement` over the `SteenrodAlgebra`, which
+answers to its `coefficients` and `normalize` (the spec's normal form,
+refused past the weight bound); `SteenrodElement` adds only that bounded
+product, equality across algebras and the Milnor-basis repr.  The
 coproduct lives in the tensor square over the base, where the two units
 differ by eta_R(tau) = tau + rho tau_0.  A tensor is a plain term dict
 {word: c}: a word is a tuple of monomial ids, one per slot, and its
@@ -39,6 +43,7 @@ from .graded import (
     BoundsExceeded,
     Derivation,
     GeneratorSpec,
+    GradedElement,
     KMTau,
     TruncationExceeded,
     add_term,
@@ -192,7 +197,7 @@ class SteenrodAlgebra:
         self.weight = weight
         self.max_tau = self.max_xi = top_index(weight)  # no xi_0: max_xi is 0 at weight 0
         self.spec = steenrod_spec(rho_order(base), weight)
-        self.km = self.spec.coefficients
+        self.coefficients = self.spec.coefficients
         # the tensor layer names each monomial key by a small int id, its
         # position in mono_keys
         self.mono_keys: list = [UNIT_MON]
@@ -207,7 +212,7 @@ class SteenrodAlgebra:
         self._eta_product_cache: dict = {}
         self._eta_cache: dict = {}
 
-    def normal_form(self, raw: dict) -> dict:
+    def normalize(self, raw: dict) -> dict:
         """`spec.normalize` of raw terms, whose result must respect the weight bound."""
         out = self.spec.normalize(raw)
         for key in out:
@@ -236,7 +241,7 @@ class SteenrodAlgebra:
         if out is None:
             keys = self.mono_keys
             out = self._product_cache[memo] = self.slot(
-                self.normal_form({mon_mul(keys[i], keys[j]): self.km.one}))
+                self.normalize({mon_mul(keys[i], keys[j]): self.coefficients.one}))
         return out
 
     def mono_times_eta(self, i, coeff) -> dict:
@@ -247,7 +252,7 @@ class SteenrodAlgebra:
         memo = (i, coeff)
         out = self._eta_product_cache.get(memo)
         if out is None:
-            mono = SteenrodElement(self, {self.mono_keys[i]: self.km.one})
+            mono = SteenrodElement(self, {self.mono_keys[i]: self.coefficients.one})
             out = self._eta_product_cache[memo] = self.slot(
                 (mono * self.eta_r_of_coeff(coeff)).terms)
         return out
@@ -257,43 +262,29 @@ class SteenrodAlgebra:
         return SteenrodElement(self, {})
 
     def one(self):
-        return SteenrodElement(self, {UNIT_MON: self.km.one})
+        return SteenrodElement(self, {UNIT_MON: self.coefficients.one})
 
     def tau(self, i: int) -> "SteenrodElement":
         if i > self.max_tau:
             raise TruncationExceeded(f"tau_{i} exceeds the weight bound {self.weight}")
-        return SteenrodElement(self, {_tau_key(i): self.km.one})
+        return SteenrodElement(self, {_tau_key(i): self.coefficients.one})
 
     def xi(self, j: int) -> "SteenrodElement":
         if j > self.max_xi:
             raise TruncationExceeded(f"xi_{j} exceeds the weight bound {self.weight}")
-        return SteenrodElement(self, {_xi_key(j): self.km.one})
-
-    def scalar(self, coeff) -> "SteenrodElement":
-        if self.km.is_zero(coeff):
-            return self.zero()
-        return SteenrodElement(self, {UNIT_MON: coeff})
-
-    def rho_coeff(self):
-        return self.km.monomial(1, 0)
-
-    def tau_coeff(self):
-        return self.km.monomial(0, 1)
+        return SteenrodElement(self, {_xi_key(j): self.coefficients.one})
 
     def eta_r_tau(self) -> "SteenrodElement":
         """eta_R(tau) = tau + rho tau_0."""
-        out = self.scalar(self.tau_coeff())
-        rho = self.rho_coeff()
-        if not self.km.is_zero(rho):
-            out = out + self.tau(0).scale(rho)
-        return out
+        tau, rho = self.coefficients.monomial(0, 1), self.coefficients.monomial(1, 0)
+        return SteenrodElement(self, {UNIT_MON: tau}) + self.tau(0).scale(rho)
 
     def eta_r_of_coeff(self, coeff) -> "SteenrodElement":
         """eta_R on a k^M[tau] coefficient, as an algebra element."""
         cached = self._eta_cache
         if coeff in cached:
             return SteenrodElement(self, cached[coeff])
-        km = self.km
+        km = self.coefficients
         out = self.zero()
         eta = self.eta_r_tau()
         powers = {0: self.one()}
@@ -334,52 +325,29 @@ class SteenrodAlgebra:
         return sorted(out)
 
 
-class SteenrodElement:
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: SteenrodAlgebra, terms: dict):
-        self.algebra = algebra
-        self.terms = dict(terms)
-
-    def __add__(self, other):
-        km = self.algebra.km
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            add_term(km, out, key, coeff)
-        return SteenrodElement(self.algebra, out)
+class SteenrodElement(GradedElement):
+    __slots__ = ()
 
     def __mul__(self, other):
-        km = self.algebra.km
+        km = self.algebra.coefficients
         raw: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 add_term(km, raw, mon_mul(k1, k2), km.mul(c1, c2))
-        return SteenrodElement(self.algebra, self.algebra.normal_form(raw))
+        return SteenrodElement(self.algebra, self.algebra.normalize(raw))
 
-    def scale(self, coeff) -> "SteenrodElement":
-        km = self.algebra.km
-        raw = {}
-        for key, c in self.terms.items():
-            prod = km.mul(coeff, c)
-            if not km.is_zero(prod):
-                raw[key] = prod
-        return SteenrodElement(self.algebra, self.algebra.normal_form(raw))
-
-    def is_zero(self):
-        return not self.terms
-
+    # unlike a GradedElement, equal to an element of another algebra with the same terms
     def __eq__(self, other):
         if not isinstance(other, SteenrodElement):
             return NotImplemented
-        return terms_equal(self.algebra.km, self.terms, other.terms)
+        return terms_equal(self.algebra.coefficients, self.terms, other.terms)
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    __hash__ = GradedElement.__hash__
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        km = self.algebra.km
+        km = self.algebra.coefficients
         bits = []
         for key in sorted(self.terms):
             c = km.describe(self.terms[key])
@@ -401,7 +369,7 @@ def combine_slots(alg: SteenrodAlgebra, out: dict, c, x: dict, y: dict) -> None:
     m eta_R(s), once for all the words of y with that coefficient.  x and y
     are read, never modified.
     """
-    km = alg.km
+    km = alg.coefficients
     one, mul, eta = km.one, km.mul, alg.mono_times_eta
     for xm, cx in x.items():
         scale = mul(c, cx)
@@ -413,7 +381,7 @@ def combine_slots(alg: SteenrodAlgebra, out: dict, c, x: dict, y: dict) -> None:
 
 def tensor_mul(alg: SteenrodAlgebra, x: dict, y: dict) -> dict:
     """Product of two 2-tensors."""
-    km, product = alg.km, alg.mono_product
+    km, product = alg.coefficients, alg.mono_product
     out: dict = {}
     for (a1, a2), c1 in x.items():
         for (b1, b2), c2 in y.items():
@@ -438,7 +406,7 @@ def _xi_key(j: int, power: int = 1):
 
 def _gen_coproduct(alg: SteenrodAlgebra, kind: str, i: int) -> dict:
     """Delta of tau_i or xi_i as a 2-tensor; xi_(i-j)^(2^j) weighs 2^i - 2^j < 2^i."""
-    one, mid = alg.km.one, alg.mono_id
+    one, mid = alg.coefficients.one, alg.mono_id
     out = {(mid(_tau_key(i)), UNIT_ID): one} if kind == "tau" else {}
     lower = _tau_key if kind == "tau" else _xi_key
     for j in range(0, i + 1):
@@ -465,7 +433,7 @@ def _mono_coproduct(alg: SteenrodAlgebra, mid: int) -> dict:
     cached = alg._coproduct_cache.get(mid)
     if cached is None:
         if mid == UNIT_ID:
-            cached = {(UNIT_ID, UNIT_ID): alg.km.one}
+            cached = {(UNIT_ID, UNIT_ID): alg.coefficients.one}
         else:
             rest, n = _split_last(alg.mono_keys[mid])
             cached = tensor_mul(alg, _mono_coproduct(alg, alg.mono_id(rest)),
@@ -478,7 +446,8 @@ def _coproduct_by_coefficient(alg: SteenrodAlgebra, mid: int) -> dict:
     """`graded.by_coefficient` of Delta of the monomial with id mid, cached on alg."""
     cached = alg._coproduct_groups.get(mid)
     if cached is None:
-        cached = alg._coproduct_groups[mid] = by_coefficient(alg.km, _mono_coproduct(alg, mid))
+        cached = alg._coproduct_groups[mid] = by_coefficient(
+            alg.coefficients, _mono_coproduct(alg, mid))
     return cached
 
 
@@ -491,7 +460,7 @@ def coproduct(x: SteenrodElement) -> dict:
     owns the returned term dict.
     """
     alg = x.algebra
-    km, keys = alg.km, alg.mono_keys
+    km, keys = alg.coefficients, alg.mono_keys
     out: dict = {}
     for key, coeff in x.terms.items():
         for (a, b), c in _mono_coproduct(alg, alg.mono_id(key)).items():
@@ -502,7 +471,7 @@ def coproduct(x: SteenrodElement) -> dict:
 def coproduct_left(alg: SteenrodAlgebra, t: dict, out: dict | None = None) -> dict:
     """(Delta (x) id) on a 2-tensor, added to out (a new dict by default), which it returns."""
     out = {} if out is None else out
-    km = alg.km
+    km = alg.coefficients
     for (m1, m2), c in t.items():
         # append m2 on the right: no coefficient crosses to the right
         for cc, words in _coproduct_by_coefficient(alg, m1).items():
@@ -516,7 +485,7 @@ def coproduct_right(alg: SteenrodAlgebra, t: dict, out: dict | None = None) -> d
     The coefficients of Delta(m2) cross m1 by the crossing rule.
     """
     out = {} if out is None else out
-    one = alg.km.one
+    one = alg.coefficients.one
     for (m1, m2), c in t.items():
         combine_slots(alg, out, c, {(m1,): one}, _coproduct_by_coefficient(alg, m2))
     return out
@@ -527,7 +496,7 @@ def check_coassociativity_counit(alg: SteenrodAlgebra, max_weight: int) -> int:
 
     (Delta x id)Delta = (id x Delta)Delta and (eps x id)Delta = id = (id x eps)Delta.
     """
-    km = alg.km
+    km = alg.coefficients
     keys = alg.basis_monomials(max_weight)
     for key in keys:
         mid = alg.mono_id(key)
@@ -569,7 +538,7 @@ def dual_action(op_id: str, side: str, x: SteenrodElement) -> SteenrodElement:
         raise UnknownOperator(f"side must be L or R, got {side!r}")
     target = _OPERATORS[op_id]
     alg = x.algebra
-    km = alg.km
+    km = alg.coefficients
     out = alg.zero()
     for (m1, m2), c in coproduct(x).items():
         if side == "L":
@@ -591,7 +560,7 @@ def antipode(x: SteenrodElement) -> SteenrodElement:
     chi(c m) = eta_R(c) chi(m) with chi(m) cached per basis monomial.
     """
     alg = x.algebra
-    km = alg.km
+    km = alg.coefficients
     out = alg.zero()
     for key, coeff in x.terms.items():
         chi = _mono_antipode(alg, key)
@@ -608,7 +577,7 @@ def _mono_antipode(alg: SteenrodAlgebra, key) -> SteenrodElement:
     cached = alg._antipode_cache.get(key)
     if cached is not None:
         return SteenrodElement(alg, cached)
-    one = alg.km.one
+    one = alg.coefficients.one
     if key == UNIT_MON:
         out = alg.one()
     else:
@@ -633,7 +602,7 @@ def check_antipode_axiom(alg: SteenrodAlgebra, max_weight: int) -> int:
     eta_L to eta_R), so it may be evaluated termwise on the left normal
     form by plain algebra products; their raw sum is normalized once.
     """
-    km = alg.km
+    km = alg.coefficients
     mul = km.mul
     basis, keys = alg.basis_monomials(max_weight), alg.mono_keys
     for key in basis:
@@ -642,7 +611,7 @@ def check_antipode_axiom(alg: SteenrodAlgebra, max_weight: int) -> int:
             for k2, c2 in _mono_antipode(alg, keys[b]).terms.items():
                 add_term(km, raw, mon_mul(keys[a], k2), mul(c, c2))
         expected = {UNIT_MON: km.one} if key == UNIT_MON else {}
-        if not terms_equal(km, alg.normal_form(raw), expected):
+        if not terms_equal(km, alg.normalize(raw), expected):
             raise BoundsExceeded(f"antipode axiom fails on {describe_mon(key)}")
     return len(basis)
 
@@ -1014,26 +983,20 @@ def conjugate_basis_triangularity(alg: SteenrodAlgebra, max_weight: int = 8,
     if need > alg.weight:
         raise TruncationExceeded(f"triangularity to weight {max_weight} and tau power "
                                  f"{max_tau_power} needs an algebra of weight {need}, not {alg.weight}")
-    km = alg.km
+    km = alg.coefficients
     mons = alg.basis_monomials(max_weight)
     # conjugation and eta_R(tau) factors cascade monomial weights upward
     # (tau-square rewrites), so candidates come from the full algebra window
     pool = alg.basis_monomials()
 
+    flat_cache: dict = {}
+
     def flatten(el: SteenrodElement) -> int:
         mask = 0
         for key, coeff in el.terms.items():
             for a, t in km.terms(coeff):
-                mask ^= 1 << _flat_index(a, t, key)
+                mask ^= 1 << flat_cache.setdefault((a, t, key), len(flat_cache))
         return mask
-
-    flat_cache: dict = {}
-
-    def _flat_index(a, t, key):
-        item = (a, t, key)
-        if item not in flat_cache:
-            flat_cache[item] = len(flat_cache)
-        return flat_cache[item]
 
     # rows (p, m, x = conj(m) eta_R(tau)^p), grouped by the bidegree of x
     rows = []
@@ -1105,7 +1068,7 @@ def _element_bidegree(el: SteenrodElement):
     degs = set()
     for key, coeff in el.terms.items():
         p, q = mon_bidegree(key)
-        for a, t in el.algebra.km.terms(coeff):
+        for a, t in el.algebra.coefficients.terms(coeff):
             cp, cq = coeff_bidegree(a, t)
             degs.add((p + cp, q + cq))
     if not degs:

@@ -20,9 +20,9 @@ from math import gcd
 from .abelian import (
     FinAbGroup,
     Lattice,
-    _unit_vectors,
     bilinear,
     counting_function,
+    identity_matrix,
     lattice,
     preimage,
     quotient_structure,
@@ -104,7 +104,7 @@ class WittPresentation:
     def two_torsion_free_lattice(self):
         """Lattice of coordinates of 2W inside Z^n (with relations)."""
         n = self.additive.ngens
-        return [[2 * x for x in e] for e in _unit_vectors(n)] + self.additive.relation_columns()
+        return [[2 * x for x in e] for e in identity_matrix(n)] + self.additive.relation_columns()
 
     def kernel_lattice_of_rank(self):
         """Lattice {x in Z^n : rank(x) = 0 mod 2} (contains the relations)."""
@@ -344,7 +344,7 @@ def fundamental_ideal_power(ring: WittPresentation, n: int) -> Lattice:
     """
     amb = ring.additive.ngens
     rel = ring.additive.relation_columns()
-    power = lattice(amb, _unit_vectors(amb) + rel)
+    power = lattice(amb, identity_matrix(amb) + rel)
     for _ in range(n):
         power = lattice(amb, [
             bilinear(ring.mult_table, b, g) for b in power.basis() for g in ring.ideal_generators
@@ -509,12 +509,6 @@ class BruteWittRing:
     @property
     def minus_one_class(self):
         return self.find((1, 0) if self.class_of_minus1 == 0 else (0, 1))
-
-    def neg(self, c):
-        n0, n1 = self.reps[c]
-        if self.class_of_minus1 == 0:
-            return self.find((n0, n1))
-        return self.find((n1, n0))
 
     def order_of(self, c) -> int:
         acc = c

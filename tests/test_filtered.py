@@ -183,8 +183,7 @@ def test_lift_free_basis_witt_mod_2k(name):
     # the same machinery over W(F)/2^K with the I-adic chain, as kwcalc builds it
     pres = catalog_lookup(name)
     ring = FilteredRing.from_witt_mod2k(pres, 5)
-    module = FilteredComponent.finite(ring.ring.orders, ring.filtration.chain[1:])
-    assert lift_free_basis(ring, module, ring.ring.mult_table, [(0, list(pres.unit))])
+    assert lift_free_basis(ring, ring.filtration, ring.ring.mult_table, [(0, list(pres.unit))])
 
 
 @pytest.mark.parametrize("imax", [3, 5])

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from etasphere import cli, steenrod
 from etasphere.graded import (
     BoundsExceeded,
+    GradedElement,
     KMTau,
     TruncationExceeded,
     add_term,
@@ -85,7 +86,7 @@ def test_bidegrees():
 
 def test_tau0_squared_real_closed():
     alg = SteenrodAlgebra("real_closed", weight=16)
-    km = alg.km
+    km = alg.coefficients
     prod = alg.tau(0) * alg.tau(0)
     expected = {
         mon_key((), (1,)): km.monomial(0, 1),       # tau . xi_1
@@ -98,19 +99,26 @@ def test_tau0_squared_real_closed():
 def test_tau1_squared_quadratically_closed():
     alg = SteenrodAlgebra("quadratically_closed", weight=16)
     prod = alg.tau(1) * alg.tau(1)
-    assert prod.terms == {mon_key((), (0, 1)): alg.km.monomial(0, 1)}  # tau xi_2
+    assert prod.terms == {mon_key((), (0, 1)): alg.coefficients.monomial(0, 1)}  # tau xi_2
 
 
 def test_no_rewrite_product():
     alg = SteenrodAlgebra("real_closed", weight=16)
     prod = alg.xi(1) * alg.xi(2)
-    assert prod.terms == {mon_key((), (1, 1)): alg.km.one}
+    assert prod.terms == {mon_key((), (1, 1)): alg.coefficients.one}
 
 
 def test_truncation_error():
     alg = SteenrodAlgebra("real_closed", weight=7)
     with pytest.raises(TruncationExceeded):
         alg.tau(3) * alg.tau(3)  # needs tau_4 / xi_4
+    # xi_1^8 is inside the spec's degree bound, so the weight check refuses it
+    xi1_4 = alg.xi(1) * alg.xi(1) * alg.xi(1) * alg.xi(1)
+    with pytest.raises(TruncationExceeded, match="monomial of weight 8 exceeds 7$"):
+        xi1_4 * xi1_4
+    one = alg.coefficients.one
+    with pytest.raises(TruncationExceeded, match="monomial of weight 8 exceeds 7$"):
+        SteenrodElement(alg, {mon_key((), (8,)): one}).scale(one)
 
 
 def test_weight_zero_holds_only_tau0():
@@ -128,7 +136,7 @@ def test_weight_zero_holds_only_tau0():
 
 def test_coproduct_small():
     alg = SteenrodAlgebra("real_closed", weight=12)
-    km = alg.km
+    km = alg.coefficients
     d = coproduct(alg.tau(0))
     assert d == {
         (mon_key((1,), ()), UNIT_MON): km.one,
@@ -145,7 +153,7 @@ def test_coproduct_small():
 
 def test_coproduct_xi2():
     alg = SteenrodAlgebra("real_closed", weight=12)
-    km = alg.km
+    km = alg.coefficients
     dx = coproduct(alg.xi(2))
     assert dx == {
         (mon_key((), (0, 1)), UNIT_MON): km.one,
@@ -155,6 +163,30 @@ def test_coproduct_xi2():
 
 
 FULL_TABLE_BASES = ["real_closed", "quadratically_closed", "finite_field_3mod4"]
+
+
+@pytest.mark.parametrize("base", FULL_TABLE_BASES)
+def test_sums_negatives_and_multiples_are_steenrod_elements(base):
+    # +, -, unary - and scale are GradedElement's and keep the class; over
+    # k^M[tau]/2 a negative is the element itself
+    alg = SteenrodAlgebra(base, weight=8)
+    km = alg.coefficients
+    one, rho, tau = km.one, km.monomial(1, 0), km.monomial(0, 1)
+    t0, x1 = mon_key((1,)), mon_key((), (1,))
+    x = alg.tau(0) + alg.xi(1).scale(tau)
+    y = alg.one() + alg.xi(1)
+    c = km.add(rho, tau)
+    x_plus_y = {t0: one, x1: km.add(tau, one), UNIT_MON: one}
+    cases = [
+        (x + y, x_plus_y),
+        (x - y, x_plus_y),
+        (-x, {t0: one, x1: tau}),
+        (x.scale(c), {t0: c, x1: km.mul(c, tau)}),
+    ]
+    for got, terms in cases:
+        assert type(got) is SteenrodElement and isinstance(got, GradedElement)
+        assert got == SteenrodElement(alg, terms) and got.terms == terms
+    assert x - x == alg.zero() and (x - x).is_zero()
 
 
 @pytest.mark.parametrize("base", FULL_TABLE_BASES)
@@ -257,7 +289,7 @@ def test_each_base_is_the_nilpotence_order_of_rho():
     orders = {"real_closed": None, "quadratically_closed": 1, "finite_field_3mod4": 2}
     assert steenrod.MOTIVIC_BASES == orders
     for base, order in orders.items():
-        km = SteenrodAlgebra(base, weight=4).km
+        km = SteenrodAlgebra(base, weight=4).coefficients
         assert km.rho_order == order == ko_homology_model(base).algebra.coefficients.rho_order
         assert [km.admissible(a) for a in range(4)] == [order is None or a < order for a in range(4)]
 
@@ -308,13 +340,14 @@ def test_merged_check_names_the_axiom_that_fails(monkeypatch):
         check_coassociativity_counit(alg, 3)
     monkeypatch.undo()
     # m (x) m is coassociative, but its counit is not m
-    monkeypatch.setattr(steenrod, "_mono_coproduct", lambda alg, mid: {(mid, mid): alg.km.one})
+    monkeypatch.setattr(steenrod, "_mono_coproduct",
+                        lambda alg, mid: {(mid, mid): alg.coefficients.one})
     with pytest.raises(BoundsExceeded, match="counit axiom fails on tau0$"):
         check_coassociativity_counit(alg, 3)
     monkeypatch.undo()
     # one coefficient of the memoized Delta(tau_1) flipped: tau_1 (x) 1 gets rho tau_1 (x) 1 added
     alg = SteenrodAlgebra("real_closed", hopf_weight(3))
-    km = alg.km
+    km = alg.coefficients
     tau1 = alg.mono_id(alg.tau(1).terms.popitem()[0])
     memo = steenrod._mono_coproduct(alg, tau1)
     memo[(tau1, UNIT_ID)] = km.add(memo[(tau1, UNIT_ID)], km.monomial(1, 0))
@@ -330,12 +363,12 @@ def test_merged_check_names_the_axiom_that_fails(monkeypatch):
 
 def _delta(alg, key):
     """Delta of a monomial key, in key words, as the library translates it."""
-    return coproduct(SteenrodElement(alg, {key: alg.km.one}))
+    return coproduct(SteenrodElement(alg, {key: alg.coefficients.one}))
 
 
 def _oracle_left(alg, t):
     """(Delta (x) id) on a key-word 2-tensor, one add_term per term."""
-    km = alg.km
+    km = alg.coefficients
     out = {}
     for (m1, m2), c in t.items():
         for (a, b), cc in _delta(alg, m1).items():
@@ -345,7 +378,7 @@ def _oracle_left(alg, t):
 
 def _oracle_right(alg, t):
     """(id (x) Delta) on a key-word 2-tensor; cc crosses m1 as the product m1 eta_R(cc)."""
-    km = alg.km
+    km = alg.coefficients
     out = {}
     for (m1, m2), c in t.items():
         for (a, b), cc in _delta(alg, m2).items():
@@ -357,7 +390,7 @@ def _oracle_right(alg, t):
 
 def _oracle_holds(alg, key):
     """Coassociativity and the counit on one monomial key, in key words."""
-    km = alg.km
+    km = alg.coefficients
     d = _delta(alg, key)
     x = {key: km.one}
     return (terms_equal(km, _oracle_left(alg, d), _oracle_right(alg, d))
@@ -382,7 +415,7 @@ def test_the_merged_check_agrees_with_a_key_word_oracle(base):
 def test_a_product_the_base_masks_to_zero_is_dropped():
     # over F_q, rho^2 = 0: scale rho times a coefficient rho is zero, and so is its term
     alg = SteenrodAlgebra("finite_field_3mod4", 16)
-    km = alg.km
+    km = alg.coefficients
     rho = km.monomial(1, 0)
     assert km.mul(rho, rho) == 0
     (tau0,), (xi1,) = (map(alg.mono_id, el.terms) for el in (alg.tau(0), alg.xi(1)))
@@ -407,7 +440,7 @@ def test_action_table_reports_its_own_count():
 
 def test_antipode():
     alg = SteenrodAlgebra("real_closed", weight=16)
-    km = alg.km
+    km = alg.coefficients
     # paper gives only conj(tau_0) = tau_0; the recursion must reproduce it
     assert antipode(alg.tau(0)) == alg.tau(0)
     chi_tau1 = antipode(alg.tau(1))
@@ -693,7 +726,7 @@ def _generators(key):
 def test_memoized_coproducts_match_generator_products(base):
     alg = SteenrodAlgebra(base, weight=16)
     ref = SteenrodAlgebra(base, weight=16)
-    km = alg.km
+    km = alg.coefficients
     etas = set()
     for key in alg.basis_monomials(9):
         want = {(UNIT_ID, UNIT_ID): km.one}
@@ -713,7 +746,7 @@ def test_memoized_coproducts_match_generator_products(base):
 @pytest.mark.parametrize("base", FULL_TABLE_BASES)
 def test_memoized_antipode_matches_a_fresh_algebra(base):
     alg = SteenrodAlgebra(base, weight=16)
-    km = alg.km
+    km = alg.coefficients
     coeffs = [km.one, km.monomial(0, 1), km.monomial(1, 1) | km.monomial(0, 2)]
     keys = alg.basis_monomials(9)
     for key in keys:  # warm the memo in one order ...
@@ -773,7 +806,7 @@ def _unless_truncated(check):
 @given(BASES, SMALL_KEYS, SMALL_KEYS, SMALL_KEYS)
 def test_products_commute_and_associate(base, a, b, c):
     alg = SteenrodAlgebra(base, weight=16)
-    x, y, z = (SteenrodElement(alg, {key: alg.km.one}) for key in (a, b, c))
+    x, y, z = (SteenrodElement(alg, {key: alg.coefficients.one}) for key in (a, b, c))
 
     def check():
         assert x * y == y * x
@@ -786,7 +819,7 @@ def test_products_commute_and_associate(base, a, b, c):
 @given(BASES, SMALL_KEYS, SMALL_KEYS)
 def test_coproduct_is_multiplicative(base, a, b):
     alg = SteenrodAlgebra(base, weight=16)
-    x, y = (SteenrodElement(alg, {key: alg.km.one}) for key in (a, b))
+    x, y = (SteenrodElement(alg, {key: alg.coefficients.one}) for key in (a, b))
 
     def check():
         dx, dy = (id_words(alg, coproduct(el)) for el in (x, y))
@@ -821,9 +854,9 @@ def _coefficient(km, pairs):
 
 def _element(alg, summands):
     """The sum of c . key over the summands (key, pairs of c)."""
-    out = alg.zero()
+    km, out = alg.coefficients, alg.zero()
     for key, pairs in summands:
-        out = out + SteenrodElement(alg, {key: alg.km.one}).scale(_coefficient(alg.km, pairs))
+        out = out + SteenrodElement(alg, {key: km.one}).scale(_coefficient(km, pairs))
     return out
 
 
@@ -831,7 +864,7 @@ def _element(alg, summands):
 @given(BASES, SUMMANDS, SUMMANDS, COEFF_PAIRS)
 def test_term_dicts_never_store_a_zero_coefficient(base, xs, ys, cs):
     alg = SteenrodAlgebra(base, weight=16)
-    km = alg.km
+    km = alg.coefficients
     generic = GenericTermsKMTau(km.rho_order)
 
     def check():
@@ -854,10 +887,10 @@ def test_term_dicts_never_store_a_zero_coefficient(base, xs, ys, cs):
 
 def _combine_slots(alg, slots):
     """slots[0] (x) ... (x) slots[-1] in key words, folded right to left by `combine_slots`."""
-    t = alg.slot(slots[-1])
+    km, t = alg.coefficients, alg.slot(slots[-1])
     for el in reversed(slots[:-1]):
         out = {}
-        combine_slots(alg, out, alg.km.one, alg.slot(el), by_coefficient(alg.km, t))
+        combine_slots(alg, out, km.one, alg.slot(el), by_coefficient(km, t))
         t = out
     return key_words(alg, t)
 
@@ -869,7 +902,7 @@ def _reference_combine_slots(alg, slots):
     the coefficient waiting to its right, and each of the product's words is
     new.
     """
-    state = {(): alg.km.one}
+    state = {(): alg.coefficients.one}
     for el in reversed(slots):
         nxt = {}
         for suffix, pending in state.items():
@@ -897,7 +930,7 @@ def test_combine_slots_crosses_non_unit_coefficients():
     # tau0^2 = tau xi1 + ...: its coefficient tau crosses every slot to its left
     alg = SteenrodAlgebra("real_closed", weight=16)
     sq = (alg.tau(0) * alg.tau(0)).terms
-    assert any(c != alg.km.one for c in sq.values())
+    assert any(c != alg.coefficients.one for c in sq.values())
     for slots in ([sq, sq], [sq, alg.tau(0).terms, sq]):
         want = _reference_combine_slots(alg, [SteenrodElement(alg, el) for el in slots])
         assert _combine_slots(alg, slots) == want

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from group_rings import laurent_tower_entry
 
-from etasphere.abelian import FinAbGroup, _unit_vectors, lattice, quotient_structure
+from etasphere.abelian import FinAbGroup, identity_matrix, lattice, quotient_structure
 from etasphere.witt import (
     BruteWittRing,
     GWElement,
@@ -119,7 +119,7 @@ def multiset_product_span(ring, n):
     amb = ring.additive.ngens
     rel = ring.additive.relation_columns()
     if n == 0:
-        return lattice(amb, _unit_vectors(amb) + rel)
+        return lattice(amb, identity_matrix(amb) + rel)
     products = []
     for combo in itertools.combinations_with_replacement(ring.ideal_generators, n):
         prod = ring.one()
