@@ -75,7 +75,12 @@ def bundled_fields() -> dict:
 
 
 def load_config(catalog_path=None, stems_path=None):
-    """Validated catalog and stems data; a bad data file is a usage error."""
+    """Validated catalog and stems data; a bad data file is a usage error.
+
+    The bundled files are parsed and validated once per process; a
+    replacement file (`--catalog`, `--stems-data` or `ETASPHERE_DATA_DIR`)
+    is read on every request.
+    """
     catalog_path = data_dir_override("field_catalog.json", catalog_path)
     stems_path = data_dir_override("stable_stems.json", stems_path)
     try:

@@ -797,16 +797,26 @@ def rank_and_kernel_dim(d: Derivation, n: int) -> tuple[int, int]:
 
 
 def rational_rank(vectors) -> int:
-    """Rank over Q of sparse vectors {index: int or Fraction}.
+    """Rank over Q of sparse vectors {index >= 0: int or Fraction}.
 
-    Fraction-free elimination: each vector is scaled to a primitive integer
-    vector, then reduced against the pivot vectors found so far, whose
-    pivot is their smallest index; each combination is divided by its gcd.
+    Each vector's denominators are cleared first.  The rank of integer
+    vectors over Q is at least their rank mod 2 and at most the number of
+    nonzero vectors or of indices they touch; when the mod-2 rank reaches
+    that bound it is the answer.  Otherwise fraction-free elimination: each
+    vector is reduced against the pivot vectors found so far, whose pivot
+    is their smallest index; each combination is divided by its gcd.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    rows = []
     for vec in vectors:
         den = lcm(*(c.denominator for c in vec.values()))
         row = {k: c.numerator * (den // c.denominator) for k, c in vec.items() if c}
+        if row:
+            rows.append(row)
+    mod2 = gf2.rank([sum(1 << k for k, v in row.items() if v & 1) for row in rows])
+    if mod2 == min(len(rows), len(set().union(*rows))):
+        return mod2
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
         while row:
             g = gcd(*row.values())
             if g != 1:

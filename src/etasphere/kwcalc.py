@@ -15,6 +15,7 @@ its kernel/cokernel on the 2-local Witt ring gives the stems.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -198,12 +199,24 @@ class StableStemsData:
 
 
 def load_stable_stems(path=None) -> StableStemsData:
+    """The stems table at `path`, read and validated on every call.
+
+    With no path, the bundled table: it is read and validated once per
+    process, and every caller shares the one frozen `StableStemsData`.
+    """
     if path is None:
-        text = resources.files("etasphere").joinpath("data/stable_stems.json").read_text()
-        rows = json.loads(text)
-    else:
-        with open(path) as fh:
-            rows = json.load(fh)
+        return _bundled_stable_stems()
+    with open(path) as fh:
+        return _stems_from_rows(json.load(fh))
+
+
+@functools.cache
+def _bundled_stable_stems() -> StableStemsData:
+    text = resources.files("etasphere").joinpath("data/stable_stems.json").read_text()
+    return _stems_from_rows(json.loads(text))
+
+
+def _stems_from_rows(rows) -> StableStemsData:
     entries = {}
     notes = {}
     for row in rows:

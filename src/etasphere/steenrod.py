@@ -198,6 +198,7 @@ class SteenrodAlgebra:
         self.max_tau = self.max_xi = top_index(weight)  # no xi_0: max_xi is 0 at weight 0
         self.spec = steenrod_spec(rho_order(base), weight)
         self.coefficients = self.spec.coefficients
+        self.term_degree = self.spec.term_degree  # the stem grading hopf_weight(weight) bounds
         # the tensor layer names each monomial key by a small int id, its
         # position in mono_keys
         self.mono_keys: list = [UNIT_MON]

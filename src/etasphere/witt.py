@@ -11,6 +11,7 @@ serves as the oracle for the finite-field entries.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -366,9 +367,11 @@ def n_epsilon(ring: WittPresentation, n: int) -> GWElement:
 # catalog
 # ---------------------------------------------------------------------------
 
-def _load_bundled_catalog() -> list[dict]:
+@functools.cache
+def _load_bundled_catalog() -> tuple[dict, ...]:
+    """The bundled catalog's raw entries, read once per process and never mutated."""
     text = resources.files("etasphere").joinpath("data/field_catalog.json").read_text()
-    return json.loads(text)
+    return tuple(json.loads(text))
 
 
 _CATALOG_CACHE: dict[str, WittPresentation] = {}

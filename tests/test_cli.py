@@ -10,6 +10,7 @@ import os
 import resource
 import subprocess
 import sys
+import types
 from importlib import resources
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from group_rings import laurent_tower_entry
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etasphere import cli, witt
+from etasphere import cli, kwcalc, witt
 from etasphere.cli import (
     VERIFY_MODULES,
     build_parser,
@@ -179,6 +180,57 @@ def test_load_config_env_override(tmp_path, monkeypatch):
 
 def _bundled_catalog() -> list:
     return json.loads(resources.files("etasphere").joinpath("data/field_catalog.json").read_text())
+
+
+def test_bundled_files_are_read_once_per_process(monkeypatch, capsys):
+    reads = []
+
+    class CountingRoot:
+        def __init__(self, package):
+            self.root = resources.files(package)
+
+        def joinpath(self, name):
+            reads.append(name)
+            return self.root.joinpath(name)
+
+    counting = types.SimpleNamespace(files=CountingRoot)
+    monkeypatch.setattr(witt, "resources", counting)
+    monkeypatch.setattr(kwcalc, "resources", counting)
+    monkeypatch.delenv("ETASPHERE_DATA_DIR", raising=False)
+    witt._load_bundled_catalog.cache_clear()
+    kwcalc._bundled_stable_stems.cache_clear()
+    for _ in range(3):
+        code, _, err = run_capture(capsys, ["stems", "--field", "real_closed", "--max", "8"])
+        assert code == 0, err
+    assert sorted(reads) == ["data/field_catalog.json", "data/stable_stems.json"]
+    assert kwcalc.load_stable_stems() is kwcalc.load_stable_stems()
+
+
+def test_replacement_stems_are_read_on_every_request(tmp_path, monkeypatch, capsys):
+    rows = json.loads(resources.files("etasphere").joinpath("data/stable_stems.json").read_text())
+    path = tmp_path / "stable_stems.json"
+    argv = ["stems", "--field", "real_closed", "--max", "12"]
+    for flags in (["--stems-data", str(path)], []):
+        if not flags:
+            monkeypatch.setenv("ETASPHERE_DATA_DIR", str(tmp_path))
+        path.write_text(json.dumps(rows[:11]))
+        code, _, err = run_capture(capsys, [*flags, *argv])
+        assert code == 2 and "max 10" in err
+        path.write_text(json.dumps(rows))
+        code, _, err = run_capture(capsys, [*flags, *argv])
+        assert code == 0, err
+    monkeypatch.delenv("ETASPHERE_DATA_DIR")
+    code, _, err = run_capture(capsys, argv)
+    assert code == 0, err
+    assert load_config()[1].max_degree == 20
+
+
+def test_catalog_names_returns_a_fresh_list():
+    names = witt.catalog_names()
+    want = list(names)
+    names.append("nowhere")
+    names[0] = "elsewhere"
+    assert witt.catalog_names() == want
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -267,6 +268,46 @@ def test_rational_rank_matches_fraction_elimination(matrix):
     assert rational_rank(columns) == fraction_rank(matrix)
     # rank of the transpose: the rows as vectors
     assert rational_rank(dict(enumerate(row)) for row in matrix) == fraction_rank(matrix)
+
+
+def eliminated_rank(vectors) -> int:
+    """Reference: fraction-free elimination alone, without the mod-2 shortcut."""
+    pivots = {}
+    for vec in vectors:
+        den = math.lcm(*(c.denominator for c in vec.values()))
+        row = {k: c.numerator * (den // c.denominator) for k, c in vec.items() if c}
+        while row:
+            g = math.gcd(*row.values())
+            row = {k: v // g for k, v in row.items()}
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            g = math.gcd(row[lead], pivot[lead])
+            a, b = row[lead] // g, pivot[lead] // g
+            combined = {k: b * v for k, v in row.items()}
+            for k, v in pivot.items():
+                combined[k] = combined.get(k, 0) - a * v
+            row = {k: v for k, v in combined.items() if v}
+    return len(pivots)
+
+
+def test_rational_rank_shortcut_matches_elimination():
+    # the mod-2 rank falls short of the bound on each of these, so the
+    # elimination decides: 2x has rank 1, (1, 1) and (1, -1) have rank 2
+    for vectors in ([{0: 2}], [{0: 1, 1: 1}, {0: 1, 1: -1}], [{3: Fraction(2, 3)}, {}]):
+        assert rational_rank(vectors) == eliminated_rank(vectors)
+    assert rational_rank([]) == 0 and rational_rank([{}, {2: 0}]) == 0
+    rng = random.Random(29)
+    values = [0, 1, -1, 2, -3, 4, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
+    for _ in range(2000):
+        nidx = rng.randint(1, 8)
+        vectors = [
+            {k: rng.choice(values) for k in rng.sample(range(nidx), rng.randint(0, nidx))}
+            for _ in range(rng.randint(0, 8))
+        ]
+        assert rational_rank(vectors) == eliminated_rank(vectors), vectors
 
 
 @given(st.lists(st.integers(0, 255), max_size=8))

@@ -190,6 +190,28 @@ def test_sums_negatives_and_multiples_are_steenrod_elements(base):
 
 
 @pytest.mark.parametrize("base", FULL_TABLE_BASES)
+def test_generators_have_their_stem_as_degree(base):
+    # GradedElement.degree_set reads the algebra's term_degree: the stem,
+    # with rho in stem 0 and the coefficient tau in stem 1
+    alg = SteenrodAlgebra(base, weight=8)
+    gens = [alg.tau(0), alg.xi(1), alg.tau(1), alg.xi(2)]
+    assert [g.max_degree() for g in gens] == [1, 1, 2, 3]
+    assert alg.one().max_degree() == 0 and alg.one().degree_set() == {0}
+    assert alg.zero().degree_set() == set()
+
+
+@pytest.mark.parametrize("base", FULL_TABLE_BASES)
+def test_products_of_basis_monomials_are_homogeneous(base):
+    # e.g. tau0^2 = rho tau0 xi1 + tau xi1 + rho tau1 over R: every term in stem 2
+    alg = SteenrodAlgebra(base, weight=16)
+    one = alg.coefficients.one
+    mons = [SteenrodElement(alg, {key: one}) for key in alg.basis_monomials(4)]
+    assert len(mons) == 30
+    for a, b in itertools.product(mons, repeat=2):
+        assert (a * b).degree_set() in (set(), {a.max_degree() + b.max_degree()})
+
+
+@pytest.mark.parametrize("base", FULL_TABLE_BASES)
 def test_action_table(base):
     """All twelve displayed action formulas, from coproduct contraction."""
     alg = SteenrodAlgebra(base, weight=16)
