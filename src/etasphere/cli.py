@@ -89,7 +89,10 @@ def load_config(catalog_path=None, stems_path=None):
         else:
             with open(catalog_path) as fh:
                 presentations = map(witt.WittPresentation.from_json, json.load(fh))
-                fields = {pres.name: pres for pres in presentations}
+                fields = {}
+                for pres in presentations:
+                    if fields.setdefault(pres.name, pres) is not pres:
+                        raise ValueError(f"field {pres.name!r} appears twice")
         stems = load_stable_stems(stems_path)
     except OSError as exc:
         raise UsageError(f"cannot read data file: {exc}") from exc
@@ -421,10 +424,9 @@ def steenrod_command(args, fields, stems_data, certificates):
 
 
 def pages_command(args, fields, stems_data, certificates):
-    truncation = args.smax + 2 if args.truncation is None else args.truncation
     builder = {"ko": ko_homology_model, "kgl": kgl_homology_model,
                "sphere": sphere_model}[args.model]
-    model = builder(args.base, truncation=truncation)
+    model = builder(args.base, truncation=args.smax + 2)
     e1, e2, report = bockstein_pages(model, args.smax, args.fmax, args.wmin, args.wmax)
     cells = report["f_positive_cells"]
     certificates["f_positive_stems_mod_4"] = certificate(
@@ -543,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fmax", type=int, default=4)
     p.add_argument("--wmin", type=int)
     p.add_argument("--wmax", type=int)
-    p.add_argument("--truncation", type=int)
 
     p = command("operator", "normal-order a word in beta and phi", operator_command, "kwcalc")
     p.add_argument("--word", required=True,
@@ -581,8 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # integer options that bound a computation: none of them may be negative
-BOUND_OPTIONS = ("max", "weight", "smax", "fmax", "truncation", "imax", "jmax", "nmax",
-                 "modulus_bits")
+BOUND_OPTIONS = ("max", "weight", "smax", "fmax", "imax", "jmax", "nmax", "modulus_bits")
 
 
 def check_arguments(args, fields) -> None:

@@ -12,9 +12,10 @@ generators of each level.  That finite shadow is exactly what makes the
 gr-comparison lemmas checkable by direct computation: complete, Hausdorff
 and exhaustive hold by construction and both sides of each lemma reduce to
 exact lattice arithmetic.  The lemma suite compares one component with
-another along a matrix.  `lift_free_basis` checks that gr(M) is free on
-stated classes and lets the lemma suite certify their lifts (the map from
-the free filtered module on them is a filtered isomorphism).
+another along a matrix.  `lift_free_basis` runs it on the map from the
+free filtered module on stated lifts to M: its gr_iso decides that gr(M) is
+free on their classes, and its conclusion that the map is a filtered
+isomorphism certifies the lifts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .abelian import (
-    FinAbGroup,
     bilinear,
     identity_matrix,
     lattice,
@@ -87,9 +87,6 @@ class FilteredComponent:
         if s < 0:
             s = 0
         return self.chain[min(s, len(self.chain) - 1)]
-
-    def gr(self, s: int) -> tuple[FinAbGroup, list[list[int]]]:
-        return quotient_structure(self.ngens, self.level(s), self.level(s + 1))
 
 
 def _check_hypotheses(src: FilteredComponent, tgt: FilteredComponent, mat) -> None:
@@ -241,9 +238,6 @@ class FilteredRing:
         self.ring = ring
         self.filtration = FilteredComponent.finite(ring.orders, chain_generators)
 
-    def gr_order(self, s: int) -> int:
-        return self.filtration.gr(s)[0].order()
-
     @classmethod
     def from_witt_mod2k(cls, presentation, modulus_bits: int):
         ring = FiniteRing.from_witt_mod2k(presentation, modulus_bits)
@@ -266,37 +260,18 @@ def lift_free_basis(ring: FilteredRing, component: FilteredComponent, action, ba
     `component` is a finite module over `ring` (`FilteredComponent.finite`),
     with action[i][j] the coordinates of (ring gen i) . (module gen j).
     `basis` is a list of (filtration s, coords) whose classes are claimed to
-    form a gr(R)-basis of gr(M).  The coords themselves are taken as the
-    lifts (any representative of the gr class is one).  Raises NotFree when
-    the freeness hypothesis fails.  Otherwise the lemma suite certifies the
-    lifts: returns whether the map from the free filtered module on them is
-    a filtered isomorphism.
+    form a gr(R)-basis of gr(M); the coords are the lifts, and a lift outside
+    F^s raises HypothesisViolated.  The lemma suite runs on the map from the
+    free filtered module on the lifts to M.  Raises NotFree unless gr of that
+    map is an isomorphism on every level of both chains; otherwise returns
+    whether the map is a filtered isomorphism.
     """
     orders = [rel[k] for k, rel in enumerate(component.relations)]
 
     def act(ring_coords, mod_coords):
         return [c % d for c, d in zip(bilinear(action, ring_coords, mod_coords), orders)]
 
-    # freeness of gr(M) over gr(R) on the claimed classes
-    for sigma in range(len(component.chain) - 1):
-        # expected order of gr^sigma(M)
-        expected = 1
-        spans = [list(g) for g in component.level(sigma + 1)]
-        for (s_i, x_i) in basis:
-            if s_i > sigma:
-                continue
-            expected *= ring.gr_order(sigma - s_i)
-            for rgen in ring.filtration.level(sigma - s_i):
-                spans.append(act(rgen, x_i))
-        actual = component.gr(sigma)[0].order()
-        span_ok = lattice(component.ngens, spans) == lattice(component.ngens, component.level(sigma))
-        if actual != expected or not span_ok:
-            raise NotFree(
-                f"gr(M) is not free on the stated basis at filtration {sigma}: "
-                f"order {actual} vs {expected}, span {'ok' if span_ok else 'proper'}"
-            )
-
-    # certificate: R^k with R's chain shifted by each s_i, e_(i,j) -> (ring gen j) . x_i
+    # the free module: R^k with R's chain shifted by each s_i, e_(i,j) -> (ring gen j) . x_i
     n, last, k = ring.ring.n, len(ring.filtration.chain) - 1, len(basis)
     free = FilteredComponent.finite(ring.ring.orders * k, [
         [[0] * (n * i) + list(g) + [0] * (n * (k - 1 - i))
@@ -306,4 +281,8 @@ def lift_free_basis(ring: FilteredRing, component: FilteredComponent, action, ba
     ])
     columns = [act(e, x_i) for _, x_i in basis for e in identity_matrix(n)]
     mat = [[col[r] for col in columns] for r in range(component.ngens)]
-    return filtered_lemma_suite(free, component, mat).get("alpha_filtered_iso", False)
+    report = filtered_lemma_suite(free, component, mat)
+    if not report["gr_iso"]:
+        raise NotFree("gr(M) is not free on the stated basis: gr of the map from the "
+                      "free filtered module on it is no isomorphism")
+    return report["alpha_filtered_iso"]

@@ -294,7 +294,7 @@ class AlgebraSpec:
     def __init__(self, generators, coefficients=None, truncation: int = 24):
         self.coefficients = coefficients if coefficients is not None else F2()
         self.truncation = truncation
-        self._monomials: dict[int, tuple] = {}  # degree -> monomial basis
+        self._bases: list[list] | None = None  # degree -> monomial basis, on first use
         self.generators: list[GeneratorSpec] = []
         self.index_of: dict[str, int] = {}
         for g in generators:
@@ -436,37 +436,42 @@ class AlgebraSpec:
 
     # -- monomial bases ---------------------------------------------------------
     def monomials_of_degree(self, n: int):
-        """Normalized monomials of generator-degree n (coefficient part 1).
+        """Normalized monomials of generator-degree n (coefficient part 1), none if n < 0.
 
-        Each degree is enumerated once per algebra; callers get a fresh list.
+        The first call enumerates every degree; callers get a fresh list.
         """
         if n > self.truncation:
             raise TruncationExceeded(f"degree {n} exceeds truncation {self.truncation}")
-        cached = self._monomials.get(n)
-        if cached is None:
-            cached = self._monomials[n] = tuple(self._enumerate_monomials(n))
-        return list(cached)
+        if n < 0:
+            return []
+        if self._bases is None:
+            self._bases = self._enumerate_monomials()
+        return list(self._bases[n])
 
-    def _enumerate_monomials(self, n: int):
-        gens = self.generators
-        # floor[idx]: the smallest degree in gens[idx:]; no smaller remainder can be filled
-        floor = [*itertools.accumulate((g.degree for g in reversed(gens)), min)][::-1] + [n + 1]
+    def _enumerate_monomials(self) -> list[list]:
+        """The basis of each degree 0..truncation, in one depth-first pass.
 
-        def rec(idx: int, remaining: int):
-            if remaining == 0:
-                yield ()
-                return
-            if remaining < floor[idx]:
-                return
-            g = gens[idx]
-            cap = remaining // g.degree
-            if g.kind == SQUARE:
-                cap = min(cap, 1)
-            for e in range(cap + 1):
-                for rest in rec(idx + 1, remaining - e * g.degree):
-                    yield ((idx, e),) + rest if e else rest
+        A monomial is emitted, then extended by each generator of higher
+        index, the highest first and its powers ascending (a square at most
+        once), so each degree lists its exponent vectors in ascending order
+        with generator 0 most significant.
+        """
+        top = self.truncation
+        factors = [[(e * g.degree, ((j, e),))
+                    for e in range(1, min(top // g.degree, 1 if g.kind == SQUARE else top) + 1)]
+                   for j, g in enumerate(self.generators)]
+        bases: list[list] = [[] for _ in range(top + 1)]
 
-        return rec(0, n)
+        def extend(mon, degree, start):
+            bases[degree].append(mon)
+            for j in range(len(factors) - 1, start - 1, -1):
+                for d, pair in factors[j]:
+                    if degree + d > top:
+                        break
+                    extend(mon + pair, degree + d, j + 1)
+
+        extend((), 0, 0)
+        return bases
 
     def describe_monomial(self, mon: Monomial) -> str:
         if not mon:
@@ -688,7 +693,7 @@ def derivation_matrix(d: Derivation, n: int):
     m = n + d.degree_shift
     if source and m > alg.truncation:
         raise TruncationExceeded("derivation image exceeds truncation")
-    target = alg.monomials_of_degree(m) if 0 <= m <= alg.truncation else []
+    target = alg.monomials_of_degree(m) if m <= alg.truncation else []
     cols = []
     one = alg.coefficients.one
     for mon in source:
@@ -833,14 +838,6 @@ def rational_rank(vectors) -> int:
                 combined[k] = combined.get(k, 0) - a * v
             row = {k: v for k, v in combined.items() if v}
     return len(pivots)
-
-
-def hilbert_dimension(algebra: AlgebraSpec, n: int) -> int:
-    if n > algebra.truncation:
-        raise TruncationExceeded(f"degree {n} exceeds truncation {algebra.truncation}")
-    if n == 0:
-        return 1
-    return len(algebra.monomials_of_degree(n))
 
 
 def check_confluence_random(algebra: AlgebraSpec, trials: int, rng) -> int:

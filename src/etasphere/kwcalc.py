@@ -40,7 +40,6 @@ from .graded import (
     add_term,
     apply_derivation,
     f2_kernel,
-    hilbert_dimension,
     mon_mul,
     rank_and_kernel_dim,
 )
@@ -225,6 +224,10 @@ def _stems_from_rows(rows) -> StableStemsData:
             group = FinAbGroup(int(row["free_rank"]), [int(x) for x in row["torsion"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad stable stems row {row!r}: {exc}") from exc
+        if degree < 0:
+            raise ParseError(f"stable stems degree {degree} is negative")
+        if degree in entries:
+            raise ParseError(f"stable stems degree {degree} appears twice")
         entries[degree] = group
         notes[degree] = row.get("note", "")
     if 0 not in entries:
@@ -465,11 +468,10 @@ def msp_phi_gr(max_degree: int = 14) -> dict:
     report = {"max_degree": max_degree, "surjective": True, "degrees": {}}
     for degree in range(0, max_degree + 1):
         rank, kernel_dim = rank_and_kernel_dim(phi, degree)
-        target_dim = hilbert_dimension(algebra, degree - 4) if degree >= 4 else 0
         expected_kernel = _partition_count(degree, list(range(2, degree + 1, 2)))
-        surjective = rank == target_dim
+        surjective = rank == len(algebra.monomials_of_degree(degree - 4))
         report["degrees"][degree] = {
-            "dim": hilbert_dimension(algebra, degree),
+            "dim": len(algebra.monomials_of_degree(degree)),
             "rank": rank,
             "kernel": kernel_dim,
             "expected_kernel": expected_kernel,
@@ -508,7 +510,7 @@ def abstract_phi_report(max_degree: int, ring) -> dict:
             rank, kernel_dim = len(source) - len(kernel), len(kernel)
         else:
             rank, kernel_dim = rank_and_kernel_dim(phi, degree)
-        target = hilbert_dimension(algebra, degree - 1)
+        target = len(algebra.monomials_of_degree(degree - 1))
         expected = _partition_count(degree, list(range(2, degree + 1)))
         out["kernel_dims"][degree] = kernel_dim
         if rank != target or kernel_dim != expected:

@@ -301,29 +301,15 @@ class SteenrodAlgebra:
 
     # -- weight bookkeeping ----------------------------------------------
     def basis_monomials(self, max_weight: int | None = None):
-        """All normal-form keys (tau exponents <= 1) of weight <= max_weight, by default
-        the bound; a check on them needs an algebra of weight >= hopf_weight(max_weight)."""
+        """The spec's basis keys (tau exponents <= 1) of weight <= max_weight, by default the
+        bound; a check on them needs an algebra of weight >= hopf_weight(max_weight)."""
         if max_weight is None:
             max_weight = self.weight
         elif hopf_weight(max_weight) > self.weight:
             raise TruncationExceeded(f"checks to weight {max_weight} need an algebra of "
                                      f"weight {hopf_weight(max_weight)}, not {self.weight}")
-        gens = self.spec.generators
-        out = []
-
-        def rec(n, remaining, key):
-            if n == len(gens):
-                out.append(key)
-                return
-            w = _WEIGHT[n]
-            cap = remaining // w if w else 1
-            if gens[n].kind == SQUARE:
-                cap = min(cap, 1)
-            for e in range(cap + 1):
-                rec(n + 1, remaining - e * w, key + ((n, e),) if e else key)
-
-        rec(0, max_weight, ())
-        return sorted(out)
+        return sorted(key for s in range(hopf_weight(max_weight) + 1)
+                      for key in self.spec.monomials_of_degree(s) if mon_weight(key) <= max_weight)
 
 
 class SteenrodElement(GradedElement):
@@ -687,7 +673,7 @@ class HomologyModel:
             stem = self._stems.get(s)
             if stem is None:
                 mons = (self.algebra.monomials_of_degree(s)
-                        if 0 <= s <= self.algebra.truncation else ())
+                        if s <= self.algebra.truncation else ())
                 stem = self._stems[s] = tuple((self.monomial_weight(mon), mon) for mon in mons)
             km = self.algebra.coefficients
             cell = self._cells[(s, w)] = tuple(sorted(

@@ -403,8 +403,8 @@ def test_pages_and_steenrod_usage_errors_exit_2(capsys):
     ["operator", "--word", "1/2"],
     ["operator", "--word", "1/0"],
     ["--catalog", "nosuch", "witt"],
-    ["pages", "--model", "kgl", "--smax", "6", "--fmax", "2", "--truncation", "6"],
-    ["pages", "--truncation", "0"],
+    ["hopf", "--jmax", "-1"],
+    ["divided", "--modulus-bits", "-1"],
     ["kwhw", "--field", "real_closed", "--modulus-bits", "0"],
     ["witt", "--brute-force", "0"],
     ["witt", "--field", "F3", "--brute-force", "0"],
@@ -413,6 +413,18 @@ def test_bad_bounds_and_fields_exit_2(capsys, argv):
     code, out, err = run_capture(capsys, argv)
     assert code == 2, argv
     assert "usage error" in err and not out
+
+
+def test_pages_has_no_truncation_option(capsys):
+    # the model is built at smax + 2, which no page up to smax depends on
+    code, out, err = run_capture(capsys, ["pages", "--truncation", "6"])
+    assert code == 2 and not out
+    assert "unrecognized arguments: --truncation 6" in err
+
+
+def test_every_bound_option_is_an_option_of_some_subcommand():
+    dests = {action.dest for parser in subcommands().values() for action in parser._actions}
+    assert set(cli.BOUND_OPTIONS) <= dests
 
 
 def test_operator_unknown_token_message(capsys):
@@ -607,6 +619,26 @@ def test_malformed_data_files_exit_2(tmp_path, capsys):
         code, out, err = run_capture(capsys, [flag, str(path), "witt"])
         assert code == 2, name
         assert err.startswith("usage error: ") and not out, name
+
+
+def _stems_rows_with(**row) -> list:
+    rows = json.loads(resources.files("etasphere").joinpath("data/stable_stems.json").read_text())
+    return rows + [dict(rows[3], **row)]
+
+
+@pytest.mark.parametrize("flag, entries, named", [
+    ("--catalog", [dict(e, name="F3") if e["name"] == "F5" else e for e in _bundled_catalog()],
+     "'F3' appears twice"),
+    ("--stems-data", _stems_rows_with(), "degree 3 appears twice"),
+    ("--stems-data", _stems_rows_with(degree=-1), "degree -1 is negative"),
+], ids=["catalog_repeats_a_field", "stems_repeat_a_degree", "stems_negative_degree"])
+def test_a_data_file_that_repeats_or_misplaces_a_key_exits_2(tmp_path, capsys, flag, entries,
+                                                            named):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(entries))
+    code, out, err = run_capture(capsys, [flag, str(path), "witt", "--field", "F3"])
+    assert code == 2 and not out
+    assert err.startswith("usage error: malformed data file:") and named in err, err
 
 
 def test_every_benchmark_request_replays_its_recorded_outcome(monkeypatch):

@@ -30,7 +30,6 @@ from etasphere.graded import (
     apply_derivation,
     check_confluence_random,
     derivation_matrix,
-    hilbert_dimension,
     homology_at_degree,
     mon_from_dict,
     mon_mul,
@@ -136,7 +135,7 @@ def test_homology_zero_derivation_gives_everything():
     zero = Derivation(a, -1, {})
     for n in range(0, 6):
         h = homology_at_degree(zero, n)
-        assert h.homology_dim == hilbert_dimension(a, n)
+        assert h.homology_dim == len(a.monomials_of_degree(n))
 
 
 def test_phi_model_degree4():
@@ -170,7 +169,7 @@ def test_rank_over_rationals():
     phi = Derivation(a, -1, images)
     # surjective in degree 5; kernel dim = partitions of 5 with parts >= 2
     rank, kernel = rank_and_kernel_dim(phi, 5)
-    target_dim = hilbert_dimension(a, 4)
+    target_dim = len(a.monomials_of_degree(4))
     assert rank == target_dim
     assert kernel == 2  # {5}, {3+2}
 
@@ -178,12 +177,12 @@ def test_rank_over_rationals():
 def test_hilbert_dimensions():
     a = poly_f2([("y2", 2), ("y3", 3), ("y4", 4)], truncation=12)
     # partitions of 4 into parts from {2,3,4}: {4}, {2,2}
-    assert hilbert_dimension(a, 4) == 2
-    assert hilbert_dimension(a, 0) == 1
+    assert len(a.monomials_of_degree(4)) == 2
+    assert len(a.monomials_of_degree(0)) == 1
     w = AlgebraSpec(
         [GeneratorSpec("y1", 2), GeneratorSpec("y2", 4)], RationalRing(), 12
     )
-    assert hilbert_dimension(w, 4) == 2  # y1^2, y2
+    assert len(w.monomials_of_degree(4)) == 2  # y1^2, y2
 
 
 def test_confluence_random_words():
@@ -672,6 +671,9 @@ def test_monomials_of_degree_match_exponent_vectors_in_order(name):
     algebra = monomial_basis_cases()[name]
     for n in range(algebra.truncation + 1):
         assert algebra.monomials_of_degree(n) == monomials_by_exponent_vectors(algebra, n), n
+    assert algebra.monomials_of_degree(-1) == []
+    with pytest.raises(TruncationExceeded):
+        algebra.monomials_of_degree(algebra.truncation + 1)
 
 
 # -- ring-layer shortcuts against the plain versions they replace ----------------

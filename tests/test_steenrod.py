@@ -706,6 +706,49 @@ def test_pages_weigh_each_monomial_once(monkeypatch):
     assert weighed == Counter(stems)
 
 
+def test_each_algebra_enumerates_its_basis_once(monkeypatch):
+    enumerate_monomials = steenrod.AlgebraSpec._enumerate_monomials
+    calls = Counter()
+
+    def spy(algebra, *args):
+        calls[id(algebra)] += 1
+        return enumerate_monomials(algebra, *args)
+
+    monkeypatch.setattr(steenrod.AlgebraSpec, "_enumerate_monomials", spy)
+    model = ko_homology_model("real_closed", truncation=14)
+    bockstein_pages(model, smax=12, fmax=4)
+    assert calls == {id(model.algebra): 1}
+    calls.clear()
+    steenrod.steenrod_spec.cache_clear()  # a spec enumerated by another test counts nothing
+    alg = SteenrodAlgebra("real_closed", conjugate_weight(4, 2))
+    check_coassociativity_counit(alg, 4)
+    check_antipode_axiom(alg, 4)
+    conjugate_basis_triangularity(alg, 4, 2)
+    assert calls == {id(alg.spec): 1}
+
+
+@pytest.mark.parametrize("make_model", [ko_homology_model, kgl_homology_model, sphere_model])
+@pytest.mark.parametrize("base", sorted(steenrod.MOTIVIC_BASES))
+def test_pages_do_not_depend_on_the_model_truncation(make_model, base):
+    pages = [bockstein_pages(make_model(base, truncation=9 + extra), smax=9, fmax=3)
+             for extra in (2, 5, 10)]
+    assert pages[1] == pages[0] and pages[2] == pages[0]
+
+
+def test_basis_monomials_match_brute_force():
+    # generator n (tau_i at n = 2i, xi_j at n = 2j - 1) has weight 2^((n + 1) // 2) - 1;
+    # tau_0 weighs nothing, and the tau exponents are at most 1
+    algebras = [SteenrodAlgebra(base, hopf_weight(16)) for base in sorted(steenrod.MOTIVIC_BASES)]
+    for w in range(17):
+        weights = [2 ** ((n + 1) // 2) - 1 for n in range(2 * steenrod.top_index(w) + 1)]
+        ranges = [range(w // q + 1) if n % 2 else range(2) for n, q in enumerate(weights)]
+        want = sorted(tuple((n, e) for n, e in enumerate(exps) if e)
+                      for exps in itertools.product(*ranges)
+                      if sum(q * e for q, e in zip(weights, exps)) <= w)
+        for alg in algebras:
+            assert alg.basis_monomials(w) == want, (alg, w)
+
+
 def test_cell_basis_is_not_aliased():
     model = ko_homology_model("real_closed", truncation=10)
     first = model.cell_basis(4, -3)
