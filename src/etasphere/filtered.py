@@ -5,7 +5,7 @@ is Z^g modulo a relation lattice, and its filtration is a finite descending
 chain of lattices that starts at everything and ends at the relation lattice
 (so F^last = 0 in the quotient).  `level(s)` clamps s to the chain, so F^s
 is everything for s <= 0 and the relations past the end.  A `FilteredRing`
-is a `FiniteRing` with such a chain of ideals, and a module over it is one
+is a finite ring with such a chain of ideals, and a module over it is one
 `FilteredComponent` with an action table beside it;
 `FilteredComponent.finite` builds both from additive orders and the
 generators of each level.  That finite shadow is exactly what makes the
@@ -33,6 +33,7 @@ from .abelian import (
     preimage,
     quotient_structure,
 )
+from .graded import Ring
 from .witt import fundamental_ideal_power
 
 
@@ -166,16 +167,17 @@ def filtered_lemma_suite(src: FilteredComponent, tgt: FilteredComponent, mat) ->
 # finite filtered rings and modules (for the free-lifting corollary)
 # ---------------------------------------------------------------------------
 
-class FiniteRing:
-    """Finite commutative ring on generators with given additive orders.
+class FilteredRing(Ring):
+    """Finite commutative ring with a descending ideal chain ending at zero.
 
-    Elements are reduced coordinate tuples.  The ring is also a coefficient
-    ring for `graded.AlgebraSpec` (W/2^K for the completed Witt models).
+    The ring is Z^n / diag(orders) with the product `mult_table` on its
+    generators; elements are reduced coordinate tuples.  Its filtration is
+    the `FilteredComponent` with F^s spanned by `chain_generators[s - 1]`.
+    It is also a coefficient ring for `graded.AlgebraSpec` (W/2^K for the
+    completed Witt models).
     """
 
-    xor_terms = False
-
-    def __init__(self, orders, mult_table, unit, name="R"):
+    def __init__(self, orders, mult_table, unit, chain_generators, name="R"):
         self.orders = list(orders)
         self.n = len(orders)
         self.mult_table = [
@@ -184,25 +186,10 @@ class FiniteRing:
         self.zero = (0,) * self.n
         self.one = self.reduce(unit)
         self.name = name
+        self.filtration = FilteredComponent.finite(self.orders, chain_generators)
 
     def reduce(self, coords):
         return tuple(c % d for c, d in zip(coords, self.orders))
-
-    def neg(self, a):
-        return self.reduce([-x for x in a])
-
-    def is_zero(self, a):
-        return not any(self.reduce(a))
-
-    def degrees(self, a):
-        return {0}
-
-    def describe(self, a):
-        return str(list(a))
-
-    def elements(self):
-        for tup in itertools.product(*[range(d) for d in self.orders]):
-            yield tup
 
     def add(self, a, b):
         return self.reduce([x + y for x, y in zip(a, b)])
@@ -210,48 +197,47 @@ class FiniteRing:
     def mul(self, a, b):
         return self.reduce(bilinear(self.mult_table, a, b))
 
+    def neg(self, a):
+        return self.reduce([-x for x in a])
+
+    def is_zero(self, a):
+        return not any(self.reduce(a))
+
+    def describe(self, a):
+        return str(list(a))
+
+    def elements(self):
+        return itertools.product(*[range(d) for d in self.orders])
+
     def is_unit(self, a) -> bool:
         """Whether a is invertible: in a finite ring, whether multiplication by a is onto."""
-        rel = [[d if i == j else 0 for i in range(self.n)] for j, d in enumerate(self.orders)]
         image = [self.mul(a, e) for e in identity_matrix(self.n)]
-        return lattice(self.n, image + rel) == lattice(self.n, identity_matrix(self.n) + rel)
+        f = self.filtration
+        return lattice(self.n, image + f.relations) == lattice(self.n, f.level(0))
 
     @classmethod
     def from_witt_mod2k(cls, presentation, modulus_bits: int):
-        """W/2^K as a finite ring, with generators in presentation order."""
+        """W/2^K with its I-adic chain, generators in presentation order.
+
+        The chain stops at the first I^s whose generators are all zero in W/2^K.
+        """
         g = presentation.additive
         m = 1 << modulus_bits
         orders = [m] * g.free_rank + [gcd(d, m) for d in g.invariant_factors]
+        chains = []
+        for s in range(1, 8 * max(1, modulus_bits) + 1):
+            chains.append(fundamental_ideal_power(presentation, s).basis())
+            if all(c % d == 0 for gen in chains[-1] for c, d in zip(gen, orders)):
+                break
+        else:
+            raise HypothesisViolated("ideal chain did not stabilize")
         return cls(
             orders,
             [[list(c) for c in row] for row in presentation.mult_table],
             list(presentation.unit),
+            chains,
             name=f"W({presentation.name})/2^{modulus_bits}",
         )
-
-
-class FilteredRing:
-    """Finite ring with a descending ideal chain ending at zero."""
-
-    def __init__(self, ring: FiniteRing, chain_generators):
-        # chain_generators[s - 1] = coordinate list generating the s-th ideal
-        self.ring = ring
-        self.filtration = FilteredComponent.finite(ring.orders, chain_generators)
-
-    @classmethod
-    def from_witt_mod2k(cls, presentation, modulus_bits: int):
-        ring = FiniteRing.from_witt_mod2k(presentation, modulus_bits)
-        chains = []
-        s = 1
-        while True:
-            gens = fundamental_ideal_power(presentation, s).basis()
-            chains.append(gens)
-            if all(ring.is_zero(g) for g in gens):
-                break
-            s += 1
-            if s > 8 * max(1, modulus_bits):
-                raise HypothesisViolated("ideal chain did not stabilize")
-        return cls(ring, chains)
 
 
 def lift_free_basis(ring: FilteredRing, component: FilteredComponent, action, basis) -> bool:
@@ -272,8 +258,8 @@ def lift_free_basis(ring: FilteredRing, component: FilteredComponent, action, ba
         return [c % d for c, d in zip(bilinear(action, ring_coords, mod_coords), orders)]
 
     # the free module: R^k with R's chain shifted by each s_i, e_(i,j) -> (ring gen j) . x_i
-    n, last, k = ring.ring.n, len(ring.filtration.chain) - 1, len(basis)
-    free = FilteredComponent.finite(ring.ring.orders * k, [
+    n, last, k = ring.n, len(ring.filtration.chain) - 1, len(basis)
+    free = FilteredComponent.finite(ring.orders * k, [
         [[0] * (n * i) + list(g) + [0] * (n * (k - 1 - i))
          for i, (s_i, _) in enumerate(basis)
          for g in ring.filtration.level(s - s_i)]

@@ -11,17 +11,14 @@ Homology is implemented over F2 only, with ranks over the rationals (by
 fraction-free integer elimination) available for derivation matrices.  An
 element of Q is an int, or a `Fraction` once a non-integer enters.
 
-Coefficients live in a small pluggable ring: any object with the attributes
-`name`, `zero`, `one` and `xor_terms` and the methods `add`, `neg`, `mul`,
-`is_zero`, `degrees` (the set of internal degrees of an element, {0} for an
-ungraded ring) and `describe`; derivations and the divided-power model
-also call `from_int`.  `F2`, `RationalRing`, `IntegersMod` and `KMTau` live
-here; `filtered.FiniteRing` is the W/2^K ring of the completed Witt models.
-Every sparse term dict over such a ring is accumulated with `add_term` (or
-`add_terms`, a batch of tensor words) and compared with `terms_equal`, and
-never stores a zero coefficient.  A ring class whose elements are ints added
-by XOR (`F2`, `KMTau`) sets `xor_terms`, which turns `add_term` and
-`add_terms` into one `^` per term and `terms_equal` into dict equality.
+Coefficients live in a `Ring`: `F2`, `RationalRing`, `IntegersMod` and
+`KMTau` here, and `filtered.FilteredRing`, the W/2^K ring of the completed
+Witt models.  Every sparse term dict over such a ring is accumulated with
+`add_term` (or `add_terms`, a batch of tensor words) and compared with
+`terms_equal`, and never stores a zero coefficient.  A ring class whose
+elements are ints added by XOR (`F2`, `KMTau`) sets `xor_terms`, which
+turns `add_term` and `add_terms` into one `^` per term and `terms_equal`
+into dict equality.
 
 Truncation degree D is mandatory: operations that would need a monomial of
 degree beyond D raise TruncationExceeded instead of silently dropping it.
@@ -60,11 +57,36 @@ SQUARE = "square"
 # coefficient rings
 # ---------------------------------------------------------------------------
 
-class F2:
-    name = "F2"
-    xor_terms = True
+class Ring:
+    """A coefficient ring of `AlgebraSpec`, with the defaults every ring shares.
+
+    A ring has a `name`, `zero`, `one` and `xor_terms`, and the methods
+    `add`, `neg`, `mul`, `is_zero`, `degrees` (the set of internal degrees
+    of an element, {0} for an ungraded ring) and `describe`.  Derivations
+    and the divided-power model also call `from_int`, which has no default.
+    A subclass overrides what differs from the defaults below.
+    """
+
+    xor_terms = False
     zero = 0
     one = 1
+
+    def neg(self, a):
+        return -a
+
+    def is_zero(self, a):
+        return not a
+
+    def degrees(self, a):
+        return {0}
+
+    def describe(self, a):
+        return str(a)
+
+
+class F2(Ring):
+    name = "F2"
+    xor_terms = True
 
     def add(self, a, b):
         return a ^ b
@@ -75,56 +97,29 @@ class F2:
     def mul(self, a, b):
         return a & b
 
-    def is_zero(self, a):
-        return a == 0
-
     def from_int(self, n):
         return n % 2
 
-    def degrees(self, a):
-        return {0}
 
-    def describe(self, a):
-        return str(a)
-
-
-class RationalRing:
+class RationalRing(Ring):
     name = "Q"
-    xor_terms = False
-    zero = 0
-    one = 1
 
     def add(self, a, b):
         return a + b
 
-    def neg(self, a):
-        return -a
-
     def mul(self, a, b):
         return a * b
-
-    def is_zero(self, a):
-        return a == 0
 
     def from_int(self, n):
         return n
 
-    def degrees(self, a):
-        return {0}
 
-    def describe(self, a):
-        return str(a)
-
-
-class IntegersMod:
+class IntegersMod(Ring):
     """Z/m, used with m = 2^K for the completed models."""
-
-    xor_terms = False
 
     def __init__(self, modulus: int):
         self.modulus = modulus
         self.name = f"Z/{modulus}"
-        self.zero = 0
         self.one = 1 % modulus
 
     def add(self, a, b):
@@ -142,14 +137,8 @@ class IntegersMod:
     def from_int(self, n):
         return n % self.modulus
 
-    def degrees(self, a):
-        return {0}
 
-    def describe(self, a):
-        return str(a)
-
-
-class KMTau:
+class KMTau(Ring):
     """F2-algebra on rho and tau: coefficients for the motivic models.
 
     An element is one int, an F2 sum of monomials rho^r tau^t packed as
@@ -169,8 +158,6 @@ class KMTau:
 
     STRIDE = 64
     xor_terms = True
-    zero = 0
-    one = 1
 
     def __init__(self, rho_order: int | None = None):
         if rho_order is not None and (type(rho_order) is not int or rho_order < 1):
@@ -238,9 +225,6 @@ class KMTau:
             a ^= low
         return acc if self._mask is None else acc & self._mask
 
-    def is_zero(self, a):
-        return not a
-
     def from_int(self, n):
         return n % 2
 
@@ -297,11 +281,7 @@ class AlgebraSpec:
         self._bases: list[list] | None = None  # degree -> monomial basis, on first use
         self.generators: list[GeneratorSpec] = []
         self.index_of: dict[str, int] = {}
-        for g in generators:
-            if isinstance(g, GeneratorSpec):
-                spec = g
-            else:
-                spec = GeneratorSpec(*g)
+        for spec in generators:
             if spec.degree <= 0:
                 raise AlgebraError(f"generator {spec.name} must have positive degree")
             if spec.kind not in (POLYNOMIAL, SQUARE):
@@ -328,10 +308,6 @@ class AlgebraSpec:
 
     # -- helpers ---------------------------------------------------------------
     def _resolve_monomial(self, mon_spec) -> Monomial:
-        if isinstance(mon_spec, tuple) and all(
-            isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], int) for p in mon_spec
-        ):
-            return tuple(sorted(mon_spec))
         if isinstance(mon_spec, str):
             if mon_spec in ("", "1"):
                 return ()

@@ -24,7 +24,7 @@ from math import comb, factorial
 
 from . import gf2
 from .abelian import FinAbGroup, ker_coker_of_mul, quotient_structure
-from .filtered import FilteredRing, FiniteRing, lift_free_basis
+from .filtered import FilteredRing, NotFree, lift_free_basis
 from .graded import (
     POLYNOMIAL,
     SQUARE,
@@ -185,7 +185,6 @@ def adams_on_bott(n: int, field="real_closed"):
 @dataclass(frozen=True)
 class StableStemsData:
     table: tuple  # FinAbGroup per degree, contiguous from 0
-    notes: tuple
 
     @property
     def max_degree(self) -> int:
@@ -217,7 +216,6 @@ def _bundled_stable_stems() -> StableStemsData:
 
 def _stems_from_rows(rows) -> StableStemsData:
     entries = {}
-    notes = {}
     for row in rows:
         try:
             degree = int(row["degree"])
@@ -229,7 +227,6 @@ def _stems_from_rows(rows) -> StableStemsData:
         if degree in entries:
             raise ParseError(f"stable stems degree {degree} appears twice")
         entries[degree] = group
-        notes[degree] = row.get("note", "")
     if 0 not in entries:
         raise ParseError("stable stems data must start at degree 0")
     top = max(entries)
@@ -241,10 +238,7 @@ def _stems_from_rows(rows) -> StableStemsData:
     for n in range(1, top + 1):
         if entries[n].free_rank:
             raise ParseError(f"stable stems in degree {n} must be finite")
-    return StableStemsData(
-        tuple(entries[n] for n in range(top + 1)),
-        tuple(notes[n] for n in range(top + 1)),
-    )
+    return StableStemsData(tuple(entries[n] for n in range(top + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -768,17 +762,17 @@ def kw_hw_algebra(presentation: WittPresentation, imax: int, modulus_bits: int):
     """
     if modulus_bits < 1:
         raise BoundsExceeded(f"modulus bits {modulus_bits} must be at least 1: W/2^0 is zero")
-    finite = FiniteRing.from_witt_mod2k(presentation, modulus_bits)
+    ring = FilteredRing.from_witt_mod2k(presentation, modulus_bits)
     g = presentation.additive
     _, i2_gens = quotient_structure(g.ngens, fundamental_ideal_power(presentation, 2).basis(),
                                     g.relation_columns())
-    r_coords = list(i2_gens[0]) if i2_gens else [0] * finite.n
-    two_plus_r = finite.add(finite.add(finite.one, finite.one), r_coords)
+    r_coords = list(i2_gens[0]) if i2_gens else [0] * ring.n
+    two_plus_r = ring.add(ring.add(ring.one, ring.one), r_coords)
     gens = [
         GeneratorSpec(f"t{i}", 4 * 2**i, SQUARE, {f"t{i + 1}": two_plus_r} if i < imax else None)
         for i in range(imax + 1)
     ]
-    return AlgebraSpec(gens, finite, 4 * (2 ** (imax + 1) - 1)), r_coords
+    return AlgebraSpec(gens, ring, 4 * (2 ** (imax + 1) - 1)), r_coords
 
 
 def kw_hw_generators_check(
@@ -795,26 +789,27 @@ def kw_hw_generators_check(
     (2 + r_i) t_{i+1} for a sample r_i in I(k)^2.  Checks: squares land in
     (2 + I^2) t_{i+1}; binary products x_i = prod t_n^{eps_n} generate each
     pi_{4i} up to an explicit unit (also under twisted unit choices);
-    x_0 = 1; and the module is free on the lifted basis in the filtered
-    sense (lift_free_basis certificate).  `field` is a `WittPresentation` or
-    the name of a bundled catalog field.  Returns the report and, for each of
-    its three certificates, the number of cases checked.
+    x_0 = 1; and the module is free on each lifted product in the filtered
+    sense (lift_free_basis certificate, run once per distinct coefficient).
+    `field` is a `WittPresentation` or the name of a bundled catalog field.
+    Returns the report and, for each of its three certificates, the number
+    of cases checked.
     """
     presentation = resolve_field(field)
     if presentation.vcd2 is None:
         raise BoundsExceeded("catalog field must have finite vcd2")
     alg, r_coords = kw_hw_algebra(presentation, imax, modulus_bits)
-    ring = FilteredRing.from_witt_mod2k(presentation, modulus_bits)
-    finite = alg.coefficients
-    two_plus_r = finite.add(finite.add(finite.one, finite.one), r_coords)
+    ring = alg.coefficients
+    # the coefficient 2 + r of every square rule (there is none when imax = 0)
+    two_plus_r = alg.square_images[0][((1, 1),)] if imax else None
 
     # validate r in I^2 (against the exact presentation lattice)
     r_in_i2 = r_coords in fundamental_ideal_power(presentation, 2)
 
-    twists = list(unit_twists) if unit_twists else [finite.one] * (imax + 1)
+    twists = list(unit_twists) if unit_twists else [ring.one] * (imax + 1)
 
     def twist(i):
-        return twists[i] if i < len(twists) else finite.one
+        return twists[i] if i < len(twists) else ring.one
 
     def t(i):
         # t_i scaled by the chosen unit twist
@@ -825,7 +820,7 @@ def kw_hw_generators_check(
     squares_checked = 1  # r in I^2
     for i in range(0, imax):
         squares_checked += 1
-        coeff = finite.mul(two_plus_r, finite.mul(twist(i), twist(i)))
+        coeff = ring.mul(two_plus_r, ring.mul(twist(i), twist(i)))
         if t(i) * t(i) != alg.element({((i + 1, 1),): coeff}):
             squares_ok = False
 
@@ -840,19 +835,28 @@ def kw_hw_generators_check(
         for b in bits:
             acc = acc * t(b)
         if k == 0:
-            x0_is_one = acc.terms == {(): finite.one}
+            x0_is_one = acc.terms == {(): ring.one}
         expected_mon = tuple((b, 1) for b in bits)
         if set(acc.terms) != {expected_mon}:
             products_ok = False
             continue
         coeff = acc.terms[expected_mon]
         units_found[k] = list(coeff)
-        if not finite.is_unit(coeff):
+        if not ring.is_unit(coeff):
             products_ok = False
 
     # filtered freeness certificate: the 2^imax + 1 degrees 4k, k <= 2^imax,
-    # are one free module of rank one over the I-adically filtered ring
-    lift_ok = lift_free_basis(ring, ring.filtration, finite.mult_table, [(0, finite.one)])
+    # are one free module of rank one over the I-adically filtered ring, on
+    # each product x_k: multiplication by its coefficient is a filtered iso
+    # (a product off its monomial has no coefficient to lift, and fails)
+    def lifts(coeff):
+        try:
+            return lift_free_basis(ring, ring.filtration, ring.mult_table, [(0, coeff)])
+        except NotFree:
+            return False
+
+    lift_ok = len(units_found) == 2**imax + 1 and all(
+        lifts(c) for c in sorted({tuple(c) for c in units_found.values()}))
 
     return {
         "field": presentation.name,

@@ -672,9 +672,8 @@ class HomologyModel:
         if cell is None:
             stem = self._stems.get(s)
             if stem is None:
-                mons = (self.algebra.monomials_of_degree(s)
-                        if s <= self.algebra.truncation else ())
-                stem = self._stems[s] = tuple((self.monomial_weight(mon), mon) for mon in mons)
+                stem = self._stems[s] = tuple((self.monomial_weight(mon), mon)
+                                              for mon in self.algebra.monomials_of_degree(s))
             km = self.algebra.coefficients
             cell = self._cells[(s, w)] = tuple(sorted(
                 (w - q, mon) for q, mon in stem if w >= q and km.admissible(w - q)))
@@ -738,7 +737,7 @@ class HomologyModel:
     def check_delta_squared(self, smax: int) -> int:
         km = self.algebra.coefficients
         count = 0
-        for s in range(0, min(smax, self.algebra.truncation) + 1):
+        for s in range(0, smax + 1):
             for mon in self.algebra.monomials_of_degree(s):
                 el = self.algebra.element({mon: km.one})
                 dd = apply_derivation(self.delta, apply_derivation(self.delta, el))
@@ -765,12 +764,8 @@ def _xi_tau_model(name: str, base: str, truncation: int) -> HomologyModel:
         weights.append(1 - 2**j)
     tau_indices = range(2, truncation.bit_length())  # 2^i <= truncation
     for i in tau_indices:
-        if i + 1 in tau_indices:
-            image = {f"tau{i + 1}": rho}
-        else:
-            image = {}  # the square would leave the truncation window: it is
-            # only reachable through products that the degree guard rejects,
-            # and never through normalized monomials (exponents stay <= 1)
+        # the top tau's square leaves the truncation: no image, so it raises
+        image = {f"tau{i + 1}": rho} if i + 1 in tau_indices else None
         gens.append(GeneratorSpec(f"tau{i}", 2**i, SQUARE, image))
         weights.append(1 - 2**i)
     algebra = AlgebraSpec(gens, km, truncation)

@@ -22,7 +22,6 @@ from .abelian import (
     FinAbGroup,
     Lattice,
     bilinear,
-    counting_function,
     identity_matrix,
     lattice,
     preimage,
@@ -529,22 +528,8 @@ def brute_force_witt_ring(q: int) -> WittPresentation:
     classes = ring.classes
     size = len(classes)
 
-    # abstract invariant factors via order counting
-    divisors = sorted({d for c in classes for d in [ring.order_of(c)]})
-    exponent = 1
-    for d in divisors:
-        exponent = exponent * d // gcd(exponent, d)
-    counts = {}
-    for m in range(1, exponent + 1):
-        if exponent % m:
-            continue
-        counts[m] = sum(
-            1 for c in classes if _class_power(ring, c, m) == ring.zero_class
-        )
-
     # search a generating tuple realizing a direct-sum decomposition
-    decomposition = _find_decomposition(ring, classes, size, counts)
-    gens, factors = decomposition
+    gens, factors = _find_decomposition(ring, classes, size)
 
     coords_of = {}
     for tup in itertools.product(*[range(d) for d in factors]):
@@ -579,10 +564,9 @@ def _class_power(ring, c, m):
     return acc
 
 
-def _find_decomposition(ring, classes, size, counts):
+def _find_decomposition(ring, classes, size):
     """Invariant factors and matching generators, by exhaustive search."""
-    # candidate invariant factor chains whose product is the group order and
-    # whose counting function matches the element-order census
+    # candidate invariant factor chains whose product is the group order
     for k in (1, 2, 3):
         for factors in itertools.combinations_with_replacement(
             [d for d in range(2, size + 1) if size % d == 0], k
@@ -594,8 +578,6 @@ def _find_decomposition(ring, classes, size, counts):
                 continue
             chain = sorted(factors)
             if any(b % a for a, b in zip(chain, chain[1:])):
-                continue
-            if counting_function(FinAbGroup(0, chain), counts) != counts:
                 continue
             for gens in itertools.permutations(classes, k):
                 if any(ring.order_of(g) != d for g, d in zip(gens, chain)):

@@ -7,7 +7,9 @@ import importlib
 import io
 import json
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 import types
@@ -662,3 +664,28 @@ def test_every_benchmark_request_replays_its_recorded_outcome(monkeypatch):
         if regression or defect:
             problems.append((workloads.request_key(req), regression or defect))
     assert problems == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples() -> list[str]:
+    """The command lines of the README's `sh` blocks that call `etasphere`."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    return [line.split("#")[0].strip() for block in blocks for line in block.splitlines()
+            if line.startswith("etasphere ")]
+
+
+@pytest.mark.parametrize("line", readme_examples())
+def test_readme_example_runs(capsys, line):
+    code, out, err = run_capture(capsys, shlex.split(line)[1:])
+    assert code == 0, (line, err)
+    if "operator" in line:
+        assert out == "80 beta + 81 beta^2 phi\n"
+
+
+@pytest.mark.parametrize("line", ["pages --fmax 0", "divided --imax 0 --nmax 1"])
+def test_readme_nothing_checked_examples_exit_1(capsys, line):
+    assert f"`{line}`" in README.read_text()
+    code, out, _ = run_capture(capsys, ["--format", "json", *shlex.split(line)])
+    assert code == 1 and '"counterexample": "nothing checked"' in out

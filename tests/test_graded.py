@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from etasphere import gf2
+from etasphere.filtered import FilteredRing
 from etasphere.graded import (
     POLYNOMIAL,
     SQUARE,
@@ -24,6 +25,7 @@ from etasphere.graded import (
     KMTau,
     NonSquareZero,
     RationalRing,
+    Ring,
     TruncationExceeded,
     add_term,
     add_terms,
@@ -40,6 +42,7 @@ from etasphere.graded import (
 )
 from etasphere.kwcalc import msp_gr_model
 from etasphere.steenrod import kgl_homology_model, ko_homology_model, steenrod_spec
+from etasphere.witt import catalog_lookup
 
 
 def poly_f2(names_degrees, truncation=24):
@@ -389,12 +392,23 @@ def packed(km, pairs):
 
 
 KM_FREE = KMTau()
+W_Z_HALF = FilteredRing.from_witt_mod2k(catalog_lookup("Z_half"), 3)
 TERM_RINGS = {
     "F2": (F2(), st.integers(0, 1)),
     "Z/8": (IntegersMod(8), st.integers(0, 7)),
     "kM[tau]": (KM_FREE, st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=5)
                 .map(lambda pairs: packed(KM_FREE, pairs))),
+    "W(Z_half)/2^3": (W_Z_HALF, st.tuples(*(st.integers(0, d - 1) for d in W_Z_HALF.orders))),
 }
+
+
+def test_every_coefficient_ring_is_a_ring():
+    # one base class holds the shared defaults; from_int is each ring's own
+    for cls in (F2, RationalRing, IntegersMod, KMTau, FilteredRing):
+        assert issubclass(cls, Ring)
+    assert not hasattr(Ring, "from_int")
+    assert (W_Z_HALF.zero, W_Z_HALF.describe(W_Z_HALF.one)) == ((0, 0), "[1, 0]")
+    assert W_Z_HALF.is_zero((8, 2)) and not W_Z_HALF.is_zero((0, 1))
 
 
 def dense_sum(ring, pairs, keys):

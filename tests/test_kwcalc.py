@@ -8,9 +8,9 @@ from math import comb
 import pytest
 from group_rings import laurent_tower_entry
 
-from etasphere import cli, gf2, graded, kwcalc
+from etasphere import cli, filtered, gf2, graded, kwcalc
 from etasphere.abelian import FinAbGroup, ker_coker_of_mul
-from etasphere.filtered import FiniteRing
+from etasphere.filtered import FilteredRing
 from etasphere.graded import (
     AlgebraSpec,
     Derivation,
@@ -482,7 +482,7 @@ def test_kw_hw_algebra_uses_the_ideal_square_sample():
 def test_kw_hw_generators_x0_is_the_unit(name):
     # the empty product x_0 is exactly the unit of W/2^K, not just some unit
     out, _ = kw_hw_generators_check(name, imax=2, modulus_bits=6)
-    finite = FiniteRing.from_witt_mod2k(catalog_lookup(name), 6)
+    finite = FilteredRing.from_witt_mod2k(catalog_lookup(name), 6)
     assert out["x0_is_one"] is True
     assert out["unit_coefficients"][0] == list(finite.one)
 
@@ -517,9 +517,72 @@ def test_kw_hw_generators_with_a_non_unit_twist_fail():
     assert out["binary_products_generate"] is False
 
 
+def test_kw_hw_lift_certificate_fails_on_a_non_unit_twist():
+    # x_1 = 2 t_0, and multiplication by 2 is no filtered iso of W/2^8
+    out, _ = kw_hw_generators_check("real_closed", imax=2, modulus_bits=8,
+                                    unit_twists=((2,), (1,), (1,)))
+    assert out["lift_certificate_ok"] is False
+
+
+def test_kw_hw_lift_certificate_fails_on_a_vanishing_product():
+    # t_0 scaled by 0 kills x_1 and x_3: they have no coefficient to lift
+    out, _ = kw_hw_generators_check("real_closed", imax=2, modulus_bits=8,
+                                    unit_twists=((0,), (1,), (1,)))
+    assert sorted(out["unit_coefficients"]) == [0, 2, 4]
+    assert out["lift_certificate_ok"] is False
+
+
+def count_lemma_suites(monkeypatch) -> list:
+    calls = []
+    suite = filtered.filtered_lemma_suite
+
+    def counted(src, tgt, mat):
+        calls.append(mat)
+        return suite(src, tgt, mat)
+
+    monkeypatch.setattr(filtered, "filtered_lemma_suite", counted)
+    return calls
+
+
+def test_kw_hw_lift_certificate_lifts_each_product_coefficient(monkeypatch):
+    # twisted t_i give 9 distinct unit coefficients for x_0..x_8: one suite each
+    calls = count_lemma_suites(monkeypatch)
+    out, _ = kw_hw_generators_check("real_closed", imax=3, modulus_bits=8,
+                                    unit_twists=((3,), (5,), (7,), (9,)))
+    assert len({tuple(c) for c in out["unit_coefficients"].values()}) == 9
+    assert out["lift_certificate_ok"] is True
+    assert len(calls) == 9
+
+
+def test_kw_hw_check_builds_its_ring_once(monkeypatch):
+    built, lifted, algebras = [], [], []
+    init, lift, build = FilteredRing.__init__, kwcalc.lift_free_basis, kwcalc.kw_hw_algebra
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def recorded_lift(ring, *args):
+        lifted.append(ring)
+        return lift(ring, *args)
+
+    def recorded_build(*args):
+        algebras.append(build(*args))
+        return algebras[-1]
+
+    monkeypatch.setattr(FilteredRing, "__init__", counted_init)
+    monkeypatch.setattr(kwcalc, "lift_free_basis", recorded_lift)
+    monkeypatch.setattr(kwcalc, "kw_hw_algebra", recorded_build)
+    out, _ = kw_hw_generators_check("F5", imax=3, modulus_bits=5)
+    assert out["lift_certificate_ok"] is True
+    [(alg, _)] = algebras
+    assert built == [alg.coefficients]
+    assert lifted and all(ring is alg.coefficients for ring in lifted)
+
+
 @pytest.mark.parametrize("name", ["F5", "Z_half"])
 def test_finite_ring_units_match_an_inverse_search(name):
-    finite = FiniteRing.from_witt_mod2k(catalog_lookup(name), 3)
+    finite = FilteredRing.from_witt_mod2k(catalog_lookup(name), 3)
     elements = list(finite.elements())
     verdicts = set()
     for c in elements:

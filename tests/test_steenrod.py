@@ -550,6 +550,30 @@ def test_ko_model_delta():
     model.check_delta_squared(12)
 
 
+def test_check_delta_squared_past_the_truncation_raises():
+    # stems 11 and 12 are not in a truncation-10 model: no silent clamp to 10
+    model = ko_homology_model("real_closed", 10)
+    assert model.check_delta_squared(10) > 0
+    with pytest.raises(TruncationExceeded):
+        model.check_delta_squared(12)
+
+
+def test_cell_basis_past_the_truncation_raises():
+    model = kgl_homology_model("real_closed", 10)
+    model.cell_basis(10, -3)  # the top stem is still in the model
+    with pytest.raises(TruncationExceeded):
+        model.cell_basis(11, -3)
+
+
+def test_top_tau_square_has_no_rule():
+    # tau3 is the top tau below truncation 14: its square leaves the model
+    a = ko_homology_model("real_closed", 14).algebra
+    top = a.index_of["tau3"]
+    assert a.square_images[top] is None
+    with pytest.raises(TruncationExceeded):
+        a.normalize({((top, 2),): a.coefficients.one})
+
+
 def test_ko_model_homology_matches_tau_monomials():
     for base in ("real_closed", "quadratically_closed"):
         model = ko_homology_model(base, truncation=18)
