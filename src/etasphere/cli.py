@@ -23,7 +23,6 @@ from . import __version__, abelian, kwcalc, steenrod, witt
 from .abelian import FinAbGroup
 from .graded import AlgebraSpec, BoundsExceeded, KMTau, check_confluence_random
 from .kwcalc import (
-    DividedPowerModel,
     cobordism_stems,
     divided_power_construct,
     eta_stems,
@@ -292,8 +291,12 @@ def eta_stems_valuations() -> tuple:
 
 
 def msp_phi_surjective() -> tuple:
+    """phi is onto on gr kw_* MSp and on the abstract model over F2 and over Q."""
     report = msp_phi_gr(14)
-    return report["surjective"], len(report["degrees"]), None
+    models = {"msp": report, "abstract_model": report["abstract_model"],
+              "abstract_model_rational": report["abstract_model_rational"]}
+    failing = [name for name, model in models.items() if not model["surjective"]]
+    return not failing, len(report["degrees"]), ", ".join(failing) or None
 
 
 def divided_power_identities(*reports) -> tuple:
@@ -305,7 +308,7 @@ def divided_power_identities(*reports) -> tuple:
 
 def divided_power_two_unit_choices() -> tuple:
     return divided_power_identities(*(
-        divided_power_construct(DividedPowerModel(modulus_bits=8, units=units, imax=5), 16)[0]
+        divided_power_construct(16, modulus_bits=8, units=units, imax=5)[0]
         for units in ((1, 1, 1, 1, 1), (3, 5, 7, 9, 11))
     ))
 
@@ -463,8 +466,7 @@ def divided_command(args, fields, stems_data, certificates):
         units = tuple(int(u) for u in args.units.split(",")) if args.units else ()
     except ValueError as exc:
         raise UsageError(f"--units takes comma-separated integers: {args.units!r}") from exc
-    model = DividedPowerModel(args.modulus_bits, units, args.imax)
-    out, checked = divided_power_construct(model, args.nmax)
+    out, checked = divided_power_construct(args.nmax, args.modulus_bits, units, args.imax)
     certificates["divided_power_identities"], _ = run_check(divided_power_identities, out)
     certificates["squares_normalized"] = certificate(
         out["squares_normalized"], checked["squares_normalized"])

@@ -6,6 +6,11 @@ Rows are Python ints; bit j of a row is the coefficient of basis vector j.
 from __future__ import annotations
 
 
+def bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
 def rank(rows: list[int]) -> int:
     work = [r for r in rows if r]
     rk = 0

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from . import gf2
 from .abelian import FinAbGroup, ker_coker_of_mul, quotient_structure
@@ -539,7 +539,7 @@ def _kernel_indecomposables(algebra, kernels):
             src_b, ker_b = kernels[degree - dg]
             for g in gens:
                 row = [0] * len(src_b)  # row[j]: g times src_b[j]
-                for i in _bits(g):
+                for i in gf2.bits(g):
                     for j, mon in enumerate(src_b):
                         prod = mon_mul(src_g[i], mon)
                         mask = product_masks.get(prod)
@@ -549,17 +549,12 @@ def _kernel_indecomposables(algebra, kernels):
                         row[j] ^= mask
                 for b in ker_b:
                     acc = 0
-                    for j in _bits(b):
+                    for j in gf2.bits(b):
                         acc ^= row[j]
                     decomposable.append(acc)
         fresh[degree] = gf2.quotient_basis(ker_masks, decomposable)
         new_generator_degrees.extend([degree] * len(fresh[degree]))
     return new_generator_degrees
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of mask, ascending."""
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def phi_iterates_on_msl(i: int) -> dict:
@@ -629,101 +624,74 @@ def hopf_constants(imax: int, jmax: int) -> dict:
 # divided powers in the completed model
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DividedPowerModel:
-    """Z/2^K-algebra on t_0, t_1, ... with t_i^2 = 2 w_i t_{i+1}, w_i odd.
+def square_chain(ring, degree: int, squares) -> AlgebraSpec:
+    """The ring-algebra on t_0..t_k, k = len(squares), with t_i^2 = squares[i] t_(i+1).
 
-    `algebra` is the graded model: t_i has degree 2^i, so a product of
-    distinct t_i has the degree n whose binary digits it lists; t_imax has
-    no square rule and the truncation 2^(imax+1) - 1 is the degree of
-    t_0 t_1 ... t_imax.
+    t_i has degree degree . 2^i, so a product of distinct t_i has degree
+    degree . n for the n whose binary digits it lists; t_k has no square
+    rule, and the truncation degree . (2^(k+1) - 1) is the degree of
+    t_0 t_1 ... t_k.
     """
-
-    modulus_bits: int = 8
-    units: tuple = ()
-    imax: int = 5
-    algebra: AlgebraSpec = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.modulus_bits < 6:
-            raise UnitInversionFailed("modulus 2^K needs K >= 6")
-        units = list(self.units) if self.units else [1] * self.imax
-        if len(units) < self.imax:
-            units = units + [1] * (self.imax - len(units))
-        for w in units:
-            if w % 2 == 0:
-                raise UnitInversionFailed(f"unit {w} is even")
-        self.units = tuple(u % (1 << self.modulus_bits) for u in units)
-        ring = IntegersMod(self.modulus)
-        squares = [{f"t{i + 1}": ring.from_int(2 * self.units[i])} for i in range(self.imax)]
-        gens = [GeneratorSpec(f"t{i}", 2**i, SQUARE, image)
-                for i, image in enumerate(squares + [None])]
-        self.algebra = AlgebraSpec(gens, ring, 2 ** (self.imax + 1) - 1)
-
-    @property
-    def modulus(self) -> int:
-        return 1 << self.modulus_bits
-
-    def inverse(self, c: int) -> int:
-        c %= self.modulus
-        if c % 2 == 0:
-            raise UnitInversionFailed(f"{c} is not a unit mod 2^{self.modulus_bits}")
-        return pow(c, -1, self.modulus)
+    k = len(squares)
+    gens = [GeneratorSpec(f"t{i}", degree * 2**i, SQUARE, {f"t{i + 1}": c} if i < k else None)
+            for i, c in enumerate([*squares, None])]
+    return AlgebraSpec(gens, ring, degree * (2 ** (k + 1) - 1))
 
 
-def divided_power_construct(model: DividedPowerModel, n_max: int) -> tuple[dict, dict]:
+def binary_product(alg: AlgebraSpec, n: int, factor) -> GradedElement:
+    """The product of factor(i) over the binary digits i of n, ascending."""
+    out = alg.one()
+    for i in gf2.bits(n):
+        out = out * factor(i)
+    return out
+
+
+def divided_power_construct(n_max: int, modulus_bits: int = 8, units=(),
+                            imax: int = 5) -> tuple[dict, dict]:
     """Generators x_0..x_{n_max} with x_m x_n = binom(m+n, n) x_{m+n}.
 
-    s_0 = t_0 and s_{n+1} = (v_n^{-1} a_n^2 w_n) t_{n+1} normalizes the
+    The model is the Z/2^K square chain on t_0..t_imax with t_i^2 = 2 w_i
+    t_{i+1}, t_i of degree 2^i, for the odd `units` w_i padded with 1s to
+    imax.  s_0 = t_0 and s_{n+1} = (v_n^{-1} a_n^2 w_n) t_{n+1} normalizes the
     squares to s_n^2 = binom(2^{n+1}, 2^n) s_{n+1}; then x_n is the odd
     rational delta_n = prod (2^i)!^{eps_i} / n! times prod s_i^{eps_i} over
     the binary expansion of n, and the certificate checks every product with
     m + n <= n_max exactly in Z/2^K.  Returns the report and the number of
     cases behind its `squares_normalized` verdict.
     """
-    if n_max > 2**model.imax:
-        raise BoundsExceeded(f"n_max {n_max} exceeds 2^imax = {2**model.imax}")
-    mod = model.modulus
-    alg = model.algebra
+    if modulus_bits < 6:
+        raise UnitInversionFailed("modulus 2^K needs K >= 6")
+    for w in units:
+        if w % 2 == 0:
+            raise UnitInversionFailed(f"unit {w} is even")
+    if n_max > 2**imax:
+        raise BoundsExceeded(f"n_max {n_max} exceeds 2^imax = {2**imax}")
+    mod = 1 << modulus_bits
+    units = [w % mod for w in units] + [1] * (imax - len(units))
+    alg = square_chain(IntegersMod(mod), 1, [2 * w % mod for w in units[:imax]])
 
     # normalized square generators s_i = a_i t_i
     a: list[int] = [1]
-    for n in range(0, model.imax):
+    for n in range(0, imax):
         c = comb(2 ** (n + 1), 2**n)
         v = c // 2
         if c % 2 or v % 2 == 0:
             raise UnitInversionFailed(f"binom(2^{n + 1}, 2^n) is not twice an odd unit")
-        a.append((model.inverse(v) * a[n] * a[n] * model.units[n]) % mod)
+        a.append((pow(v, -1, mod) * a[n] * a[n] * units[n]) % mod)
 
     def s(i: int) -> GradedElement:
         return alg.gen(f"t{i}").scale(a[i])
 
     # verify s_n^2 = binom(2^{n+1}, 2^n) s_{n+1} exactly
-    squares_ok = True
-    squares_checked = 0
-    for n in range(0, model.imax):
-        squares_checked += 1
-        if s(n) * s(n) != s(n + 1).scale(comb(2 ** (n + 1), 2**n)):
-            squares_ok = False
+    squares_ok = all(s(n) * s(n) == s(n + 1).scale(comb(2 ** (n + 1), 2**n)) for n in range(imax))
 
     def delta(n: int) -> int:
-        d = Fraction(1)
-        for i in range(n.bit_length()):
-            if (n >> i) & 1:
-                d *= Fraction(factorial(2**i))
-        d /= factorial(n)
+        d = Fraction(prod(factorial(2**i) for i in gf2.bits(n)), factorial(n))
         if nu2_fraction(d) != 0:
             raise UnitInversionFailed(f"delta_{n} is not a 2-adic unit")
-        return (d.numerator * model.inverse(d.denominator)) % mod
+        return (d.numerator * pow(d.denominator, -1, mod)) % mod
 
-    def x(n: int) -> GradedElement:
-        out = alg.one()
-        for i in range(n.bit_length()):
-            if (n >> i) & 1:
-                out = out * s(i)
-        return out.scale(delta(n))
-
-    xs = [x(n) for n in range(n_max + 1)]
+    xs = [binary_product(alg, n, s).scale(delta(n)) for n in range(n_max + 1)]
     if xs[0] != alg.one():
         raise AlgebraError(f"x_0 = {xs[0]!r} is not the unit")
 
@@ -736,13 +704,13 @@ def divided_power_construct(model: DividedPowerModel, n_max: int) -> tuple[dict,
                 failures.append((m, n))
     return {
         "n_max": n_max,
-        "modulus_bits": model.modulus_bits,
-        "units": list(model.units),
+        "modulus_bits": modulus_bits,
+        "units": units,
         "squares_normalized": squares_ok,
         "certificate": certificate,
         "failures": failures,
         "x1_x1_equals_2_x2": xs[1] * xs[1] == xs[2].scale(2) if n_max >= 2 else None,
-    }, {"squares_normalized": squares_checked}
+    }, {"squares_normalized": imax}
 
 
 def nu2_fraction(f: Fraction) -> int:
@@ -756,9 +724,9 @@ def nu2_fraction(f: Fraction) -> int:
 def kw_hw_algebra(presentation: WittPresentation, imax: int, modulus_bits: int):
     """The W/2^K-algebra of the kw smash HW model, with its sample r in I^2.
 
-    Generators t_0..t_imax have degree 4 . 2^i and t_i^2 = (2 + r) t_{i+1};
-    r is the first normal-form generator of I(k)^2 (zero when I^2 = 0) and
-    t_imax has no square rule.  Returns the algebra and the coordinates of r.
+    The square chain on t_0..t_imax of degree 4 . 2^i with t_i^2 = (2 + r)
+    t_{i+1}, where r is the first normal-form generator of I(k)^2 (zero when
+    I^2 = 0).  Returns the algebra and the coordinates of r.
     """
     if modulus_bits < 1:
         raise BoundsExceeded(f"modulus bits {modulus_bits} must be at least 1: W/2^0 is zero")
@@ -768,11 +736,7 @@ def kw_hw_algebra(presentation: WittPresentation, imax: int, modulus_bits: int):
                                     g.relation_columns())
     r_coords = list(i2_gens[0]) if i2_gens else [0] * ring.n
     two_plus_r = ring.add(ring.add(ring.one, ring.one), r_coords)
-    gens = [
-        GeneratorSpec(f"t{i}", 4 * 2**i, SQUARE, {f"t{i + 1}": two_plus_r} if i < imax else None)
-        for i in range(imax + 1)
-    ]
-    return AlgebraSpec(gens, ring, 4 * (2 ** (imax + 1) - 1)), r_coords
+    return square_chain(ring, 4, [two_plus_r] * imax), r_coords
 
 
 def kw_hw_generators_check(
@@ -806,37 +770,26 @@ def kw_hw_generators_check(
     # validate r in I^2 (against the exact presentation lattice)
     r_in_i2 = r_coords in fundamental_ideal_power(presentation, 2)
 
-    twists = list(unit_twists) if unit_twists else [ring.one] * (imax + 1)
-
     def twist(i):
-        return twists[i] if i < len(twists) else ring.one
+        return unit_twists[i] if i < len(unit_twists) else ring.one
 
     def t(i):
         # t_i scaled by the chosen unit twist
         return alg.element({((i, 1),): twist(i)})
 
-    # t_i^2 = (2 + r) t_{i+1} verified in the model, twists squared
-    squares_ok = True
-    squares_checked = 1  # r in I^2
-    for i in range(0, imax):
-        squares_checked += 1
-        coeff = ring.mul(two_plus_r, ring.mul(twist(i), twist(i)))
-        if t(i) * t(i) != alg.element({((i + 1, 1),): coeff}):
-            squares_ok = False
+    # t_i^2 = (2 + r) t_{i+1} verified in the model, twists squared: one
+    # case per square, so imax = 0 checks nothing (r in I^2 holds by choice)
+    squares_ok = all(t(i) * t(i) == alg.element(
+        {((i + 1, 1),): ring.mul(two_plus_r, ring.mul(twist(i), twist(i)))}) for i in range(imax))
 
     # binary products generate: x_k = prod t_n^{eps_n}: coefficient must be a unit
     products_ok = True
     units_found = {}
-    products_checked = 0
     for k in range(0, 2**imax + 1):
-        products_checked += 1
-        bits = [b for b in range(k.bit_length()) if (k >> b) & 1]
-        acc = alg.one()
-        for b in bits:
-            acc = acc * t(b)
+        acc = binary_product(alg, k, t)
         if k == 0:
             x0_is_one = acc.terms == {(): ring.one}
-        expected_mon = tuple((b, 1) for b in bits)
+        expected_mon = tuple((b, 1) for b in gf2.bits(k))
         if set(acc.terms) != {expected_mon}:
             products_ok = False
             continue
@@ -868,5 +821,5 @@ def kw_hw_generators_check(
         "x0_is_one": x0_is_one,
         "unit_coefficients": units_found,
         "lift_certificate_ok": lift_ok,
-    }, {"squares_in_2_plus_I2": squares_checked, "binary_products_generate": products_checked,
+    }, {"squares_in_2_plus_I2": imax, "binary_products_generate": 2**imax + 1,
         "lift_certificate_ok": 2**imax + 1}

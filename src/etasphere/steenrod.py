@@ -1016,7 +1016,7 @@ def conjugate_basis_triangularity(alg: SteenrodAlgebra, max_weight: int = 8,
         sols = gf2.solve(columns, [flatten(rows[i][2]) for i in members])
         for i, sol in zip(members, sols):
             if sol is not None:
-                expansions[i] = [index[j] for j in range(len(index)) if (sol >> j) & 1]
+                expansions[i] = [index[j] for j in gf2.bits(sol)]
 
     for (p, m, _), support in zip(rows, expansions):
         if support is None:

@@ -155,6 +155,9 @@ class WittPresentation:
                     self.rank_mod2[i] * self.rank_mod2[j]
                 ) % 2:
                     raise InvalidPresentation("rank map not multiplicative")
+        # <1> + <-1> is the hyperbolic plane, 0 in W (so <-1> has odd rank)
+        if not (one + self.element(self.minus_one)).is_zero():
+            raise InvalidPresentation("<1> + <-1> is not 0 in W")
 
         # ideal generators have rank zero and generate the kernel
         for v in self.ideal_generators:

@@ -10,7 +10,6 @@ import time
 
 from etasphere.abelian import FinAbGroup
 from etasphere.kwcalc import (
-    DividedPowerModel,
     abstract_phi_report,
     divided_power_construct,
     eta_stems,
@@ -193,8 +192,7 @@ def test_criterion_9_divided_powers_two_unit_choices():
     started = time.perf_counter()
     ok = True
     for units in [(1, 1, 1, 1, 1), (3, 5, 7, 9, 11)]:
-        model = DividedPowerModel(modulus_bits=8, units=units, imax=5)
-        out, _ = divided_power_construct(model, 16)
+        out, _ = divided_power_construct(16, modulus_bits=8, units=units, imax=5)
         ok &= out["certificate"] and out["squares_normalized"]
     report(9, "divided-power certificate x_m x_n = binom(m+n, n) x_(m+n) mod 2^8, "
               "m + n <= 16, two unit choices",

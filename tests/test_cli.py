@@ -592,6 +592,7 @@ def test_verify_runs_each_named_module_once_in_sorted_order(capsys, monkeypatch)
     (["pages", "--smax", "6", "--fmax", "0"], ["f_positive_stems_mod_4", "collapse"]),
     (["divided", "--imax", "0", "--nmax", "1"], ["squares_normalized"]),
     (["pages", "--model", "kgl", "--smax", "8", "--fmax", "3"], []),
+    (["kwhw", "--field", "real_closed", "--imax", "0"], ["squares_in_2_plus_I2"]),
 ])
 def test_a_certificate_that_checked_nothing_fails(capsys, argv, vacuous):
     code, out, _ = run_capture(capsys, ["--format", "json"] + argv)
@@ -643,6 +644,21 @@ def test_a_data_file_that_repeats_or_misplaces_a_key_exits_2(tmp_path, capsys, f
     assert err.startswith("usage error: malformed data file:") and named in err, err
 
 
+@pytest.mark.parametrize("minus_one", [[1], [0]])
+@pytest.mark.parametrize("subcommand", ["stems", "hwhw"])
+def test_a_catalog_whose_minus_one_is_not_minus_the_unit_exits_2(tmp_path, capsys, subcommand,
+                                                                minus_one):
+    # real_closed has W = Z and <-1> = -1; [1] and [0] used to crash n_epsilon
+    entries = [dict(e, minus_one=minus_one) if e["name"] == "real_closed" else e
+               for e in _bundled_catalog()]
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(entries))
+    argv = ["--catalog", str(path), subcommand, "--field", "real_closed", "--max", "3"]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and not out
+    assert err.startswith("usage error: malformed data file:") and "<1> + <-1>" in err, err
+
+
 def test_every_benchmark_request_replays_its_recorded_outcome(monkeypatch):
     # every request the three benchmark workloads can send, replayed through
     # the benchmark client and judged by its own rule (oracles, then the
@@ -684,7 +700,8 @@ def test_readme_example_runs(capsys, line):
         assert out == "80 beta + 81 beta^2 phi\n"
 
 
-@pytest.mark.parametrize("line", ["pages --fmax 0", "divided --imax 0 --nmax 1"])
+@pytest.mark.parametrize("line", ["pages --fmax 0", "divided --imax 0 --nmax 1",
+                                  "kwhw --field real_closed --imax 0"])
 def test_readme_nothing_checked_examples_exit_1(capsys, line):
     assert f"`{line}`" in README.read_text()
     code, out, _ = run_capture(capsys, ["--format", "json", *shlex.split(line)])

@@ -312,6 +312,13 @@ def test_rational_rank_shortcut_matches_elimination():
         assert rational_rank(vectors) == eliminated_rank(vectors), vectors
 
 
+@given(st.integers(0, 2**70))
+def test_gf2_bits_lists_the_set_bits_ascending(mask):
+    positions = gf2.bits(mask)
+    assert positions == sorted(set(positions))
+    assert sum(1 << j for j in positions) == mask
+
+
 @given(st.lists(st.integers(0, 255), max_size=8))
 def test_gf2_transpose_against_bits(columns):
     rows = gf2.transpose(columns, 8)

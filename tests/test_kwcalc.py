@@ -17,6 +17,7 @@ from etasphere.graded import (
     F2,
     GeneratorSpec,
     GradedElement,
+    IntegersMod,
     RationalRing,
     f2_kernel,
     f2_masks,
@@ -26,11 +27,11 @@ from etasphere.kwcalc import (
     AlgebraError,
     BoundsExceeded,
     DegreeOutOfRange,
-    DividedPowerModel,
     EvenNotSupported,
     ParseError,
     UnitInversionFailed,
     adams_on_bott,
+    binary_product,
     cobordism_stems,
     divided_power_construct,
     eta_stems,
@@ -45,6 +46,7 @@ from etasphere.kwcalc import (
     nu2_factorial,
     phi_iterates_on_msl,
     phi_ker_coker,
+    square_chain,
 )
 
 
@@ -366,6 +368,22 @@ def test_phi_iterates():
     assert phi_iterates_on_msl(0)["reaches_unit"]
 
 
+@pytest.mark.parametrize("failing", [["abstract_model_rational"],
+                                     ["abstract_model", "abstract_model_rational"]])
+def test_msp_phi_certificate_requires_every_model(monkeypatch, failing):
+    # msp_phi_gr also runs the abstract model over F2 and Q: each verdict counts
+    report = kwcalc.abstract_phi_report
+
+    def abstract(max_degree, ring):
+        out = report(max_degree, ring)
+        name = "abstract_model_rational" if isinstance(ring, RationalRing) else "abstract_model"
+        return dict(out, surjective=name not in failing)
+
+    monkeypatch.setattr(kwcalc, "abstract_phi_report", abstract)
+    check = cli.verify_checks(None)["kwcalc"]["msp_phi_surjective"]
+    assert cli.run_check(check) == ({"pass": False, "counterexample": ", ".join(failing)}, 15)
+
+
 def test_a_failed_msl_iterate_fails_its_certificate_with_the_index(monkeypatch):
     monkeypatch.setattr(kwcalc, "apply_derivation", lambda derivation, el: el.algebra.zero())
     check = cli.verify_checks(None)["kwcalc"]["msl_phi_iterates_reach_unit"]
@@ -392,8 +410,7 @@ def test_hopf_constants_bound():
 
 def test_divided_power_certificate_two_unit_choices():
     for units in [(1, 1, 1, 1, 1), (3, 5, 7, 9, 11)]:
-        model = DividedPowerModel(modulus_bits=8, units=units, imax=5)
-        out, _ = divided_power_construct(model, 16)
+        out, _ = divided_power_construct(16, modulus_bits=8, units=units, imax=5)
         assert out["squares_normalized"], units
         assert out["certificate"], units
         assert out["x1_x1_equals_2_x2"], units
@@ -402,40 +419,80 @@ def test_divided_power_certificate_two_unit_choices():
 def test_divided_power_with_kummer_units():
     # w_i = binom(2^{i+1}, 2^i)/2: s_2^2 = 6 s_3 holds exactly mod 2^8
     units = tuple(comb(2 ** (i + 1), 2**i) // 2 for i in range(5))
-    model = DividedPowerModel(modulus_bits=8, units=units, imax=5)
-    out, _ = divided_power_construct(model, 8)
+    out, _ = divided_power_construct(8, modulus_bits=8, units=units, imax=5)
     assert out["certificate"]
 
 
 def test_divided_power_algebra_square_rule():
     # t_i^2 = 2 w_i t_{i+1} in the graded model; t_imax has no square rule
-    model = DividedPowerModel(modulus_bits=8, units=(3, 5, 7), imax=3)
-    alg = model.algebra
+    alg = square_chain(IntegersMod(2**8), 1, [6, 10, 14])
     assert alg.truncation == 15
-    for i, w in enumerate(model.units):
+    for i, w in enumerate((3, 5, 7)):
         square = alg.gen(f"t{i}") * alg.gen(f"t{i}")
         assert square == alg.gen(f"t{i + 1}").scale(2 * w)
     assert alg.square_images[3] is None
 
 
+@pytest.mark.parametrize("imax", [0, 1, 3])
+def test_square_chain_builds_both_certificate_models(imax):
+    # degree d . 2^i, truncation d . (2^(imax+1) - 1), one square rule per i < imax
+    divided = square_chain(IntegersMod(2**8), 1, [6] * imax)
+    kwhw, r = kw_hw_algebra(catalog_lookup("real_closed"), imax, 8)
+    ring = kwhw.coefficients
+    two_plus_r = ring.add(ring.add(ring.one, ring.one), r)
+    for alg, degree, square in ((divided, 1, 6), (kwhw, 4, two_plus_r)):
+        assert [g.degree for g in alg.generators] == [degree * 2**i for i in range(imax + 1)]
+        assert alg.truncation == degree * (2 ** (imax + 1) - 1)
+        rules = {i: {((i + 1, 1),): square} for i in range(imax)}
+        assert alg.square_images == rules | {imax: None}
+
+
+def test_binary_product_multiplies_over_the_binary_digits():
+    alg = square_chain(IntegersMod(2**8), 1, [6, 10, 14])
+
+    def t(i):
+        return alg.gen(f"t{i}")
+
+    assert binary_product(alg, 0, t) == alg.one()
+    assert binary_product(alg, 0b1011, t) == t(0) * t(1) * t(3)
+
+
 def test_the_generator_certificates_report_their_own_counts():
-    # one case per square s_n^2, n < imax; r in I^2 and each t_i^2, i < imax;
-    # each product x_k and each lifted basis element, k <= 2^imax
+    # one case per square s_n^2 and per square t_i^2, n, i < imax (r in I^2
+    # holds by choice); each product x_k and each lifted basis element, k <= 2^imax
     for imax in (0, 2, 5):
-        _, checked = divided_power_construct(DividedPowerModel(modulus_bits=8, imax=imax), 1)
+        _, checked = divided_power_construct(1, modulus_bits=8, imax=imax)
         assert checked == {"squares_normalized": imax}
     for imax in (1, 3):
         _, checked = kw_hw_generators_check("F3", imax, 6)
-        assert checked == {"squares_in_2_plus_I2": imax + 1,
+        assert checked == {"squares_in_2_plus_I2": imax,
                            "binary_products_generate": 2**imax + 1,
                            "lift_certificate_ok": 2**imax + 1}
 
 
 def test_divided_power_rejects_bad_model():
-    with pytest.raises(UnitInversionFailed):
-        DividedPowerModel(modulus_bits=8, units=(2, 1, 1), imax=3)
-    with pytest.raises(UnitInversionFailed):
-        DividedPowerModel(modulus_bits=4, imax=3)
+    # K >= 6, then the first even unit, then n_max <= 2^imax
+    for modulus_bits, units, error, message in [
+        (4, (2, 1, 1), UnitInversionFailed, "modulus 2^K needs K >= 6"),
+        (8, (3, 4, 6), UnitInversionFailed, "unit 4 is even"),
+        (8, (3, 5), BoundsExceeded, "n_max 100 exceeds 2^imax = 8"),
+    ]:
+        with pytest.raises(error) as raised:
+            divided_power_construct(100, modulus_bits, units, imax=3)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("units, imax, echoed", [
+    ((259, 5), 3, [3, 5, 1]),
+    ((3, 5, 7), 3, [3, 5, 7]),
+    ((3, 5, 7, 9, 11, 13, 15), 3, [3, 5, 7, 9, 11, 13, 15]),
+    ((3, 5), 0, [3, 5]),
+    ((), 5, [1, 1, 1, 1, 1]),
+])
+def test_divided_power_echoes_every_unit_given(units, imax, echoed):
+    # padded with 1s to imax and reduced mod 2^K; a longer list is echoed whole
+    out, _ = divided_power_construct(1, 8, units, imax)
+    assert out["units"] == echoed
 
 
 # -- hw smash hw ---------------------------------------------------------------

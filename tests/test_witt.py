@@ -151,6 +151,22 @@ def test_group_ring_presentation_needs_its_vcd2(k):
         WittPresentation.from_json(entry)
 
 
+@pytest.mark.parametrize("name", ALL_FIELDS)
+def test_a_minus_one_that_is_not_minus_the_unit_is_refused(name):
+    # <1> + <-1> = 0 in W: a perturbed <-1> is refused unless its class is unchanged
+    ring = catalog_lookup(name)
+    entry = ring.to_json()
+    for i, step in itertools.product(range(len(entry["minus_one"])), (1, -1, 2)):
+        minus_one = list(entry["minus_one"])
+        minus_one[i] += step
+        perturbed = dict(entry, minus_one=minus_one)
+        if ring.additive.reduce(minus_one) == ring.minus_one:
+            assert WittPresentation.from_json(perturbed).minus_one == ring.minus_one
+        else:
+            with pytest.raises(InvalidPresentation, match=r"<1> \+ <-1> is not 0 in W"):
+                WittPresentation.from_json(perturbed)
+
+
 def test_n_epsilon():
     for name in ALL_FIELDS:
         ring = catalog_lookup(name)
